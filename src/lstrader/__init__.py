@@ -29,8 +29,8 @@ from .market_data import (
 from .pattern_bank import (
     BankPattern,
     ClusterSet,
-    Pattern,
     PatternBank,
+    WindowSet,
     build_banks,
     extract_windows,
     kmeans,

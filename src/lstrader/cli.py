@@ -43,6 +43,7 @@ from .regression import (
     KernelChoice,
     PredictorModel,
     calibrate_c,
+    fit_points,
 )
 
 SPLIT_TOLERANCE = 1e-9
@@ -346,14 +347,19 @@ def run_pipeline(config: RunConfig) -> dict:
     print(f"calibrated c={calibration.c}, weights ridge_fallback={model.weights.used_ridge}")
 
     # strict three-way split: every feature window must sit inside its period
-    from .regression import fit_points
-
     longest = max(config.window_lengths)
     fit_ts_global = fit_points(fit_series, model.banks) + bounds["fit"][0]
     eval_ts_global = fit_points(eval_series, model.banks) + bounds["eval"][0]
-    assert fit_ts_global.min() - longest + 1 >= bounds["fit"][0]
-    assert fit_ts_global.max() + 1 < bounds["eval"][0] + 1
-    assert eval_ts_global.min() - longest + 1 >= bounds["eval"][0]
+    if (
+        fit_ts_global.min() - longest + 1 < bounds["fit"][0]
+        or fit_ts_global.max() >= bounds["eval"][0]
+        or eval_ts_global.min() - longest + 1 < bounds["eval"][0]
+    ):
+        raise ValueError(
+            f"feature windows cross a period boundary: fit points "
+            f"[{fit_ts_global.min()}, {fit_ts_global.max()}], eval points from "
+            f"{eval_ts_global.min()}, longest window {longest}, periods {bounds}"
+        )
 
     report, rows = _evaluate(
         model,

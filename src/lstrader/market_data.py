@@ -111,6 +111,10 @@ class PriceSeries:
             raise ValueError("PriceSeries cannot be empty")
         if not self.interval > 0:
             raise ValueError("interval must be > 0")
+        for name, values in (("price", prices), ("imbalance", imbalances)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"non-finite {name} {values[bad[0]]} at bucket {bad[0]}")
         prices.setflags(write=False)
         imbalances.setflags(write=False)
         object.__setattr__(self, "prices", prices)
@@ -157,9 +161,12 @@ class PriceSeries:
                     continue
                 if len(row) != 3:
                     raise ValueError(f"{path} line {reader.line_num}: expected 3 columns")
-                times.append(float(row[0]))
-                prices.append(float(row[1]))
-                imbalances.append(float(row[2]))
+                t, p, r = float(row[0]), float(row[1]), float(row[2])
+                if not (math.isfinite(t) and math.isfinite(p) and math.isfinite(r)):
+                    raise ValueError(f"{path} line {reader.line_num}: non-finite value in {row}")
+                times.append(t)
+                prices.append(p)
+                imbalances.append(r)
         if not times:
             raise ValueError(f"{path}: empty price series")
         if len(times) > 1:

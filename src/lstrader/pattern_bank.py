@@ -4,22 +4,42 @@ A pattern is a fixed-length window of the price grid paired with the price
 change over the bucket that follows it. Windows are stored zero-mean /
 unit-std (population convention: std is the square root of the mean squared
 deviation), which turns correlation scoring downstream into plain inner
-products. Constant windows normalize to the zero vector and are flagged.
+products. Constant windows normalize to the zero vector.
 
-Banks are built per window length: extract all windows, cluster them with
-k-means (k-means++ seeding, Lloyd iterations, deterministic given seed),
-rank clusters by effectiveness |mean label| / (label std + eps), and keep
-the re-normalized centroids of the top clusters with their mean labels.
+Banks are built per window length: extract all windows as arrays (a
+read-only strided view of the prices, the row-normalized windows and their
+labels), cluster the normalized windows with k-means, rank clusters by
+effectiveness |mean label| / (label std + eps), and keep the re-normalized
+centroids of the top clusters with their mean labels.
+
+k-means is Lloyd's algorithm with k-means++ seeding, deterministic given the
+seed. It reaches the same assignments as the textbook loop that computes
+every point-to-centroid distance in every iteration, with less work:
+
+- squared norms of the points are computed once; k-means++ scores each new
+  center with one matrix-vector product;
+- cluster sums come from one one-hot matrix product, after which only the
+  rows that change cluster are subtracted and added;
+- Hamerly's bounds ("Making k-means even faster", SDM 2010) keep, per point,
+  an upper bound on the distance to its centroid and a lower bound on the
+  distance to every other centroid. Rows whose bounds prove the assignment
+  cannot change are skipped; only the others get a row of distances. The
+  bounds carry slack for floating-point rounding, so rounding can only add
+  rows to recompute, never skip one whose nearest centroid might change;
+- an empty cluster is reseeded to the point farthest from its centroid,
+  after which every row gets exact distances again;
+- the objective is sum ||x||^2 - 2 sum_j s_j.c_j + sum_j n_j ||c_j||^2 over
+  the cluster sums s_j and sizes n_j, so it needs no pass over the points.
 
 Bank serialization: a JSON form (window_length, kernel_c, and one
 {vector, label, population} record per pattern) and a compact binary form
-for large banks (little-endian, length-prefixed 64-bit floats).
+for large banks (little-endian, length-prefixed 64-bit floats), read and
+written as whole numpy record arrays.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,6 +54,26 @@ DEFAULT_NUM_SELECTED = 20
 EFFECTIVENESS_EPS = 1e-9
 
 _BANK_MAGIC = b"LSTBANK1"
+_BANK_HEADER = np.dtype(
+    [("magic", "S8"), ("count", "<u8"), ("window_length", "<u8"), ("kernel_c", "<f8")]
+)
+
+
+def _bank_record(window_length: int) -> np.dtype:
+    """One binary bank record: length prefix, vector, label, population."""
+    return np.dtype(
+        [
+            ("length", "<u8"),
+            ("vector", "<f8", (window_length,)),
+            ("label", "<f8"),
+            ("population", "<u8"),
+        ]
+    )
+
+
+# Rows per gathered block in k-means: bounds its temporaries to this many
+# rows of the point matrix, whatever the number of points.
+_BLOCK_ROWS = 1024
 
 
 def normalize(x) -> np.ndarray:
@@ -59,28 +99,30 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
     scale = np.sqrt(variance, out=np.zeros_like(variance), where=variance > 0)
     usable = (scale > 0) & ~constant
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(usable[:, None], deviations / np.where(scale > 0, scale, 1.0)[:, None], 0.0)
-    return out
+        deviations /= np.where(scale > 0, scale, 1.0)[:, None]
+    deviations[~usable] = 0.0
+    return deviations
 
 
 @dataclass(frozen=True)
-class Pattern:
-    """One labeled window: raw values, next-bucket change, normalized form."""
+class WindowSet:
+    """All labeled windows of one length, as arrays.
 
-    x: np.ndarray
-    y: float
-    normalized_x: np.ndarray
-    constant: bool
+    raw is a read-only strided view of the series prices (row i is window
+    i; nothing is copied), normalized holds the row-normalized windows
+    (constant windows are zero rows), and labels holds each window's
+    next-bucket price change.
+    """
 
-    @classmethod
-    def from_window(cls, x, y: float) -> "Pattern":
-        x = np.asarray(x, dtype=np.float64)
-        normalized = normalize(x)
-        constant = not normalized.any()
-        return cls(x=x, y=float(y), normalized_x=normalized, constant=constant)
+    raw: np.ndarray
+    normalized: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
 
 
-def extract_windows(series: PriceSeries, window: int, stride: int = 1) -> list[Pattern]:
+def extract_windows(series: PriceSeries, window: int, stride: int = 1) -> WindowSet:
     """All labeled windows of the given length, stepping starts by stride.
 
     Window i is prices[i : i+window); its label is the increment
@@ -97,17 +139,12 @@ def extract_windows(series: PriceSeries, window: int, stride: int = 1) -> list[P
             f"for windows of length {window}"
         )
     prices = series.prices
-    starts = np.arange(0, len(series) - window, stride)
-    raw = sliding_window_view(prices, window)[starts]
-    labels = prices[starts + window] - prices[starts + window - 1]
+    raw = sliding_window_view(prices, window)[: len(series) - window : stride]
+    labels = prices[window::stride] - prices[window - 1 : -1 : stride]
     normalized = normalize_rows(raw)
-    constant = ~normalized.any(axis=1)
-    raw.setflags(write=False)
     normalized.setflags(write=False)
-    return [
-        Pattern(x=raw[i], y=float(labels[i]), normalized_x=normalized[i], constant=bool(constant[i]))
-        for i in range(len(starts))
-    ]
+    labels.setflags(write=False)
+    return WindowSet(raw=raw, normalized=normalized, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -123,21 +160,23 @@ class ClusterSet:
     objective_history: tuple[float, ...]
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    np.clip(d2, 0.0, None, out=d2)
-    return d2
+def _row_sq_norms(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
+
+    def sq_dists_to(j: int) -> np.ndarray:
+        center = centers[j : j + 1]
+        d2 = sq_norms + _row_sq_norms(center) - 2.0 * (points @ center[0])
+        return np.clip(d2, 0.0, None, out=d2)
+
     centers[0] = points[rng.integers(n)]
-    closest = _pairwise_sq_dists(points, centers[:1])[:, 0]
+    closest = sq_dists_to(0)
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -145,60 +184,156 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.integers(n))  # all points coincide with chosen centers
         centers[j] = points[idx]
-        np.minimum(closest, _pairwise_sq_dists(points, centers[j : j + 1])[:, 0], out=closest)
+        np.minimum(closest, sq_dists_to(j), out=closest)
     return centers
 
 
-def kmeans(
-    patterns: Sequence[Pattern], k: int, seed: int, max_iters: int = 100
-) -> ClusterSet:
-    """Lloyd's algorithm with k-means++ seeding on normalized windows.
+def _blocks(rows: np.ndarray):
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        yield start, rows[start : start + _BLOCK_ROWS]
 
-    Deterministic given the seed. Stops when assignments stabilize or after
-    max_iters update/assign cycles; the returned assignments are always
-    nearest-centroid under the returned centroids. Empty clusters are
-    reseeded to the point currently farthest from its centroid.
+
+def _nearest_two(
+    points: np.ndarray,
+    sq_norms: np.ndarray,
+    centroids: np.ndarray,
+    sq_centroids: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per listed row: nearest centroid, its squared distance, and the
+    second-smallest squared distance (inf when k == 1).
+
+    Squared distances are ||x||^2 + ||c||^2 - 2 x.c clipped at zero; the
+    argmin takes the lowest index on ties.
     """
+    nearest = np.empty(rows.size, dtype=np.intp)
+    best = np.empty(rows.size)
+    second = np.full(rows.size, np.inf)
+    for start, block in _blocks(rows):
+        d2 = sq_norms[block, None] + sq_centroids[None, :] - 2.0 * (points[block] @ centroids.T)
+        np.clip(d2, 0.0, None, out=d2)
+        out = slice(start, start + block.size)
+        nearest[out] = d2.argmin(axis=1)
+        best[out] = d2[np.arange(block.size), nearest[out]]
+        if centroids.shape[0] > 1:
+            second[out] = np.partition(d2, 1, axis=1)[:, 1]
+    return nearest, best, second
+
+
+def kmeans(
+    points: np.ndarray, labels: np.ndarray, k: int, seed: int, max_iters: int = 100
+) -> ClusterSet:
+    """Lloyd's algorithm with k-means++ seeding on the rows of points.
+
+    labels holds one value per row; the result carries each cluster's label
+    mean and std. Deterministic given the seed. Stops when assignments
+    stabilize or after max_iters update/assign cycles; the returned
+    assignments are always nearest-centroid under the returned centroids.
+    Empty clusters are reseeded to the point currently farthest from its
+    centroid.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError("points must be a 2-D array")
+    n, dim = points.shape
+    if labels.shape != (n,):
+        raise ValueError(f"need one label per point: {labels.shape[0]} labels, {n} points")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(patterns)
     if n < k:
         raise ValueError(f"need at least k={k} patterns, got {n}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    points = np.stack([p.normalized_x for p in patterns])
-    labels = np.array([p.y for p in patterns])
     rng = np.random.default_rng(seed)
+    sq_norms = _row_sq_norms(points)
+    centroids = _kmeanspp_init(points, sq_norms, k, rng)
+    sq_centroids = _row_sq_norms(centroids)
 
-    centroids = _kmeanspp_init(points, k, rng)
-    d2 = _pairwise_sq_dists(points, centroids)
-    assignments = d2.argmin(axis=1)
-    assigned_d2 = d2[np.arange(n), assignments]
-    history = [float(assigned_d2.sum())]
+    # Rounding allowance. A computed squared distance is within
+    # tol * (||x||^2 + max ||c||^2) of the exact one; every bound is widened
+    # by the relative factor tol each time it is updated. A row is skipped
+    # only when its computed nearest centroid provably cannot change.
+    tol = 2.0 * (dim + 4) * np.finfo(np.float64).eps
+
+    def sq_error(rows):
+        return tol * (sq_norms[rows] + sq_centroids.max())
+
+    def set_bounds(rows, best, second):
+        """From fresh distance rows: an upper bound on each row's distance to
+        its own centroid and a lower bound on its distance to any other."""
+        err = sq_error(rows)
+        upper[rows] = np.sqrt(best + err) * (1.0 + tol)
+        lower[rows] = np.sqrt(np.maximum(second - err, 0.0)) * (1.0 - tol)
+
+    def objective():
+        cross = np.einsum("ij,ij->", sums, centroids)
+        return float(sq_norms.sum() - 2.0 * cross + counts @ sq_centroids)
+
+    all_rows = np.arange(n)
+    upper, lower = np.empty(n), np.empty(n)
+    assignments, best, second = _nearest_two(points, sq_norms, centroids, sq_centroids, all_rows)
+    set_bounds(all_rows, best, second)
+    counts = np.bincount(assignments, minlength=k)
+    one_hot = np.zeros((k, n))
+    one_hot[assignments, all_rows] = 1.0
+    sums = one_hot @ points
+    del one_hot
+    history = [objective()]
 
     for _ in range(max_iters):
-        counts = np.bincount(assignments, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, points)
         new_centroids = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], 0.0)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            order = iter(np.argsort(-assigned_d2, kind="stable"))
-            for empty in empties:
-                new_centroids[empty] = points[int(next(order))]
-        centroids = new_centroids
+            # reseed from exact distances; then every row is recomputed
+            _, assigned_d2, _ = _nearest_two(points, sq_norms, centroids, sq_centroids, all_rows)
+            farthest = np.argsort(-assigned_d2, kind="stable")[: empties.size]
+            new_centroids[empties] = points[farthest]
+            centroids = new_centroids
+            sq_centroids = _row_sq_norms(centroids)
+            rows = all_rows
+        else:
+            shift = np.sqrt(_row_sq_norms(new_centroids - centroids)) * (1.0 + tol)
+            centroids = new_centroids
+            sq_centroids = _row_sq_norms(centroids)
+            upper += shift[assignments]
+            upper *= 1.0 + tol
+            # every other centroid moved at most the largest shift among
+            # the clusters other than the point's own
+            top = np.argmax(shift)
+            runner_up = np.max(np.delete(shift, top), initial=0.0)
+            lower -= np.where(assignments == top, runner_up, shift[top])
+            lower *= 1.0 - tol
+            # triangle inequality: a point within `upper` of its centroid is
+            # at least gap - upper from every other centroid, where gap is
+            # the distance from its centroid to the nearest other one
+            gap2 = sq_centroids[:, None] + sq_centroids[None, :] - 2.0 * (centroids @ centroids.T)
+            np.fill_diagonal(gap2, np.inf)
+            gap2 = gap2.min(axis=1) - 2.0 * tol * sq_centroids.max()
+            gap = np.sqrt(np.maximum(gap2, 0.0)) * (1.0 - tol)
+            bound = np.maximum(lower, (gap[assignments] - upper) * (1.0 - tol))
+            bound = np.maximum(bound, 0.0)
+            slack = 2.0 * sq_error(all_rows)
+            may_move = upper * upper * (1.0 + tol) + slack >= bound * bound * (1.0 - tol)
+            rows = np.flatnonzero(may_move)
 
-        d2 = _pairwise_sq_dists(points, centroids)
-        new_assignments = d2.argmin(axis=1)
-        assigned_d2 = d2[np.arange(n), new_assignments]
-        history.append(float(assigned_d2.sum()))
-        converged = np.array_equal(new_assignments, assignments)
-        assignments = new_assignments
-        if converged:
+        nearest, best, second = _nearest_two(points, sq_norms, centroids, sq_centroids, rows)
+        set_bounds(rows, best, second)
+        changed = nearest != assignments[rows]
+        moved, to_cluster = rows[changed], nearest[changed]
+        for start, block in _blocks(moved):
+            delta = np.zeros((k, block.size))
+            cols = np.arange(block.size)
+            delta[to_cluster[start : start + block.size], cols] = 1.0
+            delta[assignments[block], cols] = -1.0
+            sums += delta @ points[block]
+        assignments[moved] = to_cluster
+        counts = np.bincount(assignments, minlength=k)
+        history.append(objective())
+        if moved.size == 0:
             break
 
-    populations = np.bincount(assignments, minlength=k)
     label_mean = np.zeros(k)
     label_std = np.zeros(k)
     for cluster in range(k):
@@ -213,7 +348,7 @@ def kmeans(
         assignments=assignments,
         member_label_mean=label_mean,
         member_label_std=label_std,
-        populations=populations,
+        populations=counts,
         objective_history=tuple(history),
     )
 
@@ -255,13 +390,6 @@ def select_effective(clusters: ClusterSet, m: int) -> list[BankPattern]:
     ]
 
 
-def effectiveness_scores(clusters: ClusterSet) -> np.ndarray:
-    """The ranking score used by select_effective, exposed for inspection."""
-    return np.abs(clusters.member_label_mean) / (
-        clusters.member_label_std + EFFECTIVENESS_EPS
-    )
-
-
 @dataclass(frozen=True)
 class PatternBank:
     """Selected representative patterns for one window length.
@@ -290,6 +418,8 @@ class PatternBank:
             )
         if labels.shape != (vectors.shape[0],) or populations.shape != (vectors.shape[0],):
             raise ValueError("labels/populations must align with vectors")
+        if (populations < 0).any():
+            raise ValueError("populations must be >= 0")
         if not self.kernel_c > 0:
             raise ValueError("kernel_c must be > 0")
         means = vectors.mean(axis=1)
@@ -359,36 +489,48 @@ class PatternBank:
             return cls.from_json_dict(json.load(fh))
 
     def save_binary(self, path) -> None:
+        header = np.array(
+            [(_BANK_MAGIC, len(self), self.window_length, self.kernel_c)], dtype=_BANK_HEADER
+        )
+        records = np.empty(len(self), dtype=_bank_record(self.window_length))
+        records["length"] = self.window_length
+        records["vector"] = self.vectors
+        records["label"] = self.labels
+        records["population"] = self.populations
         with open(path, "wb") as fh:
-            fh.write(_BANK_MAGIC)
-            fh.write(struct.pack("<QQd", len(self), self.window_length, self.kernel_c))
-            for i in range(len(self)):
-                fh.write(struct.pack("<Q", self.window_length))
-                fh.write(self.vectors[i].astype("<f8").tobytes())
-                fh.write(struct.pack("<dQ", float(self.labels[i]), int(self.populations[i])))
+            fh.write(header.tobytes())
+            fh.write(records.tobytes())
 
     @classmethod
     def load_binary(cls, path) -> "PatternBank":
         with open(path, "rb") as fh:
-            magic = fh.read(len(_BANK_MAGIC))
-            if magic != _BANK_MAGIC:
-                raise ValueError(f"{path}: not a pattern bank file")
-            count, window_length, kernel_c = struct.unpack("<QQd", fh.read(24))
-            vectors = np.empty((count, window_length))
-            labels = np.empty(count)
-            populations = np.empty(count, dtype=np.int64)
-            for i in range(count):
-                (length,) = struct.unpack("<Q", fh.read(8))
-                if length != window_length:
-                    raise ValueError(f"{path}: pattern {i} length {length} != {window_length}")
-                vectors[i] = np.frombuffer(fh.read(8 * length), dtype="<f8")
-                labels[i], populations[i] = struct.unpack("<dQ", fh.read(16))
+            blob = fh.read()
+        if blob[: len(_BANK_MAGIC)] != _BANK_MAGIC:
+            raise ValueError(f"{path}: not a pattern bank file")
+        if len(blob) < _BANK_HEADER.itemsize:
+            raise ValueError(f"{path}: truncated pattern bank header ({len(blob)} bytes)")
+        header = np.frombuffer(blob, dtype=_BANK_HEADER, count=1)[0]
+        count, window_length = int(header["count"]), int(header["window_length"])
+        expected = _BANK_HEADER.itemsize + count * (8 * window_length + 24)
+        if len(blob) != expected:
+            raise ValueError(
+                f"{path}: pattern bank file is {len(blob)} bytes, expected {expected} "
+                f"for {count} patterns of length {window_length} (truncated or corrupt)"
+            )
+        records = np.frombuffer(
+            blob, dtype=_bank_record(window_length), count=count, offset=_BANK_HEADER.itemsize
+        )
+        bad = np.flatnonzero(records["length"] != window_length)
+        if bad.size:
+            i = int(bad[0])
+            length = int(records["length"][i])
+            raise ValueError(f"{path}: pattern {i} length {length} != {window_length}")
         return cls(
-            window_length=int(window_length),
-            vectors=vectors,
-            labels=labels,
-            populations=populations,
-            kernel_c=float(kernel_c),
+            window_length=window_length,
+            vectors=records["vector"],
+            labels=records["label"],
+            populations=records["population"],
+            kernel_c=float(header["kernel_c"]),
         )
 
     @classmethod
@@ -429,10 +571,12 @@ def build_banks(
     banks = []
     for window in window_lengths:
         cluster_seed = int(rng.integers(2**31))
-        patterns = extract_windows(series, window, stride)
-        k_eff = max(1, min(k, len(patterns) // 2))
+        windows = extract_windows(series, window, stride)
+        k_eff = max(1, min(k, len(windows) // 2))
         m_eff = min(m, k_eff)
-        clusters = kmeans(patterns, k_eff, seed=cluster_seed, max_iters=max_iters)
+        clusters = kmeans(
+            windows.normalized, windows.labels, k_eff, seed=cluster_seed, max_iters=max_iters
+        )
         selected = select_effective(clusters, m_eff)
         banks.append(PatternBank.from_patterns(window, selected, kernel_c=kernel_c))
     return tuple(banks)

@@ -168,6 +168,40 @@ class TestStagedCommands:
         ) == 0
         assert (fit_dir / "bank_120.bin").exists()
 
+    def test_truncated_binary_bank_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
+        banks_dir = tmp_path / "banks"
+        assert run_cli(
+            "build-banks", "--series", series_csv, "--out-dir", banks_dir,
+            "--windows", "30,60,120", "--k", "8", "--m", "3", "--bank-format", "binary",
+        ) == 0
+        bank = banks_dir / "bank_60.bin"
+        bank.write_bytes(bank.read_bytes()[:-5])
+        capsys.readouterr()
+        rc = run_cli(
+            "fit", "--series", series_csv, "--banks-dir", banks_dir,
+            "--out-dir", tmp_path / "fitted", "--c-grid", "1",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bank_60.bin" in err
+
+    def test_non_finite_series_fails_with_diagnostic(self, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        rows = [f"{10.0 * i},{100.0 + i},0.0" for i in range(400)]
+        rows[250] = "2500.0,nan,0.0"
+        series_csv.write_text("bucket_time,price,imbalance\n" + "\n".join(rows) + "\n")
+        rc = run_cli(
+            "build-banks", "--series", series_csv, "--out-dir", tmp_path / "banks",
+            "--windows", "30,60,120", "--k", "4", "--m", "2",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "series.csv line 252" in err
+
 
 class TestPipeline:
     def test_pipeline_bundle_and_summary_keys(self, spec_path, tmp_path):
@@ -237,6 +271,24 @@ class TestPipeline:
         summary = json.loads((out / "summary.json").read_text())
         assert "sharpe_sqrt" in summary
         assert "sharpe_paper_literal" in summary
+
+    def test_split_invariant_is_an_explicit_error(self, spec_path, tmp_path, monkeypatch, capsys):
+        # an explicit check, not an assert: shift the eval points before the
+        # eval period and the pipeline must refuse with a diagnostic
+        import lstrader.cli as cli
+
+        real = cli.fit_points
+        calls = []
+
+        def shifted(series, banks):
+            calls.append(len(series))
+            ts = real(series, banks)
+            return ts - 200 if len(calls) == 2 else ts
+
+        monkeypatch.setattr(cli, "fit_points", shifted)
+        assert run_cli(*small_pipeline_args(spec_path, tmp_path / "run")) == 1
+        assert len(calls) == 2
+        assert "feature windows cross a period boundary" in capsys.readouterr().err
 
     def test_run_config_validation(self):
         with pytest.raises(ValueError, match="split"):

@@ -199,3 +199,18 @@ class TestPriceSeries:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             PriceSeries.from_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["price", "imbalance"])
+    def test_non_finite_values_rejected(self, bad, field):
+        prices, imbalances = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+        (prices if field == "price" else imbalances)[1] = bad
+        with pytest.raises(ValueError, match=f"non-finite {field} .* bucket 1"):
+            PriceSeries(0.0, 10.0, prices, imbalances)
+
+    @pytest.mark.parametrize("row", ["20.0,nan,0.0", "20.0,100.0,inf", "20.0,100.0,-inf", "nan,100.0,0.0"])
+    def test_csv_non_finite_value_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "series.csv"
+        path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,100.5,0.1\n{row}\n")
+        with pytest.raises(ValueError, match=r"series\.csv line 4: non-finite"):
+            PriceSeries.from_csv(path)

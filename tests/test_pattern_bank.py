@@ -1,15 +1,17 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lstrader.latent_source import LabelDist, LatentSourceSpec, generate_labeled
 from lstrader.pattern_bank import (
     BankPattern,
-    Pattern,
     PatternBank,
     build_banks,
-    effectiveness_scores,
     extract_windows,
     kmeans,
     normalize,
@@ -48,13 +50,18 @@ class TestNormalize:
         assert np.allclose(base, shifted, atol=1e-9)
 
 
+def normalized_rows(rows):
+    """Stack of per-row normalize(): the points k-means clusters."""
+    return np.stack([normalize(x) for x in rows])
+
+
 class TestExtractWindows:
     def test_minimum_length_yields_one_pattern(self):
         series = series_from_prices([1.0, 2.0, 4.0, 7.0, 11.0])
-        patterns = extract_windows(series, window=4)
-        assert len(patterns) == 1
-        assert patterns[0].y == 4.0  # last increment
-        assert np.array_equal(patterns[0].x, [1.0, 2.0, 4.0, 7.0])
+        windows = extract_windows(series, window=4)
+        assert len(windows) == 1
+        assert windows.labels[0] == 4.0  # last increment
+        assert np.array_equal(windows.raw[0], [1.0, 2.0, 4.0, 7.0])
 
     def test_window_count(self):
         series = series_from_prices(np.arange(14.0))
@@ -66,10 +73,30 @@ class TestExtractWindows:
 
     def test_constant_series_flags_every_pattern(self):
         series = series_from_prices(np.full(9, 5.0))
-        patterns = extract_windows(series, window=4)
-        assert all(p.constant for p in patterns)
-        assert all(p.y == 0.0 for p in patterns)
-        assert all(not p.normalized_x.any() for p in patterns)
+        windows = extract_windows(series, window=4)
+        assert len(windows) == 5
+        assert np.all(windows.labels == 0.0)
+        # a constant window is flagged by a zero normalized row
+        assert not windows.normalized.any(axis=1).any()
+
+    def test_raw_is_a_read_only_view_of_the_prices(self):
+        series = series_from_prices(np.arange(14.0) ** 2)
+        windows = extract_windows(series, window=4, stride=3)
+        assert np.shares_memory(windows.raw, series.prices)
+        assert not windows.raw.flags.writeable
+        assert not windows.normalized.flags.writeable
+        assert not windows.labels.flags.writeable
+        for i, start in enumerate(range(0, 10, 3)):
+            assert np.array_equal(windows.raw[i], series.prices[start : start + 4])
+
+    def test_rows_match_per_window_normalize(self):
+        rng = np.random.default_rng(6)
+        prices = 100.0 + np.cumsum(rng.normal(size=40))
+        prices[10:20] = prices[10]  # some constant windows
+        windows = extract_windows(series_from_prices(prices), window=5, stride=2)
+        assert np.allclose(windows.normalized, normalized_rows(windows.raw), atol=1e-12)
+        assert windows.normalized.shape == (len(windows), 5)
+        assert windows.labels.shape == (len(windows),)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least"):
@@ -77,69 +104,72 @@ class TestExtractWindows:
 
     def test_labels_are_next_increment(self):
         prices = np.array([10.0, 11.0, 9.0, 12.0, 15.0, 14.0])
-        patterns = extract_windows(series_from_prices(prices), window=3)
-        assert [p.y for p in patterns] == [3.0, 3.0, -1.0]
+        windows = extract_windows(series_from_prices(prices), window=3)
+        assert windows.labels.tolist() == [3.0, 3.0, -1.0]
 
 
-def blob_patterns(seed=0, per_blob=25, dim=8, separation=50.0):
+def blob_points(seed=0, per_blob=25, dim=8, separation=50.0):
     rng = np.random.default_rng(seed)
     a_center = rng.normal(size=dim)
     b_center = rng.normal(size=dim) + separation
-    patterns, truth = [], []
+    rows, labels, truth = [], [], []
     for i in range(per_blob * 2):
         center, label = (a_center, 1.0) if i % 2 == 0 else (b_center, -1.0)
-        x = center + 0.01 * rng.normal(size=dim)
-        patterns.append(Pattern.from_window(x, label))
+        rows.append(center + 0.01 * rng.normal(size=dim))
+        labels.append(label)
         truth.append(0 if i % 2 == 0 else 1)
-    return patterns, np.array(truth)
+    return normalized_rows(rows), np.array(labels), np.array(truth)
 
 
 class TestKmeans:
     def test_single_cluster_centroid_is_mean(self):
-        patterns = [Pattern.from_window(np.random.default_rng(i).normal(size=5), 0.0) for i in range(10)]
-        clusters = kmeans(patterns, k=1, seed=0)
-        stacked = np.stack([p.normalized_x for p in patterns])
-        assert np.allclose(clusters.centroids[0], stacked.mean(axis=0), atol=1e-12)
+        points = normalized_rows([np.random.default_rng(i).normal(size=5) for i in range(10)])
+        clusters = kmeans(points, np.zeros(10), k=1, seed=0)
+        assert np.allclose(clusters.centroids[0], points.mean(axis=0), atol=1e-12)
 
     def test_one_pattern_per_cluster_zero_distance(self):
         rng = np.random.default_rng(3)
-        patterns = [Pattern.from_window(rng.normal(size=6), 0.0) for _ in range(7)]
-        clusters = kmeans(patterns, k=7, seed=1)
+        points = normalized_rows([rng.normal(size=6) for _ in range(7)])
+        clusters = kmeans(points, np.zeros(7), k=7, seed=1)
         assert clusters.objective_history[-1] == pytest.approx(0.0, abs=1e-9)
         assert sorted(clusters.assignments.tolist()) == list(range(7))
 
     def test_recovers_planted_blobs(self):
-        patterns, truth = blob_patterns()
-        clusters = kmeans(patterns, k=2, seed=5)
+        points, labels, truth = blob_points()
+        clusters = kmeans(points, labels, k=2, seed=5)
         mapping = clusters.assignments[truth == 0][0]
         predicted = (clusters.assignments != mapping).astype(int)
         assert np.array_equal(predicted, truth)
 
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(17)
-        patterns = [Pattern.from_window(rng.normal(size=10), float(rng.normal())) for _ in range(120)]
-        clusters = kmeans(patterns, k=9, seed=2)
+        rows, labels = zip(*[(rng.normal(size=10), float(rng.normal())) for _ in range(120)])
+        clusters = kmeans(normalized_rows(rows), np.array(labels), k=9, seed=2)
         history = clusters.objective_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
-        patterns = [Pattern.from_window(rng.normal(size=6), 0.0) for _ in range(40)]
-        a = kmeans(patterns, k=5, seed=13)
-        b = kmeans(patterns, k=5, seed=13)
+        points = normalized_rows([rng.normal(size=6) for _ in range(40)])
+        a = kmeans(points, np.zeros(40), k=5, seed=13)
+        b = kmeans(points, np.zeros(40), k=5, seed=13)
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
 
     def test_fewer_patterns_than_k_rejected(self):
-        patterns = [Pattern.from_window(np.arange(4.0), 0.0)]
+        points = normalized_rows([np.arange(4.0)])
         with pytest.raises(ValueError):
-            kmeans(patterns, k=2, seed=0)
+            kmeans(points, np.zeros(1), k=2, seed=0)
+
+    def test_label_count_must_match_points(self):
+        points = normalized_rows([np.arange(4.0), np.arange(4.0) ** 2])
+        with pytest.raises(ValueError, match="one label per point"):
+            kmeans(points, np.zeros(3), k=1, seed=0)
 
     def test_assignments_are_nearest_centroid(self):
         rng = np.random.default_rng(23)
-        patterns = [Pattern.from_window(rng.normal(size=6), 0.0) for _ in range(60)]
-        clusters = kmeans(patterns, k=6, seed=3, max_iters=2)  # may stop before converging
-        points = np.stack([p.normalized_x for p in patterns])
+        points = normalized_rows([rng.normal(size=6) for _ in range(60)])
+        clusters = kmeans(points, np.zeros(60), k=6, seed=3, max_iters=2)  # may stop before converging
         d2 = ((points[:, None, :] - clusters.centroids[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(d2.argmin(axis=1), clusters.assignments)
 
@@ -199,10 +229,13 @@ class TestSelectEffective:
         clusters = cluster_set_from_stats(
             rng.normal(size=8), rng.uniform(0.1, 2.0, size=8), [3] * 8
         )
-        scores = effectiveness_scores(clusters)
+        # independent recomputation of the ranking score
+        scores = np.abs(clusters.member_label_mean) / (clusters.member_label_std + 1e-9)
+        order = np.argsort(-scores, kind="stable")
         for m in (1, 3, 8):
             selected = select_effective(clusters, m=m)
             assert len(selected) == min(m, clusters.k)
+            assert [p.label for p in selected] == clusters.member_label_mean[order[:m]].tolist()
             ranked = np.sort(scores)[::-1]
             assert min(ranked[:m]) >= (max(ranked[m:]) if m < clusters.k else -np.inf)
 
@@ -269,6 +302,79 @@ class TestPatternBank:
         with pytest.raises(ValueError, match="not a pattern bank"):
             PatternBank.load_binary(path)
 
+    @staticmethod
+    def struct_bank_bytes(bank):
+        """The binary layout written field by field with struct."""
+        out = [b"LSTBANK1", struct.pack("<QQd", len(bank), bank.window_length, bank.kernel_c)]
+        for i in range(len(bank)):
+            out.append(struct.pack("<Q", bank.window_length))
+            out.append(bank.vectors[i].astype("<f8").tobytes())
+            out.append(struct.pack("<dQ", float(bank.labels[i]), int(bank.populations[i])))
+        return b"".join(out)
+
+    def test_binary_layout_and_byte_exact_round_trip(self, tmp_path):
+        bank = self.make_bank(n=5, dim=9, kernel_c=3.25)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        bank.save_binary(first)
+        assert first.read_bytes() == self.struct_bank_bytes(bank)
+        PatternBank.load(first).save_binary(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=5, max_size=5),
+            min_size=1,
+            max_size=4,
+        ),
+        kernel_c=st.floats(min_value=1e-3, max_value=1e3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_binary_round_trip_is_byte_exact_property(self, rows, kernel_c, seed):
+        rng = np.random.default_rng(seed)
+        bank = PatternBank(
+            window_length=5,
+            vectors=np.stack([normalize(r) for r in rows]),
+            labels=rng.normal(scale=1e3, size=len(rows)),
+            populations=rng.integers(0, 2**62, size=len(rows)),
+            kernel_c=kernel_c,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
+            bank.save_binary(first)
+            loaded = PatternBank.load(first)
+            loaded.save_binary(second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read() == self.struct_bank_bytes(bank)
+        assert np.array_equal(loaded.vectors, bank.vectors)
+        assert np.array_equal(loaded.labels, bank.labels)
+        assert np.array_equal(loaded.populations, bank.populations)
+        assert loaded.kernel_c == bank.kernel_c
+
+    @pytest.mark.parametrize("cut", [1, 8, 40, 9 * 8 + 24, 300])
+    def test_truncated_binary_rejected_naming_file(self, tmp_path, cut):
+        path = tmp_path / "bank_9.bin"
+        self.make_bank(n=3, dim=9).save_binary(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="bank_9.bin"):
+            PatternBank.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "bank.bin"
+        self.make_bank(n=2, dim=6).save_binary(path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="expected"):
+            PatternBank.load_binary(path)
+
+    def test_negative_population_rejected(self):
+        with pytest.raises(ValueError, match="populations"):
+            PatternBank(
+                window_length=3,
+                vectors=np.array([normalize([1.0, 2.0, 3.0])]),
+                labels=np.array([0.0]),
+                populations=np.array([-1]),
+            )
+
 
 class TestBuildBanks:
     def synthetic_series(self, n_buckets, seed=0):
@@ -318,8 +424,8 @@ class TestBuildBanks:
             seed=77,
         )
         draws = generate_labeled(spec, 60)
-        patterns = [Pattern.from_window(x, y) for x, y, _ in draws]
-        clusters = kmeans(patterns, k=2, seed=8)
+        points = normalized_rows([x for x, _, _ in draws])
+        clusters = kmeans(points, np.array([y for _, y, _ in draws]), k=2, seed=8)
         anchor = clusters.assignments[draws.source == 0][0]
         predicted = np.where(clusters.assignments == anchor, 0, 1)
         assert np.array_equal(predicted, draws.source)
