@@ -1,10 +1,11 @@
 """Latent-source kernel regression for short-horizon price prediction.
 
 Pipeline in brief: coarsen ticks onto a 10-second grid, mine normalized
-price-window patterns into three banks (30/60/120 minutes), score live
-windows against the banks with an exponential-similarity kernel, combine
-the three bank predictions with the order-book imbalance through a fitted
-affine layer, and trade a +1/0/-1 position on a threshold rule.
+price-window patterns into N banks (by default three: 30/60/120 minutes;
+any strictly increasing list of window lengths works), score live windows
+against the banks with an exponential-similarity kernel, combine the N bank
+predictions with the order-book imbalance through a fitted affine layer of
+N + 2 weights, and trade a +1/0/-1 position on a threshold rule.
 """
 
 from .evaluator import BacktestReport, SweepRow, emit_report, sharpe, sweep_thresholds
@@ -40,11 +41,9 @@ from .pattern_bank import (
 from .regression import (
     CalibrationResult,
     CombinerWeights,
-    Features,
     KernelChoice,
     PredictorModel,
     assemble_features,
-    benchmark_similarity,
     calibrate_c,
     classify_binary,
     empirical_conditional,

@@ -13,8 +13,8 @@ Subcommands:
 The pipeline splits the series into three consecutive periods (train / fit
 / evaluate, exact fractions by bucket count with the remainder on the last
 period), builds banks on the first, calibrates on the second, and reports
-on the third. All randomness derives from one --seed. LST_THREADS caps
-worker parallelism.
+on the third. All randomness derives from one --seed. --windows takes any
+strictly increasing list of window lengths, one bank per length.
 """
 
 from __future__ import annotations
@@ -244,15 +244,14 @@ def cmd_sweep(args) -> int:
 
 
 def _evaluate(model, series, thresholds, sharpe_variant, out_dir, extra_summary=None):
-    """Sweep, pick the peak-profit threshold, emit the full bundle."""
+    """Score once, sweep, keep the peak-profit threshold's backtest, emit the bundle."""
     ts, dp = model.dp_stream(series)
     if thresholds is None:
         thresholds = _auto_thresholds(dp)
-    rows = evaluator.sweep_thresholds(model, series, thresholds, sharpe_variant)
-    best_row = min(rows, key=lambda r: (-r.total_profit, r.threshold))
-    report = trader.run_backtest(
-        model, series, best_row.threshold, dp_stream=(ts, dp), sharpe_variant=sharpe_variant
+    rows = evaluator.sweep_thresholds(
+        model, series, thresholds, sharpe_variant, dp_stream=(ts, dp)
     )
+    report = min(rows, key=lambda r: (-r.total_profit, r.threshold)).report
     os.makedirs(out_dir, exist_ok=True)
     trader.write_ledger_csv(report.trades, os.path.join(out_dir, "trades.csv"))
     extra = {"kernel_c": model.kernel.c, "used_ridge": model.weights.used_ridge}

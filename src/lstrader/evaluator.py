@@ -23,8 +23,7 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -41,17 +40,6 @@ SHARPE_PAPER_LITERAL = "paper-literal"
 _SHARPE_VARIANTS = (SHARPE_SQRT, SHARPE_PAPER_LITERAL)
 
 LEDGER_TOLERANCE = 1e-9
-
-
-def worker_count() -> int:
-    """Parallelism cap: LST_THREADS when set, else the CPU count."""
-    raw = os.environ.get("LST_THREADS", "").strip()
-    if raw:
-        value = int(raw)
-        if value < 1:
-            raise ValueError(f"LST_THREADS must be >= 1, got {raw}")
-        return value
-    return os.cpu_count() or 1
 
 
 def sharpe(profits: Sequence[float], price_move: float, variant: str = SHARPE_SQRT) -> float:
@@ -105,7 +93,7 @@ class BacktestReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One threshold's performance summary."""
+    """One threshold's performance summary, with the backtest it came from."""
 
     threshold: float
     num_trades: int
@@ -113,6 +101,7 @@ class SweepRow:
     avg_profit_per_trade: float
     total_profit: float
     sharpe: float
+    report: BacktestReport = field(repr=False, compare=False)
 
 
 def row_from_report(report: BacktestReport) -> SweepRow:
@@ -127,6 +116,7 @@ def row_from_report(report: BacktestReport) -> SweepRow:
         avg_profit_per_trade=avg_profit,
         total_profit=report.total_profit,
         sharpe=report.sharpe,
+        report=report,
     )
 
 
@@ -135,12 +125,13 @@ def sweep_thresholds(
     series: PriceSeries,
     thresholds: Sequence[float],
     sharpe_variant: str = SHARPE_SQRT,
+    dp_stream: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SweepRow]:
     """Backtest each threshold; rows come back in threshold order.
 
     The predicted-change stream does not depend on the threshold, so it is
-    computed once and shared across all runs (which may evaluate in
-    parallel, capped by LST_THREADS).
+    computed once (or taken from dp_stream, as in run_backtest) and shared
+    across all runs.
     """
     from .trader import run_backtest
 
@@ -149,19 +140,14 @@ def sweep_thresholds(
         raise ValueError("thresholds must be non-empty")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
-    ts, dp = model.dp_stream(series)
-
-    def run_one(threshold: float) -> SweepRow:
-        report = run_backtest(
-            model, series, threshold, dp_stream=(ts, dp), sharpe_variant=sharpe_variant
+    if dp_stream is None:
+        dp_stream = model.dp_stream(series)
+    return [
+        row_from_report(
+            run_backtest(model, series, t, dp_stream=dp_stream, sharpe_variant=sharpe_variant)
         )
-        return row_from_report(report)
-
-    workers = min(worker_count(), len(thresholds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, thresholds))
-    return [run_one(t) for t in thresholds]
+        for t in thresholds
+    ]
 
 
 def _float_repr(value: float) -> str:

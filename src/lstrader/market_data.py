@@ -34,6 +34,7 @@ Level = tuple[float, float]  # (price, volume)
 
 MAX_BOOK_DEPTH = 60
 DEFAULT_INTERVAL = 10.0
+MAX_BUCKETS = 10**8  # about 32 years at 10 s; bounds what an absurd timestamp gap can allocate
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
 _SERIES_HEADER = ("bucket_time", "price", "imbalance")
@@ -329,7 +330,8 @@ def coarsen(ticks: list[TickRecord], interval: float = DEFAULT_INTERVAL) -> Pric
     """Map ticks onto a gapless fixed-interval grid.
 
     Within a bucket the last tick's price and imbalance win; buckets with
-    no ticks carry the previous bucket's values forward.
+    no ticks carry the previous bucket's values forward. A span of more than
+    MAX_BUCKETS buckets is refused before anything is allocated.
     """
     if not ticks:
         raise ValueError("cannot coarsen an empty tick sequence")
@@ -342,6 +344,11 @@ def coarsen(ticks: list[TickRecord], interval: float = DEFAULT_INTERVAL) -> Pric
     first_bucket = bucket_index(ticks[0].timestamp, interval)
     last_bucket = bucket_index(ticks[-1].timestamp, interval)
     n = last_bucket - first_bucket + 1
+    if n > MAX_BUCKETS:
+        raise ValueError(
+            f"ticks from t={ticks[0].timestamp!r} to t={ticks[-1].timestamp!r} span {n} "
+            f"buckets of {interval!r} s, more than {MAX_BUCKETS}"
+        )
     prices = np.full(n, np.nan)
     imbalances = np.full(n, np.nan)
 

@@ -3,8 +3,8 @@
 A pattern is a fixed-length window of the price grid paired with the price
 change over the bucket that follows it. Windows are stored zero-mean /
 unit-std (population convention: std is the square root of the mean squared
-deviation), which turns correlation scoring downstream into plain inner
-products. Constant windows normalize to the zero vector.
+deviation), the form k-means clusters and the gaussian kernel compares.
+Constant windows normalize to the zero vector.
 
 Banks are built per window length: extract all windows as arrays (a
 read-only strided view of the prices, the row-normalized windows and their
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +103,26 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
         deviations /= np.where(scale > 0, scale, 1.0)[:, None]
     deviations[~usable] = 0.0
     return deviations
+
+
+def scaled_deviations(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row deviations from the row mean, each row divided by its largest
+    |deviation|, and the mean square of each scaled row.
+
+    The division keeps finite rows of any magnitude from overflowing or
+    underflowing when squared. Constant rows (max == min) become zero rows
+    with mean square 0: the floating-point mean of a constant row need not
+    equal its value, so such rows are divided by infinity rather than left
+    to the subtraction.
+    """
+    constant = block.max(axis=1) == block.min(axis=1)
+    deviations = block - block.mean(axis=1, keepdims=True)
+    scale = np.maximum(deviations.max(axis=1), -deviations.min(axis=1))
+    if not np.isfinite(scale).all():
+        raise ValueError("rows must be finite, with finite row sums")
+    scale[constant] = np.inf
+    deviations /= scale[:, None]
+    return deviations, np.einsum("ij,ij->i", deviations, deviations) / block.shape[1]
 
 
 @dataclass(frozen=True)
@@ -435,6 +456,14 @@ class PatternBank:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
+
+    @cached_property
+    def scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """scaled_deviations of the vectors, computed once per bank for scoring."""
+        rows = scaled_deviations(self.vectors)
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
 
     def with_kernel_c(self, c: float) -> "PatternBank":
         return replace(self, kernel_c=float(c))

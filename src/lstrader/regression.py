@@ -12,29 +12,40 @@ where s is the mean- and scale-invariant correlation
 
     s(a, b) = sum((a_z - mean(a)) (b_z - mean(b))) / (M std(a) std(b)),
 
-std being the square root of the mean squared deviation. On normalized
-vectors s reduces to an inner product over M, which is the throughput path:
-one matrix multiply scores a block of queries against a whole bank.
+std being the square root of the mean squared deviation, and s = 0 when
+either vector is constant.
 
-On top of the per-bank predictions sits a five-weight affine combiner
-(intercept, three bank predictions, order-book imbalance), fit by ordinary
-least squares with a small-ridge fallback for rank-deficient designs, and a
-grid calibration for the kernel sharpness constant c.
+There is one scoring rule and one scorer. ``similarity_many`` evaluates s
+for a block of query rows against a block of pattern rows with one matrix
+product over M. Each row's deviations are first divided by their largest
+magnitude (``pattern_bank.scaled_deviations``; a bank keeps its own scaled
+rows), so finite inputs of any magnitude neither overflow nor underflow
+when squared; ``similarity`` is its 1x1 call. ``_kernel_weights`` turns a
+block of query rows into normalized weights against one bank. Everything
+that predicts goes through it: ``feature_block`` with the trailing windows
+of a series, and ``kernel_weights``, ``predict_label``,
+``empirical_conditional``, ``classify_binary`` and ``assemble_features`` as
+one-row calls.
+
+A predictor holds N >= 1 banks with strictly increasing window lengths. On
+top of the N per-bank predictions sits an affine combiner with N + 2
+weights (intercept, one coefficient per bank, order-book imbalance), fit by
+ordinary least squares with a small-ridge fallback for rank-deficient
+designs, and a grid calibration for the kernel sharpness constant c.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .market_data import PriceSeries
-from .pattern_bank import PatternBank, normalize, normalize_rows
+from .pattern_bank import PatternBank, normalize_rows, scaled_deviations
 
 KERNEL_GAUSSIAN_L2 = "gaussian_l2"
 KERNEL_EXP_SIMILARITY = "exp_similarity"
@@ -42,7 +53,6 @@ _KERNEL_VARIANTS = (KERNEL_GAUSSIAN_L2, KERNEL_EXP_SIMILARITY)
 
 DEFAULT_C_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 RIDGE_LAMBDA = 1e-8
-NUM_COMBINER_FEATURES = 4  # three bank predictions plus imbalance
 MIN_FIT_SAMPLES = 5
 
 
@@ -60,6 +70,39 @@ class KernelChoice:
             raise ValueError("exp_similarity requires c > 0")
 
 
+def _similarity(queries: np.ndarray, dv: np.ndarray, msq_v: np.ndarray) -> np.ndarray:
+    """s of query rows against pattern rows given as their scaled_deviations.
+
+    The deviation block of the queries is freed before the
+    (n_queries, n_vectors) scaling.
+    """
+    dq, msq_q = scaled_deviations(queries)
+    scores = dq @ dv.T
+    del dq
+    denom = np.outer(msq_q, msq_v)
+    np.sqrt(denom, out=denom)
+    denom *= queries.shape[1]
+    # a constant row has zero deviations, so its products are already 0
+    np.divide(scores, denom, out=scores, where=denom > 0)
+    np.clip(scores, -1.0, 1.0, out=scores)
+    return scores
+
+
+def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Pairwise similarity s of query rows against pattern rows.
+
+    Returns an (n_queries, n_vectors) array clipped to [-1, 1]; a constant
+    row scores 0 against everything.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if queries.ndim != 2 or vectors.ndim != 2 or queries.shape[1] != vectors.shape[1]:
+        raise ValueError(f"dimension mismatch: queries {queries.shape} vs vectors {vectors.shape}")
+    if queries.shape[1] < 2:
+        raise ValueError("similarity needs vectors of length >= 2")
+    return _similarity(queries, *scaled_deviations(vectors))
+
+
 def similarity(a, b) -> float:
     """Mean- and scale-invariant correlation of two equal-length vectors.
 
@@ -70,69 +113,47 @@ def similarity(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
         raise ValueError(f"similarity needs equal-length vectors, got {a.shape} vs {b.shape}")
-    if a.size < 2:
-        raise ValueError("similarity needs vectors of length >= 2")
-    if a.max() == a.min() or b.max() == b.min():
-        return 0.0  # constant vector: neutral by definition
-    da = a - a.mean()
-    db = b - b.mean()
-    # scale-invariant: divide out the deviation magnitude so extreme inputs
-    # cannot underflow or overflow when squared
-    scale_a = np.abs(da).max()
-    scale_b = np.abs(db).max()
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0
-    if scale_a != 1.0:
-        da = da / scale_a
-    if scale_b != 1.0:
-        db = db / scale_b
-    m = a.size
-    var_a = (da @ da) / m
-    var_b = (db @ db) / m
-    if var_a == 0.0 or var_b == 0.0:
-        return 0.0
-    s = (da @ db) / (m * np.sqrt(var_a * var_b))
-    return float(min(1.0, max(-1.0, s)))
+    return float(similarity_many(a[None, :], b[None, :])[0, 0])
 
 
-def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Pairwise similarity of query rows against pattern rows.
-
-    Both blocks are row-normalized internally, after which scoring is a
-    single matrix product over M. Returns an (n_queries, n_vectors) array.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if queries.shape[1] != vectors.shape[1]:
+def _scores(queries: np.ndarray, bank: PatternBank, variant: str) -> np.ndarray:
+    """Log-kernel scores (n, K) of query rows against the bank patterns,
+    before the kernel constant: s for exp_similarity, -|x - x_i|^2 / 4 for
+    gaussian_l2. Rows are compared as given."""
+    if queries.shape[1] != bank.window_length:
         raise ValueError(
-            f"dimension mismatch: queries {queries.shape[1]} vs vectors {vectors.shape[1]}"
+            f"queries have length {queries.shape[1]}, bank expects {bank.window_length}"
         )
-    m = queries.shape[1]
-    scores = normalize_rows(queries) @ normalize_rows(vectors).T / m
-    np.clip(scores, -1.0, 1.0, out=scores)
-    return scores
+    if variant == KERNEL_EXP_SIMILARITY:
+        return _similarity(queries, *bank.scaled_rows)
+    sq_q = np.einsum("ij,ij->i", queries, queries)
+    sq_v = np.einsum("ij,ij->i", bank.vectors, bank.vectors)
+    d2 = sq_q[:, None] + sq_v[None, :] - 2.0 * (queries @ bank.vectors.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return -0.25 * d2
 
 
-def _log_weights(x: np.ndarray, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
-    if len(bank) == 0:
-        raise ValueError("bank is empty")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (bank.window_length,):
-        raise ValueError(
-            f"query has shape {x.shape}, bank expects ({bank.window_length},)"
-        )
-    if kernel.variant == KERNEL_GAUSSIAN_L2:
-        diffs = bank.vectors - x
-        return -0.25 * np.einsum("ij,ij->i", diffs, diffs)
-    scores = similarity_many(x[None, :], bank.vectors)[0]
-    return kernel.c * scores
+def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:
+    """Normalized kernel weights: the row-wise softmax of scale * scores."""
+    w = scale * scores
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def _kernel_weights(queries: np.ndarray, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
+    """The scorer: normalized kernel weights (n, K) of query rows against a bank."""
+    scale = kernel.c if kernel.variant == KERNEL_EXP_SIMILARITY else 1.0
+    return _softmax(_scores(queries, bank, kernel.variant), scale)
 
 
 def kernel_weights(x, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
     """Normalized kernel weight per bank pattern (non-negative, sums to 1)."""
-    log_w = _log_weights(np.asarray(x, dtype=np.float64), bank, kernel)
-    w = np.exp(log_w - log_w.max())
-    return w / w.sum()
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (bank.window_length,):
+        raise ValueError(f"query has shape {x.shape}, bank expects ({bank.window_length},)")
+    return _kernel_weights(x[None, :], bank, kernel)[0]
 
 
 def predict_label(x, bank: PatternBank, kernel: KernelChoice) -> float:
@@ -141,9 +162,9 @@ def predict_label(x, bank: PatternBank, kernel: KernelChoice) -> float:
 
 
 def empirical_conditional(y: float, x, bank: PatternBank, kernel: KernelChoice) -> float:
-    """Estimated P(y | x): total kernel weight on patterns labeled exactly y."""
+    """Estimated P(y | x): the share of kernel weight on patterns labeled exactly y."""
     w = kernel_weights(x, bank, kernel)
-    return float(w[bank.labels == y].sum())
+    return float(w[bank.labels == y].sum() / w.sum())
 
 
 def classify_binary(x, bank: PatternBank, kernel: KernelChoice) -> int:
@@ -160,18 +181,8 @@ def classify_binary(x, bank: PatternBank, kernel: KernelChoice) -> int:
         return 1
     if not ones.any():
         return 0
-    log_w = _log_weights(np.asarray(x, dtype=np.float64), bank, kernel)
-    w = np.exp(log_w - log_w.max())
+    w = kernel_weights(x, bank, kernel)
     return int(w[ones].sum() > w[~ones].sum())
-
-
-class Features(NamedTuple):
-    """Combiner inputs: three bank predictions and the imbalance passthrough."""
-
-    dp1: float
-    dp2: float
-    dp3: float
-    r: float
 
 
 def history_required(banks: Sequence[PatternBank]) -> int:
@@ -179,59 +190,14 @@ def history_required(banks: Sequence[PatternBank]) -> int:
     return max(bank.window_length for bank in banks)
 
 
-def assemble_features(
-    t: int,
-    series: PriceSeries,
-    banks: Sequence[PatternBank],
-    kernel: KernelChoice,
-) -> Features:
-    """Features for a prediction at bucket t, from data up to and including t.
-
-    Each bank scores the trailing window of its length ending at t
-    (normalized before scoring); the imbalance at t passes through. Requires
-    t >= the longest bank window.
-    """
-    needed = history_required(banks)
-    if t < needed:
-        raise ValueError(f"t={t} has insufficient history (need t >= {needed})")
-    if t >= len(series):
-        raise ValueError(f"t={t} outside series of length {len(series)}")
-    dps = []
-    for bank in banks:
-        window = series.prices[t - bank.window_length + 1 : t + 1]
-        dps.append(predict_label(normalize(window), bank, kernel))
-    return Features(dps[0], dps[1], dps[2], float(series.imbalances[t]))
-
-
-def _bank_scores(
-    series: PriceSeries, bank: PatternBank, ts: np.ndarray, kernel_variant: str
-) -> np.ndarray:
-    """Per-bank raw scores for a block of prediction points.
-
-    exp_similarity: similarity of each normalized window row against each
-    pattern. gaussian_l2: -0.25 * squared distance between the normalized
-    window and each pattern.
-    """
-    m = bank.window_length
-    windows = sliding_window_view(series.prices, m)[ts - m + 1]
-    normalized = normalize_rows(windows)
-    dots = normalized @ bank.vectors.T
-    if kernel_variant == KERNEL_EXP_SIMILARITY:
-        scores = dots / m
-        np.clip(scores, -1.0, 1.0, out=scores)
-        return scores
-    sq_norm_w = np.einsum("ij,ij->i", normalized, normalized)
-    sq_norm_v = np.einsum("ij,ij->i", bank.vectors, bank.vectors)
-    d2 = sq_norm_w[:, None] + sq_norm_v[None, :] - 2.0 * dots
-    np.clip(d2, 0.0, None, out=d2)
-    return -0.25 * d2
-
-
-def _scores_to_dp(scores: np.ndarray, labels: np.ndarray, scale: float) -> np.ndarray:
-    log_w = scale * scores
-    log_w = log_w - log_w.max(axis=1, keepdims=True)
-    w = np.exp(log_w)
-    return (w @ labels) / w.sum(axis=1)
+def _windows(series: PriceSeries, m: int, ts: np.ndarray) -> np.ndarray:
+    """Rows of the length-m windows ending at each of ts. Consecutive points
+    (every caller in the pipeline) get a view of the prices, not a copy."""
+    view = sliding_window_view(series.prices, m)
+    starts = ts - m + 1
+    if (np.diff(ts) == 1).all():
+        return view[starts[0] : starts[0] + ts.size]
+    return view[starts]
 
 
 def feature_block(
@@ -240,58 +206,79 @@ def feature_block(
     kernel: KernelChoice,
     ts: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized assemble_features over many prediction points.
+    """Combiner inputs at many prediction points.
 
-    Returns an (len(ts), 4) array of (dp1, dp2, dp3, r) rows; row i matches
-    assemble_features(ts[i], ...) to floating-point noise.
+    Returns a (len(ts), N + 1) array: per row, the N bank predictions
+    (shortest window first) and then the imbalance, from data up to and
+    including that point. Each bank scores the trailing window of its length;
+    gaussian_l2 compares the normalized window, exp_similarity needs no
+    normalization.
     """
     ts = np.asarray(ts, dtype=np.int64)
     if ts.size == 0:
-        return np.empty((0, NUM_COMBINER_FEATURES))
+        return np.empty((0, len(banks) + 1))
     needed = history_required(banks)
     if ts.min() < needed or ts.max() >= len(series):
         raise ValueError(
-            f"prediction points must lie in [{needed}, {len(series) - 1}], "
-            f"got [{ts.min()}, {ts.max()}]"
+            f"prediction points need {needed} buckets of history and must lie in "
+            f"[{needed}, {len(series) - 1}], got [{ts.min()}, {ts.max()}]"
         )
     columns = []
     for bank in banks:
-        scores = _bank_scores(series, bank, ts, kernel.variant)
-        scale = kernel.c if kernel.variant == KERNEL_EXP_SIMILARITY else 1.0
-        columns.append(_scores_to_dp(scores, bank.labels, scale))
+        windows = _windows(series, bank.window_length, ts)
+        if kernel.variant == KERNEL_GAUSSIAN_L2:
+            windows = normalize_rows(windows)
+        columns.append(_kernel_weights(windows, bank, kernel) @ bank.labels)
     columns.append(series.imbalances[ts])
     return np.column_stack(columns)
 
 
+def assemble_features(
+    t: int,
+    series: PriceSeries,
+    banks: Sequence[PatternBank],
+    kernel: KernelChoice,
+) -> np.ndarray:
+    """Combiner inputs for a prediction at bucket t: feature_block at one point."""
+    return feature_block(series, banks, kernel, np.array([t]))[0]
+
+
 @dataclass(frozen=True)
 class CombinerWeights:
-    """Affine combiner: intercept, three bank coefficients, imbalance coefficient."""
+    """Affine combiner over N bank predictions and the imbalance.
 
-    w0: float
-    w1: float
-    w2: float
-    w3: float
-    w4: float
+    w holds N + 2 weights: the intercept, one coefficient per bank (shortest
+    window first), then the imbalance coefficient.
+    """
+
+    w: tuple[float, ...]
     used_ridge: bool = False
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.as_array()).all():
+        w = tuple(float(v) for v in self.w)
+        if len(w) < 3:
+            raise ValueError(
+                f"combiner needs an intercept, a bank and an imbalance weight, got {len(w)} weights"
+            )
+        if not np.isfinite(w).all():
             raise ValueError("combiner weights must be finite")
+        object.__setattr__(self, "w", w)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.w0, self.w1, self.w2, self.w3, self.w4])
+        return np.array(self.w)
+
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        """Intercept plus features @ coefficients, over the last axis."""
+        w = self.as_array()
+        return features @ w[1:] + w[0]
 
 
 def predict_dp(features, weights: CombinerWeights) -> float:
-    """Affine evaluation of the combiner on one feature tuple."""
-    dp1, dp2, dp3, r = features
-    return float(
-        weights.w0
-        + weights.w1 * dp1
-        + weights.w2 * dp2
-        + weights.w3 * dp3
-        + weights.w4 * r
-    )
+    """The combiner on one feature row (N bank predictions, then imbalance)."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape != (len(weights.w) - 1,):
+        raise ValueError(f"{len(weights.w)} weights take {len(weights.w) - 1} features, got {features.shape}")
+    return float(weights.apply(features))
 
 
 def _fit_weights_xy(features: np.ndarray, targets: np.ndarray) -> CombinerWeights:
@@ -305,21 +292,20 @@ def _fit_weights_xy(features: np.ndarray, targets: np.ndarray) -> CombinerWeight
     if used_ridge:
         gram = gram + RIDGE_LAMBDA * np.eye(design.shape[1])
     w = np.linalg.solve(gram, rhs)
-    return CombinerWeights(*(float(v) for v in w), used_ridge=used_ridge)
+    return CombinerWeights(tuple(w.tolist()), used_ridge=used_ridge)
 
 
 def fit_weights(samples: Sequence[tuple]) -> CombinerWeights:
     """Ordinary least squares for the combiner over (features, target) pairs.
 
-    Rank-deficient designs fall back to a small ridge (lambda = 1e-8) and
-    are flagged via used_ridge.
+    Every feature row holds the same N + 1 values (N bank predictions, then
+    imbalance). Rank-deficient designs fall back to a small ridge
+    (lambda = 1e-8) and are flagged via used_ridge.
     """
     if len(samples) < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples, got {len(samples)}")
     features = np.array([list(f) for f, _ in samples], dtype=np.float64)
     targets = np.array([t for _, t in samples], dtype=np.float64)
-    if features.shape[1] != NUM_COMBINER_FEATURES:
-        raise ValueError(f"expected {NUM_COMBINER_FEATURES} features per sample")
     return _fit_weights_xy(features, targets)
 
 
@@ -353,8 +339,8 @@ def calibrate_c(
 
     For each c the combiner is refit on the series and scored against the
     realized next-bucket price changes; the smallest-MSE c wins, ties going
-    to the smaller c. Pattern scoring is shared across grid points, so the
-    sweep costs one pass of window scoring plus one small OLS per c.
+    to the smaller c. Similarity scores do not depend on c, so the sweep
+    costs one pass of window scoring plus a softmax and a small OLS per c.
     """
     grid = sorted({float(c) for c in grid})
     if not grid:
@@ -369,18 +355,17 @@ def calibrate_c(
     targets = fit_series.prices[ts + 1] - fit_series.prices[ts]
     imbalances = fit_series.imbalances[ts]
     scores = [
-        _bank_scores(fit_series, bank, ts, KERNEL_EXP_SIMILARITY) for bank in banks
+        _scores(_windows(fit_series, bank.window_length, ts), bank, KERNEL_EXP_SIMILARITY)
+        for bank in banks
     ]
 
     best: tuple[float, float, CombinerWeights] | None = None
     errors = []
     for c in grid:
-        columns = [
-            _scores_to_dp(s, bank.labels, c) for s, bank in zip(scores, banks)
-        ]
+        columns = [_softmax(s, c) @ bank.labels for s, bank in zip(scores, banks)]
         features = np.column_stack(columns + [imbalances])
         weights = _fit_weights_xy(features, targets)
-        residual = features @ weights.as_array()[1:] + weights.w0 - targets
+        residual = weights.apply(features) - targets
         mse = float((residual @ residual) / residual.size)
         errors.append((c, mse))
         if best is None or mse < best[0]:
@@ -392,22 +377,29 @@ def calibrate_c(
 
 @dataclass(frozen=True)
 class PredictorModel:
-    """The trained predictor: three banks, kernel choice, combiner weights."""
+    """The trained predictor: N >= 1 banks with strictly increasing window
+    lengths, the kernel choice, and N + 2 combiner weights."""
 
     banks: tuple[PatternBank, ...]
     kernel: KernelChoice
     weights: CombinerWeights
 
     def __post_init__(self) -> None:
-        if len(self.banks) != 3:
-            raise ValueError("predictor needs exactly three banks")
-        lengths = [b.window_length for b in self.banks]
+        banks = tuple(self.banks)
+        if not banks:
+            raise ValueError("predictor needs at least one bank")
+        lengths = [b.window_length for b in banks]
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("bank window lengths must be strictly increasing")
+        if len(self.weights.w) != len(banks) + 2:
+            raise ValueError(
+                f"{len(banks)} banks need {len(banks) + 2} combiner weights (intercept, "
+                f"one per bank, imbalance), got {len(self.weights.w)}"
+            )
         if self.kernel.variant == KERNEL_EXP_SIMILARITY:
-            if any(b.kernel_c != self.kernel.c for b in self.banks):
+            if any(b.kernel_c != self.kernel.c for b in banks):
                 raise ValueError("kernel constant must be shared across banks")
-        object.__setattr__(self, "banks", tuple(self.banks))
+        object.__setattr__(self, "banks", banks)
 
     def dp_stream(self, series: PriceSeries, ts: np.ndarray | None = None):
         """Predicted price change at each prediction point of a series.
@@ -417,23 +409,16 @@ class PredictorModel:
         """
         if ts is None:
             ts = fit_points(series, self.banks)
-        features = feature_block(series, self.banks, self.kernel, ts)
-        w = self.weights.as_array()
-        return ts, features @ w[1:] + w[0]
+        return ts, self.weights.apply(feature_block(series, self.banks, self.kernel, ts))
 
     def to_json_dict(self, bank_paths: Sequence[str]) -> dict:
         if len(bank_paths) != len(self.banks):
             raise ValueError("need one path per bank")
+        weights = {f"w{i}": v for i, v in enumerate(self.weights.w)}
+        weights["used_ridge"] = self.weights.used_ridge
         return {
             "kernel": {"variant": self.kernel.variant, "c": self.kernel.c},
-            "weights": {
-                "w0": self.weights.w0,
-                "w1": self.weights.w1,
-                "w2": self.weights.w2,
-                "w3": self.weights.w3,
-                "w4": self.weights.w4,
-                "used_ridge": self.weights.used_ridge,
-            },
+            "weights": weights,
             "banks": list(bank_paths),
         }
 
@@ -448,13 +433,14 @@ class PredictorModel:
             data = json.load(fh)
         kernel = KernelChoice(variant=data["kernel"]["variant"], c=float(data["kernel"]["c"]))
         w = data["weights"]
+        names = [f"w{i}" for i in range(len(data["banks"]) + 2)]
+        found = sorted(k for k in w if k != "used_ridge")
+        if found != sorted(names):
+            raise ValueError(
+                f"{path}: {len(data['banks'])} banks need weights w0..{names[-1]}, found {found}"
+            )
         weights = CombinerWeights(
-            w0=float(w["w0"]),
-            w1=float(w["w1"]),
-            w2=float(w["w2"]),
-            w3=float(w["w3"]),
-            w4=float(w["w4"]),
-            used_ridge=bool(w.get("used_ridge", False)),
+            tuple(float(w[k]) for k in names), used_ridge=bool(w.get("used_ridge", False))
         )
         base = os.path.dirname(os.fspath(path))
         banks = []
@@ -465,32 +451,3 @@ class PredictorModel:
                 bank = bank.with_kernel_c(kernel.c)
             banks.append(bank)
         return cls(banks=tuple(banks), kernel=kernel, weights=weights)
-
-
-def benchmark_similarity(
-    num_queries: int = 1024,
-    num_patterns: int = 2048,
-    dim: int = 360,
-    seed: int = 7,
-    repeats: int = 3,
-) -> float:
-    """Similarity evaluations per second on random blocks (best of repeats).
-
-    One evaluation is one query-pattern pair; timing covers query
-    normalization plus the scoring product, mirroring the production path
-    where bank patterns are stored pre-normalized.
-    """
-    rng = np.random.default_rng(seed)
-    queries = rng.standard_normal((num_queries, dim))
-    patterns = normalize_rows(rng.standard_normal((num_patterns, dim)))
-    best = 0.0
-    checksum = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        scores = normalize_rows(queries) @ patterns.T / dim
-        elapsed = time.perf_counter() - start
-        checksum += float(scores[0, 0])
-        best = max(best, num_queries * num_patterns / elapsed)
-    if not np.isfinite(checksum):
-        raise RuntimeError("benchmark produced non-finite scores")
-    return best

@@ -95,6 +95,21 @@ class TestIngest:
         assert rc != 0
         assert "empty" in capsys.readouterr().err
 
+    def test_ingest_absurd_gap_fails_with_diagnostic(self, tmp_path, capsys, monkeypatch):
+        from lstrader import market_data
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("coarsen allocated the bucket grid")
+
+        monkeypatch.setattr(market_data.np, "full", no_allocation)
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("timestamp,price,bid_vol_total,ask_vol_total\n0,100,1,1\n1e12,101,1,1\n")
+        rc = run_cli("ingest", "--ticks", ticks, "--out", tmp_path / "o.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "t=0.0 to t=1000000000000.0" in err
+
     def test_ingest_malformed_row_fails(self, tmp_path, capsys):
         ticks = tmp_path / "bad.csv"
         ticks.write_text("timestamp,price,bid_vol_total,ask_vol_total\n1,oops,1,1\n")
@@ -151,6 +166,54 @@ class TestStagedCommands:
         ) == 0
         for name in ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv", "trades.csv"):
             assert (rep_dir / name).exists()
+
+    @pytest.mark.parametrize("windows", ["30,60", "30,60,90,120"])
+    def test_any_bank_count_chain(self, spec_path, tmp_path, windows):
+        series_csv = tmp_path / "series.csv"
+        run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
+        banks_dir = tmp_path / "banks"
+        assert run_cli(
+            "build-banks", "--series", series_csv, "--out-dir", banks_dir,
+            "--windows", windows, "--k", "8", "--m", "3",
+        ) == 0
+        fit_dir = tmp_path / "fitted"
+        assert run_cli(
+            "fit", "--series", series_csv, "--banks-dir", banks_dir,
+            "--out-dir", fit_dir, "--c-grid", "1,2",
+        ) == 0
+        count = len(windows.split(","))
+        weights = json.loads((fit_dir / "model.json").read_text())["weights"]
+        assert sorted(weights) == sorted([f"w{i}" for i in range(count + 2)] + ["used_ridge"])
+        assert run_cli(
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--out-dir", tmp_path / "rep",
+        ) == 0
+
+    def test_weight_count_mismatch_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
+        banks_dir = tmp_path / "banks"
+        assert run_cli(
+            "build-banks", "--series", series_csv, "--out-dir", banks_dir,
+            "--windows", "30,60,120", "--k", "8", "--m", "3",
+        ) == 0
+        fit_dir = tmp_path / "fitted"
+        assert run_cli(
+            "fit", "--series", series_csv, "--banks-dir", banks_dir,
+            "--out-dir", fit_dir, "--c-grid", "1",
+        ) == 0
+        model = json.loads((fit_dir / "model.json").read_text())
+        model["banks"] = model["banks"][:2]
+        (fit_dir / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        rc = run_cli(
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--out-dir", tmp_path / "rep",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "2 banks need weights w0..w3" in err
 
     def test_binary_bank_format(self, spec_path, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -240,6 +303,52 @@ class TestPipeline:
                     assert (pa / inner).read_bytes() == (pb / inner).read_bytes()
             else:
                 assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("windows", ["180,360", "60,180,360,720"])
+    def test_pipeline_any_bank_count(self, spec_path, tmp_path, windows):
+        out = tmp_path / "run"
+        args = small_pipeline_args(spec_path, out)
+        args[args.index("--windows") + 1] = windows
+        assert run_cli(*args) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert len(model["banks"]) == len(windows.split(","))
+        assert len([k for k in model["weights"] if k != "used_ridge"]) == len(model["banks"]) + 2
+        assert run_cli(
+            "report", "--series", out / "series.csv", "--model", out / "model.json",
+            "--out-dir", tmp_path / "rep",
+        ) == 0
+
+    def test_report_scores_once_and_backtests_once_per_threshold(
+        self, spec_path, tmp_path, monkeypatch
+    ):
+        import lstrader.regression as regression
+        import lstrader.trader as trader
+
+        out = tmp_path / "run"
+        assert run_cli(*small_pipeline_args(spec_path, out)) == 0
+        calls = {"feature_block": 0, "run_backtest": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(regression, "feature_block")
+        counted(trader, "run_backtest")
+        # explicit thresholds, then the automatic grid
+        for extra in (("--thresholds", "0.05,0.1,0.2"), ()):
+            calls.update(feature_block=0, run_backtest=0)
+            rep = tmp_path / f"rep{len(extra)}"
+            assert run_cli(
+                "report", "--series", out / "series.csv", "--model", out / "model.json",
+                "--out-dir", rep, *extra,
+            ) == 0
+            rows = len((rep / "sweep.csv").read_text().strip().splitlines()) - 1
+            assert calls == {"feature_block": 1, "run_backtest": rows}
 
     def test_split_must_sum_to_one(self, spec_path, tmp_path):
         rc = run_cli(*small_pipeline_args(spec_path, tmp_path / "x", extra=("--split", "0.5,0.4,0.2")))

@@ -13,7 +13,6 @@ from lstrader.evaluator import (
     sharpe,
     summary_dict,
     sweep_thresholds,
-    worker_count,
 )
 from lstrader.trader import run_backtest
 
@@ -114,28 +113,31 @@ class TestSweepThresholds:
                 row.total_profit, abs=1e-6
             )
 
+    def test_given_dp_stream_is_reused(self, rng):
+        model = make_model(rng)
+        series = random_series(rng, n=90)
+        thresholds = [0.05, 0.1, 0.2]
+        ts, dp = model.dp_stream(series)
+        rows = sweep_thresholds(model, series, thresholds, dp_stream=(ts, dp))
+        assert rows == sweep_thresholds(model, series, thresholds)
+        # a stream far above every threshold buys once and is liquidated at the end
+        shifted = sweep_thresholds(model, series, thresholds, dp_stream=(ts, dp * 0 + 10.0))
+        assert [row.num_trades for row in shifted] == [2, 2, 2]
+
+    def test_rows_carry_their_backtest(self, rng):
+        model = make_model(rng)
+        series = random_series(rng, n=90)
+        for row in sweep_thresholds(model, series, [0.05, 0.2]):
+            standalone = run_backtest(model, series, row.threshold)
+            assert row.report.threshold == row.threshold
+            assert row.report.trades == standalone.trades
+            assert row.report.total_profit == row.total_profit
+
     def test_unsorted_thresholds_rejected(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=90)
         with pytest.raises(ValueError):
             sweep_thresholds(model, series, [0.2, 0.1])
-
-    def test_parallel_matches_serial(self, rng, monkeypatch):
-        model = make_model(rng)
-        series = random_series(rng, n=90)
-        thresholds = [0.05, 0.1, 0.2]
-        monkeypatch.setenv("LST_THREADS", "1")
-        serial = sweep_thresholds(model, series, thresholds)
-        monkeypatch.setenv("LST_THREADS", "3")
-        parallel = sweep_thresholds(model, series, thresholds)
-        assert serial == parallel
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("LST_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("LST_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestEmitReport:

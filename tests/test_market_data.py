@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lstrader import market_data
 from lstrader.market_data import (
+    MAX_BUCKETS,
     BookSnapshot,
     PriceSeries,
     TickRecord,
@@ -162,6 +164,16 @@ class TestCoarsen:
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(ValueError):
             coarsen([make_tick(20, 100.0), make_tick(5, 100.0)], interval=10)
+
+    def test_absurd_gap_refused_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("coarsen allocated the bucket grid")
+
+        monkeypatch.setattr(market_data.np, "full", no_allocation)
+        ticks = [make_tick(0.0, 100.0), make_tick(1e12, 101.0)]
+        with pytest.raises(ValueError, match=r"t=0\.0 to t=1000000000000\.0 .*more than 100000000"):
+            coarsen(ticks, interval=10)
+        assert MAX_BUCKETS == 10**8
 
 
 class TestPriceSeries:

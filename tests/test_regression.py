@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from lstrader.pattern_bank import PatternBank, normalize
 from lstrader.regression import (
     CombinerWeights,
-    Features,
     KernelChoice,
     PredictorModel,
     assemble_features,
@@ -33,6 +33,13 @@ EXP_SIM = KernelChoice("exp_similarity", c=1.0)
 finite_vectors = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=3, max_size=25
 )
+
+
+def row_blocks(m):
+    """Two blocks (queries, vectors) of 1-4 finite rows of length m."""
+    rows = st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)
+    block = st.lists(rows, min_size=1, max_size=4)
+    return st.tuples(block, block)
 
 
 def bank_from_vectors(vectors, labels, kernel_c=1.0, populations=None):
@@ -108,6 +115,32 @@ class TestSimilarity:
         assume((transformed.max() == transformed.min()) == (a.max() == a.min()))
         b = np.sin(np.arange(a.size))  # fixed non-constant partner
         assert similarity(transformed, b) == pytest.approx(similarity(a, b), abs=1e-9)
+
+    def test_extreme_magnitudes_share_one_rule(self):
+        x = np.array([1e200, -1e200, 0.0, 5.0])
+        assert similarity(x, x) == 1.0
+        assert similarity_many(x[None, :], x[None, :])[0, 0] == 1.0
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            similarity_many(np.array([[1.0, np.nan, 2.0]]), np.array([[1.0, 2.0, 3.0]]))
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(row_blocks),
+        st.integers(min_value=-150, max_value=150),
+        st.integers(min_value=-150, max_value=150),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_scalar_at_any_magnitude(self, blocks, q_exp, v_exp):
+        queries = np.array(blocks[0]) * 10.0**q_exp
+        vectors = np.array(blocks[1]) * 10.0**v_exp
+        batch = similarity_many(queries, vectors)
+        assert batch.shape == (len(queries), len(vectors))
+        for i, q in enumerate(queries):
+            for j, v in enumerate(vectors):
+                s = similarity(q, v)
+                assert -1.0 <= s <= 1.0
+                assert batch[i, j] == pytest.approx(s, abs=1e-12)
 
     def test_matches_batch_path(self, rng):
         queries = rng.normal(size=(6, 10))
@@ -267,7 +300,7 @@ class TestAssembleFeatures:
         imb = rng.uniform(-1, 1, 20)
         series = series_from_prices(100 + np.cumsum(rng.normal(size=20)), imbalances=imb)
         feats = assemble_features(11, series, banks, EXP_SIM)
-        assert feats.r == imb[11]
+        assert feats[-1] == imb[11]
 
     def test_constant_history_is_finite(self, rng):
         banks = self.make_banks(rng)
@@ -301,7 +334,7 @@ class TestAssembleFeatures:
             bank_from_vectors([normalize(rng.normal(size=20))], [0.0], kernel_c=8.0),
         )
         feats = assemble_features(len(prices) - 1, series, banks, kernel)
-        assert abs(feats.dp1 - 0.7) <= 0.1
+        assert abs(feats[0] - 0.7) <= 0.1
 
     def test_batch_path_matches_scalar_path(self, rng):
         for variant in ("gaussian_l2", "exp_similarity"):
@@ -316,6 +349,10 @@ class TestAssembleFeatures:
             for row, t in zip(block, ts):
                 scalar = assemble_features(int(t), series, banks, kernel)
                 assert np.allclose(row, list(scalar), atol=1e-12)
+            # scattered points take copied windows instead of a view
+            scattered = ts[[0, 3, 4, 10, 21]]
+            rows = feature_block(series, banks, kernel, scattered)
+            assert np.allclose(rows, block[[0, 3, 4, 10, 21]], atol=1e-12)
 
 
 class TestFitWeights:
@@ -363,20 +400,20 @@ class TestFitWeights:
 
 class TestPredictDp:
     def test_zero_weights(self):
-        w = CombinerWeights(0, 0, 0, 0, 0)
-        assert predict_dp(Features(3.0, -1.0, 2.0, 0.5), w) == 0.0
+        w = CombinerWeights((0, 0, 0, 0, 0))
+        assert predict_dp((3.0, -1.0, 2.0, 0.5), w) == 0.0
 
     def test_intercept_only(self):
-        w = CombinerWeights(1, 0, 0, 0, 0)
-        assert predict_dp(Features(9.0, 9.0, 9.0, 9.0), w) == 1.0
+        w = CombinerWeights((1, 0, 0, 0, 0))
+        assert predict_dp((9.0, 9.0, 9.0, 9.0), w) == 1.0
 
     def test_hand_case(self):
-        w = CombinerWeights(0, 1, 1, 1, 1)
-        assert predict_dp(Features(0.1, 0.2, 0.3, -0.1), w) == pytest.approx(0.5, abs=1e-15)
+        w = CombinerWeights((0, 1, 1, 1, 1))
+        assert predict_dp((0.1, 0.2, 0.3, -0.1), w) == pytest.approx(0.5, abs=1e-15)
 
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
-            CombinerWeights(math.nan, 0, 0, 0, 0)
+            CombinerWeights((math.nan, 0, 0, 0, 0))
 
 
 def planted_series_for_calibration(rng, n=160):
@@ -431,7 +468,7 @@ class TestCalibrateC:
         for c, mse in result.errors:
             feats = feature_block(series, banks, KernelChoice("exp_similarity", c=c), ts)
             w = fit_weights([(tuple(f), float(t)) for f, t in zip(feats, targets)])
-            predicted = feats @ w.as_array()[1:] + w.w0
+            predicted = feats @ w.as_array()[1:] + w.as_array()[0]
             direct = float(((predicted - targets) ** 2).mean())
             assert mse == pytest.approx(direct, rel=1e-9)
         best_c, best_mse = min(result.errors, key=lambda e: (e[1], e[0]))
@@ -448,7 +485,7 @@ class TestPredictorModel:
         return PredictorModel(
             banks=banks,
             kernel=KernelChoice("exp_similarity", c=c),
-            weights=CombinerWeights(0.1, 1.0, -0.5, 0.25, 0.0),
+            weights=CombinerWeights((0.1, 1.0, -0.5, 0.25, 0.0)),
         )
 
     def test_json_round_trip(self, rng, tmp_path):
@@ -462,10 +499,12 @@ class TestPredictorModel:
         for a, b in zip(loaded.banks, model.banks):
             assert np.array_equal(a.vectors, b.vectors)
 
-    def test_requires_three_banks(self, rng):
+    def test_requires_one_weight_per_bank(self, rng):
         banks = (random_bank(rng, n=3, dim=4),)
-        with pytest.raises(ValueError, match="three banks"):
-            PredictorModel(banks=banks, kernel=GAUSSIAN, weights=CombinerWeights(0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="1 banks need 3 combiner weights"):
+            PredictorModel(banks=banks, kernel=GAUSSIAN, weights=CombinerWeights((0, 0, 0, 0, 0)))
+        with pytest.raises(ValueError, match="at least one bank"):
+            PredictorModel(banks=(), kernel=GAUSSIAN, weights=CombinerWeights((0, 0, 0)))
 
     def test_kernel_c_must_be_shared(self, rng):
         banks = (
@@ -477,7 +516,7 @@ class TestPredictorModel:
             PredictorModel(
                 banks=banks,
                 kernel=KernelChoice("exp_similarity", c=1.0),
-                weights=CombinerWeights(0, 0, 0, 0, 0),
+                weights=CombinerWeights((0, 0, 0, 0, 0)),
             )
 
     def test_dp_stream_matches_manual_affine(self, rng):
@@ -489,3 +528,48 @@ class TestPredictorModel:
         for t, value in zip(ts, dp):
             feats = assemble_features(int(t), series, model.banks, model.kernel)
             assert value == pytest.approx(predict_dp(feats, model.weights), abs=1e-12)
+
+    @pytest.mark.parametrize("windows", [(4,), (4, 6), (4, 6, 8), (4, 6, 8, 10)])
+    def test_any_bank_count_round_trips(self, rng, tmp_path, windows):
+        n = len(windows)
+        banks = tuple(random_bank(rng, n=4, dim=w, kernel_c=2.0) for w in windows)
+        model = PredictorModel(
+            banks=banks,
+            kernel=KernelChoice("exp_similarity", c=2.0),
+            weights=CombinerWeights(tuple(rng.normal(size=n + 2))),
+        )
+        names = [f"bank_{w}.json" for w in windows]
+        for bank, name in zip(banks, names):
+            bank.save_json(tmp_path / name)
+        model.save_json(tmp_path / "model.json", names)
+        keys = json.loads((tmp_path / "model.json").read_text())["weights"]
+        assert sorted(keys) == sorted([f"w{i}" for i in range(n + 2)] + ["used_ridge"])
+        loaded = PredictorModel.load_json(tmp_path / "model.json")
+        assert loaded.weights == model.weights
+        series = series_from_prices(
+            100 + np.cumsum(rng.normal(size=40)), imbalances=rng.uniform(-1, 1, 40)
+        )
+        ts, dp = loaded.dp_stream(series)
+        feats = feature_block(series, loaded.banks, loaded.kernel, ts)
+        assert feats.shape == (len(ts), n + 1)
+        for row, value in zip(feats, dp):
+            assert value == pytest.approx(predict_dp(row, model.weights), abs=1e-12)
+
+    def test_load_rejects_weight_count_mismatch(self, rng, tmp_path):
+        model = self.make_model(rng)
+        names = [f"bank_{i}.json" for i in range(3)]
+        for bank, name in zip(model.banks, names):
+            bank.save_json(tmp_path / name)
+        model.save_json(tmp_path / "model.json", names)
+        data = json.loads((tmp_path / "model.json").read_text())
+        del data["weights"]["w4"]
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="model.json: 3 banks need weights w0..w4"):
+            PredictorModel.load_json(tmp_path / "model.json")
+
+
+@pytest.mark.parametrize("windows", [(4,), (4, 6), (4, 6, 8, 10)])
+def test_calibration_fits_n_plus_two_weights(rng, windows):
+    banks = tuple(random_bank(rng, n=5, dim=w) for w in windows)
+    result = calibrate_c([1.0, 2.0], planted_series_for_calibration(rng), banks)
+    assert len(result.weights.w) == len(windows) + 2

@@ -28,7 +28,7 @@ def make_model(rng, windows=(3, 5, 8), weights=(0.0, 1.0, 1.0, 1.0, 0.0), c=2.0)
     return PredictorModel(
         banks=tuple(banks),
         kernel=KernelChoice("exp_similarity", c=c),
-        weights=CombinerWeights(*weights),
+        weights=CombinerWeights(weights),
     )
 
 
