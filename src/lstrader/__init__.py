@@ -19,14 +19,7 @@ from .latent_source import (
     generate_labeled,
     generate_price_series,
 )
-from .market_data import (
-    BookSnapshot,
-    PriceSeries,
-    TickRecord,
-    coarsen,
-    imbalance,
-    parse_ticks,
-)
+from .market_data import PriceSeries, TickTable, coarsen, imbalance, parse_ticks
 from .pattern_bank import (
     BankPattern,
     ClusterSet,

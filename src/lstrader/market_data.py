@@ -2,20 +2,24 @@
 
 Raw exchange observations arrive as irregularly spaced ticks, each carrying
 a trade price and an order-book snapshot. Everything downstream runs on a
-gapless fixed-interval grid, so this module does three things: parse the
-tick CSV, compute the order-book imbalance feature, and map ticks onto
-interval buckets. Each tick lands in the closest *future* grid point, the
-last tick inside a bucket wins, and empty buckets carry the previous
-bucket's values forward.
+gapless fixed-interval grid, so this module parses the tick CSV into a
+columnar ``TickTable`` (timestamp, price and order-book imbalance per tick)
+and maps ticks onto interval buckets. Each tick lands in the closest
+*future* grid point, the last tick inside a bucket wins, and empty buckets
+carry the previous bucket's values forward.
 
 Tick CSV schema (header row required, UTF-8, ``.`` decimal separator):
 
 * basic:    ``timestamp,price,bid_vol_total,ask_vol_total``
 * extended: ``timestamp,price,bid_price_1,bid_vol_1,...,ask_price_1,ask_vol_1,...``
-  with up to 60 levels per side; a trailing level may be left blank.
+  with up to 60 levels per side; a level with a blank price and a blank
+  volume is absent (at any depth), a level with only one of them blank is
+  an error.
 
-The basic form collapses each book side to a single level holding the
-total volume (the trade price is used as the level price placeholder).
+Imbalance is (v_bid - v_ask) / (v_bid + v_ask) over all present levels, 0
+for an empty book. Prices must be > 0, volumes >= 0, timestamps
+non-decreasing, present bid (ask) prices strictly descending (ascending),
+and every value finite; a fault raises ValueError naming the line.
 
 ``PriceSeries`` serializes to CSV as ``bucket_time,price,imbalance``.
 """
@@ -23,6 +27,7 @@ total volume (the trade price is used as the level price placeholder).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -30,64 +35,38 @@ from typing import Iterable
 
 import numpy as np
 
-Level = tuple[float, float]  # (price, volume)
-
 MAX_BOOK_DEPTH = 60
 DEFAULT_INTERVAL = 10.0
 MAX_BUCKETS = 10**8  # about 32 years at 10 s; bounds what an absurd timestamp gap can allocate
+BLOCK_ROWS = 4096  # rows per bulk float conversion; bounds the tokens held at once
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
 _SERIES_HEADER = ("bucket_time", "price", "imbalance")
 
 
 @dataclass(frozen=True)
-class BookSnapshot:
-    """Order-book volume ladder, up to 60 levels per side.
+class TickTable:
+    """Ticks in file order as read-only, finite float64 columns."""
 
-    Bids are sorted by strictly descending price, asks by strictly
-    ascending price. Volumes are non-negative.
-    """
-
-    bids: tuple[Level, ...] = ()
-    asks: tuple[Level, ...] = ()
+    timestamps: np.ndarray
+    prices: np.ndarray
+    imbalances: np.ndarray
 
     def __post_init__(self) -> None:
-        for side, levels, descending in (
-            ("bid", self.bids, True),
-            ("ask", self.asks, False),
-        ):
-            if len(levels) > MAX_BOOK_DEPTH:
-                raise ValueError(f"{side} depth {len(levels)} exceeds {MAX_BOOK_DEPTH}")
-            for _, volume in levels:
-                if volume < 0:
-                    raise ValueError(f"{side} volume must be >= 0, got {volume}")
-            prices = [price for price, _ in levels]
-            for earlier, later in zip(prices, prices[1:]):
-                if descending and not later < earlier:
-                    raise ValueError("bid prices must be strictly descending")
-                if not descending and not later > earlier:
-                    raise ValueError("ask prices must be strictly ascending")
+        for name in ("timestamps", "prices", "imbalances"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.ndim != 1:
+                raise ValueError(f"{name} must be 1-D")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"non-finite {name[:-1]} {values[bad[0]]} at tick {bad[0]}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if not len(self.timestamps) == len(self.prices) == len(self.imbalances):
+            raise ValueError("length mismatch between timestamps, prices and imbalances")
 
-
-@dataclass(frozen=True)
-class TickRecord:
-    """One raw exchange observation: trade price plus book snapshot."""
-
-    timestamp: float
-    price: float
-    book: BookSnapshot
-
-    def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise ValueError(f"tick price must be > 0, got {self.price}")
-
-    @property
-    def bid_volumes(self) -> tuple[Level, ...]:
-        return self.book.bids
-
-    @property
-    def ask_volumes(self) -> tuple[Level, ...]:
-        return self.book.asks
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -185,19 +164,15 @@ class PriceSeries:
         )
 
 
-def imbalance(book: BookSnapshot, depth: int = MAX_BOOK_DEPTH) -> float:
-    """Order-book imbalance (v_bid - v_ask) / (v_bid + v_ask) over top levels.
+def imbalance(bid_total, ask_total) -> np.ndarray:
+    """Order-book imbalance (v_bid - v_ask) / (v_bid + v_ask) from the two side totals.
 
-    Returns 0.0 when both sides are empty of volume (neutral signal).
+    0 where both sides are empty of volume (neutral signal).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    v_bid = sum(volume for _, volume in book.bids[:depth])
-    v_ask = sum(volume for _, volume in book.asks[:depth])
-    total = v_bid + v_ask
-    if total == 0:
-        return 0.0
-    return (v_bid - v_ask) / total
+    bid = np.asarray(bid_total, dtype=np.float64)
+    ask = np.asarray(ask_total, dtype=np.float64)
+    total = bid + ask
+    return np.divide(bid - ask, total, out=np.zeros(total.shape), where=total != 0)
 
 
 def _as_lines(stream) -> Iterable[str]:
@@ -208,13 +183,6 @@ def _as_lines(stream) -> Iterable[str]:
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
         return io.TextIOWrapper(stream, encoding="utf-8")
     return stream  # text file object or any iterable of lines
-
-
-def _parse_float(token: str, what: str, line_num: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"line {line_num}: non-numeric {what}: {token!r}") from None
 
 
 def _split_extended_header(header: list[str]) -> tuple[int, int]:
@@ -242,83 +210,162 @@ def _split_extended_header(header: list[str]) -> tuple[int, int]:
     return n_bid, n_ask
 
 
-def _parse_levels(
-    row: list[str], offset: int, count: int, side: str, line_num: int
-) -> tuple[Level, ...]:
-    levels: list[Level] = []
-    for i in range(count):
-        price_tok = row[offset + 2 * i].strip()
-        vol_tok = row[offset + 2 * i + 1].strip()
-        if price_tok == "" and vol_tok == "":
-            continue  # absent level
-        if price_tok == "" or vol_tok == "":
-            raise ValueError(f"line {line_num}: half-empty {side} level {i + 1}")
-        levels.append(
-            (
-                _parse_float(price_tok, f"{side}_price_{i + 1}", line_num),
-                _parse_float(vol_tok, f"{side}_vol_{i + 1}", line_num),
-            )
+def _layout(cols: tuple[str, ...]):
+    """(optional, sides) of a header: per column whether a blank token means an
+    absent level, and per book side (side, price columns, volume columns).
+
+    The basic form is a one-level book per side priced at the trade price.
+    """
+    if cols[:2] != ("timestamp", "price"):
+        raise ValueError("line 1: missing tick CSV header (must start with timestamp,price)")
+    if len(cols) > 2 and cols[2] != "bid_vol_total":
+        n_bid, n_ask = _split_extended_header(list(cols))
+        bid, ask = 2 + 2 * np.arange(n_bid), 2 + 2 * n_bid + 2 * np.arange(n_ask)
+        return np.arange(len(cols)) >= 2, (("bid", bid, bid + 1), ("ask", ask, ask + 1))
+    if cols != _BASIC_HEADER:
+        raise ValueError(f"line 1: expected header {','.join(_BASIC_HEADER)}")
+    price, bid, ask = np.array([1]), np.array([2]), np.array([3])
+    return np.zeros(4, dtype=bool), (("bid", price, bid), ("ask", price, ask))
+
+
+def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarray):
+    """(values, blank, error) of a block of rows; blank tokens are NaN.
+
+    One bulk conversion does the work. A block it refuses is converted token
+    by token: error then names the first token that is not a number, and
+    only the rows before that token's row are returned.
+    """
+    blank = np.zeros((len(rows), len(names)), dtype=bool)
+    filled = list(rows)
+    for i, row in enumerate(rows):
+        if "" in row:
+            blank[i] = [tok == "" for tok in row]
+            filled[i] = [tok or "nan" for tok in row]
+    if not (blank & ~optional).any():
+        try:
+            return np.array(filled, dtype=np.float64), blank, None
+        except ValueError:
+            pass  # a token float() refuses, or a blank that is only whitespace
+    values = np.zeros(blank.shape)
+    for i, row in enumerate(rows):
+        for j, tok in enumerate(row):
+            shown = tok.strip() if optional[j] else tok
+            blank[i, j] = optional[j] and not shown
+            try:
+                values[i, j] = np.nan if blank[i, j] else float(tok)
+            except ValueError:
+                error = ValueError(f"line {lines[i]}: non-numeric {names[j]}: {shown!r}")
+                return values[:i], blank[:i], error
+    return values, blank, None
+
+
+def _order_faults(prices: np.ndarray, present: np.ndarray, descending: bool) -> np.ndarray:
+    """Rows whose present levels are not strictly ordered; absent levels are skipped.
+
+    Each present level must pass the running extreme of the present levels
+    before it, which for an ordered ladder is the previous present level.
+    """
+    signed = np.where(present, prices if descending else -prices, np.inf)
+    ordered = signed[:, 1:] < np.minimum.accumulate(signed, axis=1)[:, :-1]
+    return (present[:, 1:] & ~ordered).any(axis=1)
+
+
+def _reduce_block(rows, lines, names, layout, previous_ts: float):
+    """(timestamps, prices, imbalances) of a block of rows that pass every check.
+
+    A fault raises ValueError naming the first faulty line and the first
+    check of ``checks`` that line fails.
+    """
+    optional, sides = layout
+    values, blank, error = _convert(rows, lines, names, optional)
+    ts, price = values[:, 0], values[:, 1]
+    before = np.concatenate([[previous_ts], ts])[:-1]
+    bad = ~np.isfinite(values) & ~blank
+    volumes = [values[:, vol] for _, _, vol in sides]
+    with np.errstate(over="ignore"):  # an overflowing total is a fault checked below
+        # level by level, left to right, as sum() adds; a blank (NaN) or faulty
+        # negative volume adds 0, so no total is NaN
+        bid, ask = (
+            functools.reduce(np.add, np.where(v >= 0, v, 0.0).T, np.zeros(len(v))) for v in volumes
         )
-    return tuple(levels)
+        book = bid + ask
+    checks = [  # (faulty rows, message for faulty row i)
+        (bad.any(axis=1), lambda i: f"non-finite {names[bad[i].argmax()]}: "
+         f"{rows[i][bad[i].argmax()].strip()!r}"),
+        (ts < before, lambda i: f"timestamp {ts[i]} decreased below {before[i]}"),
+    ]
+    for side, px, vol in sides:
+        half = blank[:, px] != blank[:, vol]
+        checks.append((half.any(axis=1), lambda i, s=side, h=half: (
+            f"half-empty {s} level {h[i].argmax() + 1}")))
+    for (side, px, vol), v in zip(sides, volumes):
+        neg, order = v < 0, "descending" if side == "bid" else "ascending"
+        checks.append((neg.any(axis=1), lambda i, s=side, v=v, n=neg: (
+            f"{s} volume must be >= 0, got {v[i, n[i].argmax()]}")))
+        checks.append((_order_faults(values[:, px], ~blank[:, vol], side == "bid"),
+                       lambda i, s=side, o=order: f"{s} prices must be strictly {o}"))
+    checks.append((~(price > 0), lambda i: f"tick price must be > 0, got {price[i]}"))
+    checks.append((~np.isfinite(book), lambda i: (
+        f"non-finite book volume total: bid {bid[i]}, ask {ask[i]}")))
+
+    faulty = functools.reduce(np.logical_or, (mask for mask, _ in checks))
+    if faulty.any():
+        i = faulty.argmax()
+        describe = next(describe for mask, describe in checks if mask[i])
+        raise ValueError(f"line {lines[i]}: {describe(i)}")
+    if error is not None:
+        raise error
+    return ts, price, imbalance(bid, ask)
 
 
-def parse_ticks(stream) -> list[TickRecord]:
-    """Parse a tick CSV stream into records, in file order.
+def parse_ticks(stream) -> TickTable:
+    """Parse a tick CSV stream into a TickTable, in file order.
 
     Accepts a text or binary file object, a str/bytes blob, or any iterable
-    of lines. An entirely empty stream yields an empty list. Malformed rows
-    and decreasing timestamps raise ValueError naming the offending line.
+    of lines. An empty or header-only stream yields a table of length 0.
+    Rows are converted and checked BLOCK_ROWS at a time, each block reduced
+    to its three columns before the next is read. A malformed row, a
+    non-finite value or a decreasing timestamp raises ValueError naming the
+    line.
     """
     reader = csv.reader(_as_lines(stream))
     header = next(reader, None)
     while header is not None and all(tok.strip() == "" for tok in header):
         header = next(reader, None)
     if header is None:
-        return []
-    cols = tuple(c.strip() for c in header)
-    if cols[:2] != ("timestamp", "price"):
-        raise ValueError("line 1: missing tick CSV header (must start with timestamp,price)")
-    extended = len(cols) > 2 and cols[2] != "bid_vol_total"
-    if extended:
-        n_bid, n_ask = _split_extended_header(list(cols))
-        expected_len = 2 + 2 * (n_bid + n_ask)
-    else:
-        if cols != _BASIC_HEADER:
-            raise ValueError(f"line 1: expected header {','.join(_BASIC_HEADER)}")
-        expected_len = 4
+        return TickTable(np.empty(0), np.empty(0), np.empty(0))
+    names = tuple(c.strip() for c in header)
+    layout = _layout(names)
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rows: list[list[str]] = []
+    lines: list[int] = []
 
-    ticks: list[TickRecord] = []
-    previous_ts: float | None = None
-    for row in reader:
-        line_num = reader.line_num
-        if not row or all(tok.strip() == "" for tok in row):
-            continue
-        if len(row) != expected_len:
-            raise ValueError(
-                f"line {line_num}: expected {expected_len} columns, got {len(row)}"
-            )
-        timestamp = _parse_float(row[0], "timestamp", line_num)
-        price = _parse_float(row[1], "price", line_num)
-        if previous_ts is not None and timestamp < previous_ts:
-            raise ValueError(
-                f"line {line_num}: timestamp {timestamp} decreased below {previous_ts}"
-            )
-        previous_ts = timestamp
-        try:
-            if extended:
-                book = BookSnapshot(
-                    bids=_parse_levels(row, 2, n_bid, "bid", line_num),
-                    asks=_parse_levels(row, 2 + 2 * n_bid, n_ask, "ask", line_num),
-                )
-            else:
-                bid_total = _parse_float(row[2], "bid_vol_total", line_num)
-                ask_total = _parse_float(row[3], "ask_vol_total", line_num)
-                book = BookSnapshot(bids=((price, bid_total),), asks=((price, ask_total),))
-            ticks.append(TickRecord(timestamp=timestamp, price=price, book=book))
-        except ValueError as exc:
-            msg = str(exc)
-            raise ValueError(msg if msg.startswith("line ") else f"line {line_num}: {msg}") from None
-    return ticks
+    def reduce_rows() -> None:
+        previous_ts = float(parts[-1][0][-1]) if parts else -math.inf
+        parts.append(_reduce_block(rows, lines, names, layout, previous_ts))
+        rows.clear()
+        lines.clear()
+
+    try:
+        for row in reader:
+            if not row or all(tok.strip() == "" for tok in row):
+                continue
+            if len(row) != len(names):
+                line_num = reader.line_num
+                if rows:
+                    reduce_rows()  # a fault in an earlier row is reported first
+                raise ValueError(f"line {line_num}: expected {len(names)} columns, got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == BLOCK_ROWS:
+                reduce_rows()
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if rows:
+        reduce_rows()
+    if not parts:
+        return TickTable(np.empty(0), np.empty(0), np.empty(0))
+    return TickTable(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def bucket_index(timestamp: float, interval: float) -> int:
@@ -326,46 +373,39 @@ def bucket_index(timestamp: float, interval: float) -> int:
     return math.ceil(timestamp / interval)
 
 
-def coarsen(ticks: list[TickRecord], interval: float = DEFAULT_INTERVAL) -> PriceSeries:
+def coarsen(ticks: TickTable, interval: float = DEFAULT_INTERVAL) -> PriceSeries:
     """Map ticks onto a gapless fixed-interval grid.
 
     Within a bucket the last tick's price and imbalance win; buckets with
     no ticks carry the previous bucket's values forward. A span of more than
     MAX_BUCKETS buckets is refused before anything is allocated.
     """
-    if not ticks:
+    if len(ticks) == 0:
         raise ValueError("cannot coarsen an empty tick sequence")
     if not interval > 0:
         raise ValueError("interval must be > 0")
-    for earlier, later in zip(ticks, ticks[1:]):
-        if later.timestamp < earlier.timestamp:
-            raise ValueError("tick timestamps must be non-decreasing")
+    ts = ticks.timestamps
+    if np.any(ts[1:] < ts[:-1]):
+        raise ValueError("tick timestamps must be non-decreasing")
 
-    first_bucket = bucket_index(ticks[0].timestamp, interval)
-    last_bucket = bucket_index(ticks[-1].timestamp, interval)
-    n = last_bucket - first_bucket + 1
+    first, last = float(ts[0]), float(ts[-1])
+    n = math.inf  # Python float quotients: one too large is inf, not a warning
+    if math.isfinite(first / interval) and math.isfinite(last / interval):
+        n = bucket_index(last, interval) - bucket_index(first, interval) + 1
     if n > MAX_BUCKETS:
         raise ValueError(
-            f"ticks from t={ticks[0].timestamp!r} to t={ticks[-1].timestamp!r} span {n} "
+            f"ticks from t={first!r} to t={last!r} span {n} "
             f"buckets of {interval!r} s, more than {MAX_BUCKETS}"
         )
+    buckets = np.ceil(ts / interval)  # exact integers, as bucket_index gives
+    idx = (buckets - buckets[0]).astype(np.intp)
+    last_in_bucket = np.flatnonzero(np.append(idx[1:] != idx[:-1], True))
     prices = np.full(n, np.nan)
     imbalances = np.full(n, np.nan)
-
-    for tick in ticks:
-        idx = bucket_index(tick.timestamp, interval) - first_bucket
-        prices[idx] = tick.price
-        imbalances[idx] = imbalance(tick.book)
+    prices[idx[last_in_bucket]] = ticks.prices[last_in_bucket]
+    imbalances[idx[last_in_bucket]] = ticks.imbalances[last_in_bucket]
 
     # forward-fill empty buckets; bucket 0 is always populated by the first tick
-    filled = ~np.isnan(prices)
-    carry = np.maximum.accumulate(np.where(filled, np.arange(n), 0))
-    prices = prices[carry]
-    imbalances = imbalances[carry]
-
-    return PriceSeries(
-        start_time=first_bucket * interval,
-        interval=interval,
-        prices=prices,
-        imbalances=imbalances,
-    )
+    carry = np.maximum.accumulate(np.where(~np.isnan(prices), np.arange(n), 0))
+    start_time = bucket_index(first, interval) * interval
+    return PriceSeries(start_time, interval, prices[carry], imbalances[carry])

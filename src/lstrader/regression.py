@@ -431,7 +431,13 @@ class PredictorModel:
     def load_json(cls, path) -> "PredictorModel":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        kernel = KernelChoice(variant=data["kernel"]["variant"], c=float(data["kernel"]["c"]))
+        for key, kind in (("kernel", dict), ("weights", dict), ("banks", list)):
+            if not isinstance(data, dict) or not isinstance(data.get(key), kind):
+                raise ValueError(f"{path}: model JSON needs a {kind.__name__} {key!r}")
+        try:
+            kernel = KernelChoice(variant=data["kernel"]["variant"], c=float(data["kernel"]["c"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad model kernel ({type(exc).__name__}: {exc})") from None
         w = data["weights"]
         names = [f"w{i}" for i in range(len(data["banks"]) + 2)]
         found = sorted(k for k in w if k != "used_ridge")

@@ -3,15 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from lstrader.market_data import BookSnapshot, PriceSeries, TickRecord
+from lstrader.market_data import PriceSeries, TickTable, imbalance
 
 
-def make_book(bid_total: float, ask_total: float, price: float = 100.0) -> BookSnapshot:
-    return BookSnapshot(bids=((price, bid_total),), asks=((price, ask_total),))
-
-
-def make_tick(t: float, price: float, bid: float = 1.0, ask: float = 1.0) -> TickRecord:
-    return TickRecord(timestamp=t, price=price, book=make_book(bid, ask, price))
+def make_ticks(*ticks) -> TickTable:
+    """TickTable from (timestamp, price[, bid_total, ask_total]) tuples; totals default to 1."""
+    full = [(*tick, 1.0, 1.0)[:4] for tick in ticks]
+    ts, prices, bids, asks = np.array(full, dtype=np.float64).reshape(-1, 4).T
+    return TickTable(timestamps=ts, prices=prices, imbalances=imbalance(bids, asks))
 
 
 def series_from_prices(prices, interval: float = 10.0, imbalances=None) -> PriceSeries:

@@ -35,6 +35,23 @@ def small_pipeline_args(spec_path, out_dir, seed=7, extra=()):
     ]
 
 
+def fit_small_model(spec_path, tmp_path):
+    """A 6-hour series and a 3-bank model fitted on it: (series path, model dir)."""
+    series_csv = tmp_path / "series.csv"
+    run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
+    banks_dir = tmp_path / "banks"
+    assert run_cli(
+        "build-banks", "--series", series_csv, "--out-dir", banks_dir,
+        "--windows", "30,60,120", "--k", "8", "--m", "3",
+    ) == 0
+    fit_dir = tmp_path / "fitted"
+    assert run_cli(
+        "fit", "--series", series_csv, "--banks-dir", banks_dir,
+        "--out-dir", fit_dir, "--c-grid", "1",
+    ) == 0
+    return series_csv, fit_dir
+
+
 class TestArgHandling:
     def test_unknown_subcommand_nonzero(self, capsys):
         assert run_cli("frobnicate") != 0
@@ -109,6 +126,14 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "t=0.0 to t=1000000000000.0" in err
+
+    @pytest.mark.parametrize("row", ["nan,101,1,1", "inf,101,1,1", "20,inf,1,1", "20,101,nan,1"])
+    def test_ingest_non_finite_fails_naming_line(self, tmp_path, capsys, row):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n{row}\n")
+        rc = run_cli("ingest", "--ticks", ticks, "--out", tmp_path / "o.csv")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: line 3: non-finite ")
 
     def test_ingest_malformed_row_fails(self, tmp_path, capsys):
         ticks = tmp_path / "bad.csv"
@@ -189,19 +214,26 @@ class TestStagedCommands:
             "--out-dir", tmp_path / "rep",
         ) == 0
 
+    def test_malformed_model_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        model = json.loads((fit_dir / "model.json").read_text())
+        del model["kernel"]
+        (fit_dir / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        model_args = ("--series", series_csv, "--model", fit_dir / "model.json")
+        for args in (
+            ("report", *model_args, "--out-dir", tmp_path / "rep"),
+            ("backtest", *model_args, "--threshold", 0.1, "--out-dir", tmp_path / "bt"),
+            ("sweep", *model_args, "--thresholds", "0.1,0.2", "--out", tmp_path / "sweep.csv"),
+        ):
+            rc = run_cli(*args)
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "model.json: model JSON needs a dict 'kernel'" in err
+
     def test_weight_count_mismatch_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
-        series_csv = tmp_path / "series.csv"
-        run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
-        banks_dir = tmp_path / "banks"
-        assert run_cli(
-            "build-banks", "--series", series_csv, "--out-dir", banks_dir,
-            "--windows", "30,60,120", "--k", "8", "--m", "3",
-        ) == 0
-        fit_dir = tmp_path / "fitted"
-        assert run_cli(
-            "fit", "--series", series_csv, "--banks-dir", banks_dir,
-            "--out-dir", fit_dir, "--c-grid", "1",
-        ) == 0
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
         model = json.loads((fit_dir / "model.json").read_text())
         model["banks"] = model["banks"][:2]
         (fit_dir / "model.json").write_text(json.dumps(model))
@@ -406,6 +438,14 @@ class TestPipeline:
             RunConfig()
         with pytest.raises(ValueError, match="exactly one"):
             RunConfig(spec_path="a", ticks_path="b")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_pipeline_from_ticks_rejects_non_finite(self, tmp_path, capsys, bad):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n10,101,{bad},1\n")
+        rc = run_cli("pipeline", "--ticks", ticks, "--out", tmp_path / "run")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: line 3: non-finite bid_vol_total: ")
 
     def test_pipeline_from_ticks(self, tmp_path, rng):
         # a long enough tick tape for 30/60/120 windows across three periods

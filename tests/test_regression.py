@@ -555,6 +555,27 @@ class TestPredictorModel:
         for row, value in zip(feats, dp):
             assert value == pytest.approx(predict_dp(row, model.weights), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("kernel"), "needs a dict 'kernel'"),
+            (lambda d: d.pop("weights"), "needs a dict 'weights'"),
+            (lambda d: d.pop("banks"), "needs a list 'banks'"),
+            (lambda d: d.update(kernel="exp_similarity"), "needs a dict 'kernel'"),
+            (lambda d: d["kernel"].pop("c"), r"bad model kernel \(KeyError: 'c'\)"),
+            (lambda d: d["kernel"].update(c=None), "bad model kernel"),
+        ],
+        ids=["no_kernel", "no_weights", "no_banks", "kernel_not_dict", "no_c", "c_null"],
+    )
+    def test_load_rejects_malformed_model_naming_file(self, rng, tmp_path, edit, message):
+        model = self.make_model(rng)
+        data = model.to_json_dict([f"bank_{i}.json" for i in range(3)])
+        edit(data)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"model.json: .*{message}"):
+            PredictorModel.load_json(path)
+
     def test_load_rejects_weight_count_mismatch(self, rng, tmp_path):
         model = self.make_model(rng)
         names = [f"bank_{i}.json" for i in range(3)]
