@@ -31,10 +31,19 @@ every point-to-centroid distance in every iteration, with less work:
 - the objective is sum ||x||^2 - 2 sum_j s_j.c_j + sum_j n_j ||c_j||^2 over
   the cluster sums s_j and sizes n_j, so it needs no pass over the points.
 
+Scoring rows: ``anchored_rows`` is the row rule of the similarity score
+(see ``regression``). Each row is taken relative to its own last value, so a
+constant row is exactly zero; rows whose sum of squares lies outside
+[2^-400, 2^400] are rescaled by the power of two that brings their largest
+|difference| into [0.5, 1), an exact operation. A bank computes its own
+rows once (``PatternBank.anchored``); query rows are passed in blocks of
+512 by the scorer.
+
 Bank serialization: a JSON form (window_length, kernel_c, and one
 {vector, label, population} record per pattern) and a compact binary form
 for large banks (little-endian, length-prefixed 64-bit floats), read and
-written as whole numpy record arrays.
+written as whole numpy record arrays. A malformed file, or one with a
+missing or mistyped field, raises ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -77,6 +86,18 @@ def _bank_record(window_length: int) -> np.dtype:
 _BLOCK_ROWS = 1024
 
 
+def read_json(path):
+    """The parsed contents of a JSON file; malformed JSON raises ValueError
+    naming the file, line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+
+
 def normalize(x) -> np.ndarray:
     """Zero-mean, unit-std copy of x; a constant vector maps to zeros."""
     x = np.asarray(x, dtype=np.float64)
@@ -105,24 +126,37 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
     return deviations
 
 
-def scaled_deviations(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row deviations from the row mean, each row divided by its largest
-    |deviation|, and the mean square of each scaled row.
+def anchored_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row rule of the similarity score: each row taken relative to its
+    own last value, with the mean and the mean square about the mean of
+    those differences.
 
-    The division keeps finite rows of any magnitude from overflowing or
-    underflowing when squared. Constant rows (max == min) become zero rows
-    with mean square 0: the floating-point mean of a constant row need not
-    equal its value, so such rows are divided by infinity rather than left
-    to the subtraction.
+    Returns (d, mean, msq): d = rows - rows[:, -1:], mean = sum(d) / M and
+    msq = max(sum(d^2) - sum(d) * mean, 0) / M. A constant row is exactly
+    zero. Rows whose sum(d^2) lies outside [2^-400, 2^400] are first
+    multiplied by the power of two that brings their largest |d| into
+    [0.5, 1), which is exact; so the product of two mean squares neither
+    under- nor overflows.
     """
-    constant = block.max(axis=1) == block.min(axis=1)
-    deviations = block - block.mean(axis=1, keepdims=True)
-    scale = np.maximum(deviations.max(axis=1), -deviations.min(axis=1))
-    if not np.isfinite(scale).all():
-        raise ValueError("rows must be finite, with finite row sums")
-    scale[constant] = np.inf
-    deviations /= scale[:, None]
-    return deviations, np.einsum("ij,ij->i", deviations, deviations) / block.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = block - block[:, -1:]
+        s2 = np.einsum("ij,ij->i", d, d)
+        wild = ~((s2 >= 2.0**-400) & (s2 <= 2.0**400))  # NaN and inf included
+        if wild.any():
+            rows = d[wild]
+            _, exponent = np.frexp(np.abs(rows).max(axis=1))
+            rows = np.ldexp(rows, -exponent[:, None])
+            d[wild] = rows
+            s2[wild] = np.einsum("ij,ij->i", rows, rows)
+            if not np.isfinite(s2).all():
+                raise ValueError(
+                    "rows must be finite, with finite differences from their last value"
+                )
+    m = block.shape[1]
+    s1 = d.sum(axis=1)
+    mean = s1 / m
+    msq = np.maximum(s2 - s1 * mean, 0.0) / m
+    return d, mean, msq
 
 
 @dataclass(frozen=True)
@@ -441,6 +475,8 @@ class PatternBank:
             raise ValueError("labels/populations must align with vectors")
         if (populations < 0).any():
             raise ValueError("populations must be >= 0")
+        if not np.isfinite(labels).all():
+            raise ValueError("bank labels must be finite")
         if not self.kernel_c > 0:
             raise ValueError("kernel_c must be > 0")
         means = vectors.mean(axis=1)
@@ -458,9 +494,9 @@ class PatternBank:
         return self.vectors.shape[0]
 
     @cached_property
-    def scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """scaled_deviations of the vectors, computed once per bank for scoring."""
-        rows = scaled_deviations(self.vectors)
+    def anchored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """anchored_rows of the vectors, computed once per bank for scoring."""
+        rows = anchored_rows(self.vectors)
         for arr in rows:
             arr.setflags(write=False)
         return rows
@@ -498,12 +534,38 @@ class PatternBank:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PatternBank":
+        """A bank from its JSON form; a missing or mistyped field raises
+        ValueError naming it."""
+        for key, kind, name in (
+            ("patterns", list, "a list"),
+            ("window_length", int, "an integer"),
+            ("kernel_c", (int, float), "a number"),
+        ):
+            value = data.get(key) if isinstance(data, dict) else None
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"bank JSON needs {name} {key!r}")
+        window_length = data["window_length"]
         patterns = data["patterns"]
+        for i, pattern in enumerate(patterns):
+            for key in ("vector", "label", "population"):
+                if not isinstance(pattern, dict) or key not in pattern:
+                    raise ValueError(f"bank JSON pattern {i} needs a {key!r}")
+            vector = pattern["vector"]
+            if not isinstance(vector, list) or len(vector) != window_length:
+                raise ValueError(
+                    f"bank JSON pattern {i} needs a 'vector' of window_length {window_length} values"
+                )
+        try:
+            vectors = np.array([p["vector"] for p in patterns], dtype=np.float64)
+            labels = np.array([p["label"] for p in patterns], dtype=np.float64)
+            populations = np.array([p["population"] for p in patterns], dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bank JSON pattern values must be numbers ({exc})") from None
         return cls(
-            window_length=int(data["window_length"]),
-            vectors=np.array([p["vector"] for p in patterns], dtype=np.float64),
-            labels=np.array([p["label"] for p in patterns], dtype=np.float64),
-            populations=np.array([p["population"] for p in patterns], dtype=np.int64),
+            window_length=window_length,
+            vectors=vectors,
+            labels=labels,
+            populations=populations,
             kernel_c=float(data["kernel_c"]),
         )
 
@@ -514,8 +576,11 @@ class PatternBank:
 
     @classmethod
     def load_json(cls, path) -> "PatternBank":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        data = read_json(path)
+        try:
+            return cls.from_json_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def save_binary(self, path) -> None:
         header = np.array(

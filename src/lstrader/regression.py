@@ -16,16 +16,29 @@ std being the square root of the mean squared deviation, and s = 0 when
 either vector is constant.
 
 There is one scoring rule and one scorer. ``similarity_many`` evaluates s
-for a block of query rows against a block of pattern rows with one matrix
-product over M. Each row's deviations are first divided by their largest
-magnitude (``pattern_bank.scaled_deviations``; a bank keeps its own scaled
-rows), so finite inputs of any magnitude neither overflow nor underflow
-when squared; ``similarity`` is its 1x1 call. ``_kernel_weights`` turns a
-block of query rows into normalized weights against one bank. Everything
-that predicts goes through it: ``feature_block`` with the trailing windows
-of a series, and ``kernel_weights``, ``predict_label``,
-``empirical_conditional``, ``classify_binary`` and ``assemble_features`` as
-one-row calls.
+for a block of query rows against a block of pattern rows. Each row is
+first taken relative to its own last value, d = x - x[-1]
+(``pattern_bank.anchored_rows``), so a constant row is exactly zero and a
+row at any price level keeps its small moves exactly; with s1 = sum(d),
+mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
+
+    s = (d . d_v - M mean mean_v) / (M sqrt(msq msq_v)),
+
+0 where the denominator is 0, clipped to [-1, 1]. Both sides go through the
+same row rule (a bank caches its own rows), so s(a, b) == s(b, a) bit for
+bit. A magnitude guard rescales, by an exact power of two, rows whose
+sum(d^2) lies outside [2^-400, 2^400], so finite inputs of any magnitude
+neither overflow nor underflow; ``similarity`` is the 1x1 call.
+
+Query rows are scored in blocks of SCORE_BLOCK_ROWS = 512: ``feature_block``
+and ``calibrate_c`` take the trailing windows of a series a block at a time
+(a view of the prices for consecutive points, a gathered block for
+scattered ones), so no call allocates memory proportional to the number of
+points times M. ``_kernel_weights`` turns a block of query rows into
+normalized weights against one bank. Everything that predicts goes through
+it: ``feature_block`` and, as one-row calls, ``kernel_weights``,
+``predict_label``, ``empirical_conditional``, ``classify_binary`` and
+``assemble_features``.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -45,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .market_data import PriceSeries
-from .pattern_bank import PatternBank, normalize_rows, scaled_deviations
+from .pattern_bank import PatternBank, anchored_rows, normalize_rows, read_json
 
 KERNEL_GAUSSIAN_L2 = "gaussian_l2"
 KERNEL_EXP_SIMILARITY = "exp_similarity"
@@ -54,6 +67,10 @@ _KERNEL_VARIANTS = (KERNEL_GAUSSIAN_L2, KERNEL_EXP_SIMILARITY)
 DEFAULT_C_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 RIDGE_LAMBDA = 1e-8
 MIN_FIT_SAMPLES = 5
+
+# Query rows per scoring block: every scoring temporary holds at most this
+# many rows of M values, whatever the number of prediction points.
+SCORE_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -70,22 +87,31 @@ class KernelChoice:
             raise ValueError("exp_similarity requires c > 0")
 
 
-def _similarity(queries: np.ndarray, dv: np.ndarray, msq_v: np.ndarray) -> np.ndarray:
-    """s of query rows against pattern rows given as their scaled_deviations.
-
-    The deviation block of the queries is freed before the
-    (n_queries, n_vectors) scaling.
-    """
-    dq, msq_q = scaled_deviations(queries)
-    scores = dq @ dv.T
-    del dq
-    denom = np.outer(msq_q, msq_v)
+def _similarity(queries: np.ndarray, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """s of one block of query rows against pattern rows given as their
+    anchored_rows, written into out if given."""
+    dv, mean_v, msq_v = rows_v
+    d, mean, msq = anchored_rows(queries)
+    m = queries.shape[1]
+    scores = np.matmul(d, dv.T, out=out)
+    cross = mean[:, None] * mean_v
+    cross *= m
+    scores -= cross
+    denom = np.multiply(msq[:, None], msq_v, out=cross)
     np.sqrt(denom, out=denom)
-    denom *= queries.shape[1]
-    # a constant row has zero deviations, so its products are already 0
+    denom *= m
+    # a row that is not constant has msq >= sum(d^2) / (M (M + 1)), far above
+    # rounding, so the denominator is 0 only for a constant row; its d and
+    # mean are exactly 0, so s stays 0 there
     np.divide(scores, denom, out=scores, where=denom > 0)
-    np.clip(scores, -1.0, 1.0, out=scores)
-    return scores
+    np.minimum(scores, 1.0, out=scores)
+    return np.maximum(scores, -1.0, out=scores)
+
+
+def _row_blocks(rows: np.ndarray):
+    """(slice, block) over the rows of an array, SCORE_BLOCK_ROWS at a time."""
+    for lo in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
+        yield slice(lo, lo + SCORE_BLOCK_ROWS), rows[lo : lo + SCORE_BLOCK_ROWS]
 
 
 def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -100,7 +126,11 @@ def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: queries {queries.shape} vs vectors {vectors.shape}")
     if queries.shape[1] < 2:
         raise ValueError("similarity needs vectors of length >= 2")
-    return _similarity(queries, *scaled_deviations(vectors))
+    rows_v = anchored_rows(vectors)
+    scores = np.empty((queries.shape[0], vectors.shape[0]))
+    for out, block in _row_blocks(queries):
+        _similarity(block, rows_v, out=scores[out])
+    return scores
 
 
 def similarity(a, b) -> float:
@@ -117,15 +147,15 @@ def similarity(a, b) -> float:
 
 
 def _scores(queries: np.ndarray, bank: PatternBank, variant: str) -> np.ndarray:
-    """Log-kernel scores (n, K) of query rows against the bank patterns,
-    before the kernel constant: s for exp_similarity, -|x - x_i|^2 / 4 for
-    gaussian_l2. Rows are compared as given."""
+    """Log-kernel scores (n, K) of one block of query rows against the bank
+    patterns, before the kernel constant: s for exp_similarity,
+    -|x - x_i|^2 / 4 for gaussian_l2. Rows are compared as given."""
     if queries.shape[1] != bank.window_length:
         raise ValueError(
             f"queries have length {queries.shape[1]}, bank expects {bank.window_length}"
         )
     if variant == KERNEL_EXP_SIMILARITY:
-        return _similarity(queries, *bank.scaled_rows)
+        return _similarity(queries, bank.anchored)
     sq_q = np.einsum("ij,ij->i", queries, queries)
     sq_v = np.einsum("ij,ij->i", bank.vectors, bank.vectors)
     d2 = sq_q[:, None] + sq_v[None, :] - 2.0 * (queries @ bank.vectors.T)
@@ -190,14 +220,20 @@ def history_required(banks: Sequence[PatternBank]) -> int:
     return max(bank.window_length for bank in banks)
 
 
-def _windows(series: PriceSeries, m: int, ts: np.ndarray) -> np.ndarray:
-    """Rows of the length-m windows ending at each of ts. Consecutive points
-    (every caller in the pipeline) get a view of the prices, not a copy."""
-    view = sliding_window_view(series.prices, m)
-    starts = ts - m + 1
-    if (np.diff(ts) == 1).all():
-        return view[starts[0] : starts[0] + ts.size]
-    return view[starts]
+def _window_blocks(series: PriceSeries, m: int, ts: np.ndarray):
+    """(slice, rows) of the length-m windows ending at ts, SCORE_BLOCK_ROWS
+    points at a time. A single point (a live decision) or a block of
+    consecutive points (every caller in the pipeline) is a view of the
+    prices; scattered points are gathered one block at a time."""
+    prices = series.prices
+    for out, starts in _row_blocks(ts - m + 1):
+        lo = starts[0]
+        if starts.size == 1:
+            yield out, prices[lo : lo + m][None, :]
+        elif (np.diff(starts) == 1).all():
+            yield out, sliding_window_view(prices[lo : lo + starts.size + m - 1], m)
+        else:
+            yield out, sliding_window_view(prices, m)[starts]
 
 
 def feature_block(
@@ -212,7 +248,8 @@ def feature_block(
     (shortest window first) and then the imbalance, from data up to and
     including that point. Each bank scores the trailing window of its length;
     gaussian_l2 compares the normalized window, exp_similarity needs no
-    normalization.
+    normalization. Windows are scored in blocks, so memory does not grow
+    with len(ts) beyond the result.
     """
     ts = np.asarray(ts, dtype=np.int64)
     if ts.size == 0:
@@ -223,14 +260,14 @@ def feature_block(
             f"prediction points need {needed} buckets of history and must lie in "
             f"[{needed}, {len(series) - 1}], got [{ts.min()}, {ts.max()}]"
         )
-    columns = []
-    for bank in banks:
-        windows = _windows(series, bank.window_length, ts)
-        if kernel.variant == KERNEL_GAUSSIAN_L2:
-            windows = normalize_rows(windows)
-        columns.append(_kernel_weights(windows, bank, kernel) @ bank.labels)
-    columns.append(series.imbalances[ts])
-    return np.column_stack(columns)
+    features = np.empty((ts.size, len(banks) + 1))
+    for j, bank in enumerate(banks):
+        for out, windows in _window_blocks(series, bank.window_length, ts):
+            if kernel.variant == KERNEL_GAUSSIAN_L2:
+                windows = normalize_rows(windows)
+            features[out, j] = _kernel_weights(windows, bank, kernel) @ bank.labels
+    features[:, -1] = series.imbalances[ts]
+    return features
 
 
 def assemble_features(
@@ -354,10 +391,12 @@ def calibrate_c(
         )
     targets = fit_series.prices[ts + 1] - fit_series.prices[ts]
     imbalances = fit_series.imbalances[ts]
-    scores = [
-        _scores(_windows(fit_series, bank.window_length, ts), bank, KERNEL_EXP_SIMILARITY)
-        for bank in banks
-    ]
+    scores = []
+    for bank in banks:
+        bank_scores = np.empty((ts.size, len(bank)))
+        for out, windows in _window_blocks(fit_series, bank.window_length, ts):
+            bank_scores[out] = _scores(windows, bank, KERNEL_EXP_SIMILARITY)
+        scores.append(bank_scores)
 
     best: tuple[float, float, CombinerWeights] | None = None
     errors = []
@@ -429,8 +468,7 @@ class PredictorModel:
 
     @classmethod
     def load_json(cls, path) -> "PredictorModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
         for key, kind in (("kernel", dict), ("weights", dict), ("banks", list)):
             if not isinstance(data, dict) or not isinstance(data.get(key), kind):
                 raise ValueError(f"{path}: model JSON needs a {kind.__name__} {key!r}")

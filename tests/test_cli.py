@@ -232,6 +232,31 @@ class TestStagedCommands:
             assert err.startswith("error: ")
             assert "model.json: model JSON needs a dict 'kernel'" in err
 
+    @pytest.mark.parametrize(
+        "target, text, message",
+        [
+            ("model.json", '{"kernel": ', "model.json: malformed JSON at line 1 column 12"),
+            ("bank_60.json", '{"window_length": 60}', "bank_60.json: bank JSON needs a list 'patterns'"),
+            ("bank_60.json", '{"window_length": 60, "kernel_c": 1.0, "patterns": [{"vector": [0.0]}]}',
+             "bank_60.json: bank JSON pattern 0 needs a 'label'"),
+            ("bank_120.json", '{"patterns": [\n  {"vector": ', "bank_120.json: malformed JSON at line 2 column 14"),
+        ],
+        ids=["truncated_model", "bank_without_patterns", "bank_pattern_without_label", "truncated_bank"],
+    )
+    def test_malformed_json_fails_naming_file(self, spec_path, tmp_path, capsys, target, text, message):
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        (fit_dir / target).write_text(text)
+        capsys.readouterr()
+        rc = run_cli(
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--out-dir", tmp_path / "rep",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_weight_count_mismatch_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
         series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
         model = json.loads((fit_dir / "model.json").read_text())

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import tempfile
@@ -295,6 +296,50 @@ class TestPatternBank:
                 labels=np.empty(0),
                 populations=np.empty(0, dtype=np.int64),
             )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("patterns"), "bank JSON needs a list 'patterns'"),
+            (lambda d: d.update(patterns={"vector": []}), "bank JSON needs a list 'patterns'"),
+            (lambda d: d.pop("window_length"), "bank JSON needs an integer 'window_length'"),
+            (lambda d: d.update(window_length="6"), "bank JSON needs an integer 'window_length'"),
+            (lambda d: d.pop("kernel_c"), "bank JSON needs a number 'kernel_c'"),
+            (lambda d: d.update(kernel_c=None), "bank JSON needs a number 'kernel_c'"),
+            (lambda d: d["patterns"][2].pop("vector"), "bank JSON pattern 2 needs a 'vector'"),
+            (lambda d: d["patterns"][1].pop("label"), "bank JSON pattern 1 needs a 'label'"),
+            (lambda d: d["patterns"][0].pop("population"), "bank JSON pattern 0 needs a 'population'"),
+            (lambda d: d["patterns"].append(3.0), "bank JSON pattern 4 needs a 'vector'"),
+            (lambda d: d["patterns"][3]["vector"].pop(), "bank JSON pattern 3 needs a 'vector' of window_length 6"),
+            (lambda d: d["patterns"][3].update(vector=7.0), "bank JSON pattern 3 needs a 'vector' of window_length 6"),
+            (lambda d: d["patterns"][1].update(label="up"), "bank JSON pattern values must be numbers"),
+            (lambda d: d["patterns"][1].update(label=None), "bank labels must be finite"),
+        ],
+        ids=[
+            "no_patterns", "patterns_not_list", "no_window_length", "window_length_str",
+            "no_kernel_c", "kernel_c_null", "no_vector", "no_label", "no_population",
+            "pattern_not_dict", "short_vector", "vector_not_list", "label_str", "label_null",
+        ],
+    )
+    def test_malformed_json_bank_names_file_and_field(self, tmp_path, edit, message):
+        data = self.make_bank().to_json_dict()
+        edit(data)
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"bank.json: {message}"):
+            PatternBank.load(path)
+
+    def test_bank_json_not_an_object_names_file(self, tmp_path):
+        path = tmp_path / "bank.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="bank.json: bank JSON needs a list 'patterns'"):
+            PatternBank.load(path)
+
+    def test_truncated_json_bank_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "bank.json"
+        path.write_text('{\n  "patterns": ')
+        with pytest.raises(ValueError, match=r"bank.json: malformed JSON at line 2 column 15"):
+            PatternBank.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -576,6 +576,22 @@ class TestPredictorModel:
         with pytest.raises(ValueError, match=f"model.json: .*{message}"):
             PredictorModel.load_json(path)
 
+    def test_load_truncated_model_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"kernel": ')
+        with pytest.raises(ValueError, match=r"model.json: malformed JSON at line 1 column 12"):
+            PredictorModel.load_json(path)
+
+    def test_load_names_a_malformed_bank_file(self, rng, tmp_path):
+        model = self.make_model(rng)
+        names = [f"bank_{i}.json" for i in range(3)]
+        for bank, name in zip(model.banks, names):
+            bank.save_json(tmp_path / name)
+        model.save_json(tmp_path / "model.json", names)
+        (tmp_path / "bank_1.json").write_text('{"window_length": 6}')
+        with pytest.raises(ValueError, match="bank_1.json: bank JSON needs a list 'patterns'"):
+            PredictorModel.load_json(tmp_path / "model.json")
+
     def test_load_rejects_weight_count_mismatch(self, rng, tmp_path):
         model = self.make_model(rng)
         names = [f"bank_{i}.json" for i in range(3)]
