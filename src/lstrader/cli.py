@@ -90,10 +90,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _load_series(path: str) -> PriceSeries:
-    return PriceSeries.from_csv(path)
-
-
 def _bank_filename(window: int, bank_format: str) -> str:
     return f"bank_{window}.{'bin' if bank_format == 'binary' else 'json'}"
 
@@ -172,7 +168,7 @@ def _build_and_save_banks(series, cfg_args, out_dir: str) -> list[str]:
 
 
 def cmd_build_banks(args) -> int:
-    series = _load_series(args.series)
+    series = PriceSeries.from_csv(args.series)
     paths = _build_and_save_banks(series, args, args.out_dir)
     for path in paths:
         print(f"wrote {path}")
@@ -211,7 +207,7 @@ def _fit_model(series, banks, c_grid, bank_format, out_dir: str):
 
 
 def cmd_fit(args) -> int:
-    series = _load_series(args.series)
+    series = PriceSeries.from_csv(args.series)
     banks = _load_banks_from_dir(args.banks_dir)
     model, model_path, calibration = _fit_model(
         series, banks, args.c_grid, args.bank_format, args.out_dir
@@ -222,7 +218,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    series = _load_series(args.series)
+    series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
     report = trader.run_backtest(model, series, args.threshold, sharpe_variant=args.sharpe_variant)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -235,7 +231,7 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    series = _load_series(args.series)
+    series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
     rows = evaluator.sweep_thresholds(model, series, args.thresholds, args.sharpe_variant)
     evaluator.write_sweep_csv(rows, args.out)
@@ -270,7 +266,7 @@ def _evaluate(model, series, thresholds, sharpe_variant, out_dir, extra_summary=
 
 
 def cmd_report(args) -> int:
-    series = _load_series(args.series)
+    series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
     report, rows = _evaluate(model, series, args.thresholds, args.sharpe_variant, args.out_dir)
     print(f"wrote report bundle to {args.out_dir} (best threshold {report.threshold})")
@@ -407,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Latent-source kernel regression trading pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sharpe_variant = dict(choices=evaluator.SHARPE_VARIANTS, default=evaluator.SHARPE_SQRT)
 
     gen = sub.add_parser("gen", help="generate a synthetic price series")
     gen.add_argument("--spec", required=True, help="latent source spec JSON")
@@ -450,11 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     backtest.add_argument("--model", required=True)
     backtest.add_argument("--threshold", type=float, required=True)
     backtest.add_argument("--out-dir", required=True)
-    backtest.add_argument(
-        "--sharpe-variant",
-        choices=(evaluator.SHARPE_SQRT, evaluator.SHARPE_PAPER_LITERAL),
-        default=evaluator.SHARPE_SQRT,
-    )
+    backtest.add_argument("--sharpe-variant", **sharpe_variant)
     backtest.set_defaults(func=cmd_backtest)
 
     sweep = sub.add_parser("sweep", help="threshold sweep table")
@@ -462,11 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--model", required=True)
     sweep.add_argument("--thresholds", type=_parse_floats, required=True)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument(
-        "--sharpe-variant",
-        choices=(evaluator.SHARPE_SQRT, evaluator.SHARPE_PAPER_LITERAL),
-        default=evaluator.SHARPE_SQRT,
-    )
+    sweep.add_argument("--sharpe-variant", **sharpe_variant)
     sweep.set_defaults(func=cmd_sweep)
 
     report = sub.add_parser("report", help="backtest + sweep + report bundle")
@@ -474,11 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--model", required=True)
     report.add_argument("--out-dir", required=True)
     report.add_argument("--thresholds", type=_parse_floats, default=None)
-    report.add_argument(
-        "--sharpe-variant",
-        choices=(evaluator.SHARPE_SQRT, evaluator.SHARPE_PAPER_LITERAL),
-        default=evaluator.SHARPE_SQRT,
-    )
+    report.add_argument("--sharpe-variant", **sharpe_variant)
     report.set_defaults(func=cmd_report)
 
     pipeline = sub.add_parser("pipeline", help="all stages in order")
@@ -497,11 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--split", type=_parse_floats, default=(1 / 3, 1 / 3, 1 / 3))
     pipeline.add_argument("--seed", type=int, default=0)
     pipeline.add_argument("--max-iters", type=int, default=100)
-    pipeline.add_argument(
-        "--sharpe-variant",
-        choices=(evaluator.SHARPE_SQRT, evaluator.SHARPE_PAPER_LITERAL),
-        default=evaluator.SHARPE_SQRT,
-    )
+    pipeline.add_argument("--sharpe-variant", **sharpe_variant)
     pipeline.add_argument("--bank-format", choices=("json", "binary"), default="json")
     pipeline.add_argument("--start-price", type=float, default=500.0)
     pipeline.add_argument("--imbalance-gain", type=float, default=0.0)

@@ -19,7 +19,6 @@ Report bundle written by emit_report:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .market_data import PriceSeries
+from .market_data import PriceSeries, write_float_rows
 from .pattern_bank import PatternBank
 from .regression import PredictorModel
 
@@ -37,7 +36,7 @@ if TYPE_CHECKING:
 
 SHARPE_SQRT = "sqrt"
 SHARPE_PAPER_LITERAL = "paper-literal"
-_SHARPE_VARIANTS = (SHARPE_SQRT, SHARPE_PAPER_LITERAL)
+SHARPE_VARIANTS = (SHARPE_SQRT, SHARPE_PAPER_LITERAL)
 
 LEDGER_TOLERANCE = 1e-9
 
@@ -48,7 +47,7 @@ def sharpe(profits: Sequence[float], price_move: float, variant: str = SHARPE_SQ
     Returns NaN (the undefined flag) when there are fewer than two round
     trips or the profit dispersion is zero.
     """
-    if variant not in _SHARPE_VARIANTS:
+    if variant not in SHARPE_VARIANTS:
         raise ValueError(f"unknown sharpe variant: {variant!r}")
     profits = np.asarray(profits, dtype=np.float64)
     count = profits.size
@@ -150,34 +149,20 @@ def sweep_thresholds(
     ]
 
 
-def _float_repr(value: float) -> str:
-    return repr(float(value))
-
-
-def _open_for_write(path: str, mode: str = "w"):
+def _open_for_write(path: str):
     try:
-        return open(path, mode, newline="" if "b" not in mode else None, encoding=None if "b" in mode else "utf-8")
+        return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"failed opening {path} for writing: {exc}") from exc
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     with _open_for_write(os.fspath(path)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["threshold", "num_trades", "avg_holding_s", "avg_profit", "total_profit", "sharpe"]
-        )
+        fh.write("threshold,num_trades,avg_holding_s,avg_profit,total_profit,sharpe\r\n")
         for row in rows:
-            writer.writerow(
-                [
-                    _float_repr(row.threshold),
-                    row.num_trades,
-                    _float_repr(row.avg_holding_time),
-                    _float_repr(row.avg_profit_per_trade),
-                    _float_repr(row.total_profit),
-                    _float_repr(row.sharpe),
-                ]
-            )
+            values = (row.avg_holding_time, row.avg_profit_per_trade, row.total_profit, row.sharpe)
+            floats = ",".join(repr(float(v)) for v in values)
+            fh.write(f"{float(row.threshold)!r},{row.num_trades},{floats}\r\n")
 
 
 def summary_dict(
@@ -255,21 +240,13 @@ def emit_report(
         times = np.arange(len(cum), dtype=np.float64)
         prices = np.full(len(cum), np.nan)
     with _open_for_write(curve_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket_time", "price", "cum_profit"])
-        for t, p, c in zip(times, prices, cum):
-            writer.writerow([_float_repr(t), _float_repr(p), _float_repr(c)])
+        write_float_rows(fh, (times, prices, cum), ("bucket_time", "price", "cum_profit"))
     paths["equity_curve"] = curve_path
 
     centers_path = os.path.join(out_dir, "cluster_centers.csv")
     with _open_for_write(centers_path) as fh:
-        writer = csv.writer(fh)
         for bank in banks:
-            for i in range(len(bank)):
-                writer.writerow(
-                    [bank.window_length, _float_repr(bank.labels[i])]
-                    + [_float_repr(v) for v in bank.vectors[i]]
-                )
+            write_float_rows(fh, (bank.labels, bank.vectors), lead=f"{bank.window_length},")
     paths["cluster_centers"] = centers_path
 
     return paths

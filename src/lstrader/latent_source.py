@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .market_data import DEFAULT_INTERVAL, PriceSeries
+from .pattern_bank import read_json, require_fields
 
 MIX_TOLERANCE = 1e-12
 
@@ -104,20 +105,22 @@ class LatentSourceSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LatentSourceSpec":
-        return cls(
-            sources=np.array(data["sources"], dtype=np.float64),
-            mix=np.array(data["mix"], dtype=np.float64),
-            label_dists=tuple(
-                LabelDist(
-                    kind=d["kind"],
-                    mean=float(d["mean"]),
-                    variance=float(d.get("variance", 0.0)),
-                )
-                for d in data["label_dists"]
-            ),
-            noise_sigma=float(data["noise_sigma"]),
-            seed=int(data["seed"]),
-        )
+        """A spec from its JSON form; a missing or mistyped field raises ValueError naming it."""
+        number = (int, float)
+        require_fields(data, (("sources", list, "a list"), ("mix", list, "a list"),
+                              ("label_dists", list, "a list"), ("noise_sigma", number, "a number"),
+                              ("seed", int, "an integer")), "spec JSON")
+        for i, d in enumerate(data["label_dists"]):
+            require_fields(d, (("kind", str, "a string"), ("mean", number, "a number")),
+                           f"spec JSON label_dists[{i}]")
+        try:
+            sources, mix = (np.array(data[key], dtype=np.float64) for key in ("sources", "mix"))
+            variances = [float(d.get("variance", 0.0)) for d in data["label_dists"]]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"spec JSON values must be numbers ({exc})") from None
+        label_dists = tuple(LabelDist(d["kind"], float(d["mean"]), v)
+                            for d, v in zip(data["label_dists"], variances))
+        return cls(sources, mix, label_dists, float(data["noise_sigma"]), data["seed"])
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -126,8 +129,11 @@ class LatentSourceSpec:
 
     @classmethod
     def load_json(cls, path) -> "LatentSourceSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        data = read_json(path)
+        try:
+            return cls.from_json_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

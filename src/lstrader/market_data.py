@@ -21,14 +21,18 @@ for an empty book. Prices must be > 0, volumes >= 0, timestamps
 non-decreasing, present bid (ask) prices strictly descending (ascending),
 and every value finite; a fault raises ValueError naming the line.
 
-``PriceSeries`` serializes to CSV as ``bucket_time,price,imbalance``.
+``PriceSeries`` serializes to CSV as ``bucket_time,price,imbalance`` with
+``write_float_rows`` (repr() per value, csv.writer's ``\\r\\n`` line ends),
+which the report's float CSVs share; ``from_csv`` reads it back bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -39,6 +43,7 @@ MAX_BOOK_DEPTH = 60
 DEFAULT_INTERVAL = 10.0
 MAX_BUCKETS = 10**8  # about 32 years at 10 s; bounds what an absurd timestamp gap can allocate
 BLOCK_ROWS = 4096  # rows per bulk float conversion; bounds the tokens held at once
+WRITE_ROWS = 512  # rows per joined write: 4096 left ~2 MiB of freed floats and strings resident
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
 _SERIES_HEADER = ("bucket_time", "price", "imbalance")
@@ -119,36 +124,25 @@ class PriceSeries:
         )
 
     def to_csv(self, path) -> None:
+        columns = (self.bucket_times, self.prices, self.imbalances)
         try:
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_SERIES_HEADER)
-                for t, p, r in zip(self.bucket_times, self.prices, self.imbalances):
-                    writer.writerow([repr(float(t)), repr(float(p)), repr(float(r))])
+                write_float_rows(fh, columns, _SERIES_HEADER)
         except OSError as exc:
             raise OSError(f"failed writing price series to {path}: {exc}") from exc
 
     @classmethod
     def from_csv(cls, path, default_interval: float = DEFAULT_INTERVAL) -> "PriceSeries":
+        """Read a series CSV (see ``_series_blocks``); a fault raises ValueError naming file and line."""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != _SERIES_HEADER:
                 raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
-            times, prices, imbalances = [], [], []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{path} line {reader.line_num}: expected 3 columns")
-                t, p, r = float(row[0]), float(row[1]), float(row[2])
-                if not (math.isfinite(t) and math.isfinite(p) and math.isfinite(r)):
-                    raise ValueError(f"{path} line {reader.line_num}: non-finite value in {row}")
-                times.append(t)
-                prices.append(p)
-                imbalances.append(r)
-        if not times:
+            blocks = list(_series_blocks(fh, reader.line_num, f"{path} "))
+        if not blocks:
             raise ValueError(f"{path}: empty price series")
+        times, prices, imbalances = np.concatenate(blocks).T
         if len(times) > 1:
             steps = np.diff(times)
             interval = float(steps[0])
@@ -156,12 +150,45 @@ class PriceSeries:
                 raise ValueError(f"{path}: bucket times are not uniformly spaced")
         else:
             interval = default_interval
-        return cls(
-            start_time=times[0],
-            interval=interval,
-            prices=np.array(prices),
-            imbalances=np.array(imbalances),
-        )
+        return cls(float(times[0]), interval, prices, imbalances)
+
+
+def _series_blocks(fh, line_num: int, where: str):
+    """Value blocks of a series CSV after its line ``line_num``. A block whose
+    lines all end in a newline and hold two commas splits into csv.reader's
+    tokens unless float() refuses one (a quote, say); from the first other block,
+    or one with a fault, csv.reader and ``_convert`` read on, naming the line."""
+    while chunk := list(itertools.islice(fh, BLOCK_ROWS)):
+        text = "".join(chunk)
+        if (text.count("\n") == len(chunk) and max(map(len, chunk)) <= csv.field_size_limit()
+                and set(map(str.count, chunk, itertools.repeat(","))) == {2}):
+            tokens = text.replace("\n", ",").split(",")[:-1]  # float() drops a \r as csv does
+            with contextlib.suppress(ValueError):  # a token float() refuses
+                values = np.array(tokens, dtype=np.float64).reshape(-1, 3)
+                if np.isfinite(values).all():
+                    yield values
+                    line_num += len(chunk)
+                    continue
+        rest = csv.reader(itertools.chain(chunk, fh))
+        for rows, lines in _row_blocks(rest, 3, where, False, line_num):
+            values, _, error = _convert(rows, lines, _SERIES_HEADER, np.zeros(3, dtype=bool))
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{where}line {lines[bad[0]]}: non-finite value in {rows[bad[0]]}")
+            if error is not None:
+                raise ValueError(f"{where}{error}")
+            yield values
+        return
+
+
+def write_float_rows(fh, columns, header: Iterable[str] = (), lead: str = "") -> None:
+    """CSV rows of equal-length float columns (1-D, or 2-D for several), each led by ``lead``:
+    csv.writer's bytes for repr(float(x)) cells, joined from WRITE_ROWS-row ``.tolist()``s."""
+    if header:
+        fh.write(",".join(header) + "\r\n")
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        block = np.column_stack([c[start : start + WRITE_ROWS] for c in columns]).tolist()
+        fh.write("".join(f"{lead}{','.join(map(repr, row))}\r\n" for row in block))
 
 
 def imbalance(bid_total, ask_total) -> np.ndarray:
@@ -318,6 +345,36 @@ def _reduce_block(rows, lines, names, layout, previous_ts: float):
     return ts, price, imbalance(bid, ask)
 
 
+def _row_blocks(reader, width: int, where: str = "", skip_blank: bool = True, line_num: int = 0):
+    """(rows, line numbers) blocks of up to BLOCK_ROWS ``width``-token rows
+    of a csv reader of the lines after ``line_num``, skipping empty rows and,
+    with skip_blank, all-whitespace rows. A row of another width or a csv
+    error raises ValueError naming its line after ``where``, once the rows
+    before it are yielded: an earlier fault is reported first."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    fault = None
+    try:
+        for row in reader:
+            if not row or (skip_blank and all(tok.strip() == "" for tok in row)):
+                continue
+            if len(row) != width:
+                fault = f"expected {width} columns, got {len(row)}"
+                break
+            rows.append(row)
+            lines.append(line_num + reader.line_num)
+            if len(rows) == BLOCK_ROWS:
+                yield rows, lines
+                rows.clear()  # in place: the caller's name for the block lets go of it too
+                lines.clear()
+    except csv.Error as exc:
+        fault = str(exc)
+    if rows:
+        yield rows, lines
+    if fault is not None:
+        raise ValueError(f"{where}line {line_num + reader.line_num}: {fault}")
+
+
 def parse_ticks(stream) -> TickTable:
     """Parse a tick CSV stream into a TickTable, in file order.
 
@@ -337,32 +394,9 @@ def parse_ticks(stream) -> TickTable:
     names = tuple(c.strip() for c in header)
     layout = _layout(names)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    rows: list[list[str]] = []
-    lines: list[int] = []
-
-    def reduce_rows() -> None:
+    for rows, lines in _row_blocks(reader, len(names)):
         previous_ts = float(parts[-1][0][-1]) if parts else -math.inf
         parts.append(_reduce_block(rows, lines, names, layout, previous_ts))
-        rows.clear()
-        lines.clear()
-
-    try:
-        for row in reader:
-            if not row or all(tok.strip() == "" for tok in row):
-                continue
-            if len(row) != len(names):
-                line_num = reader.line_num
-                if rows:
-                    reduce_rows()  # a fault in an earlier row is reported first
-                raise ValueError(f"line {line_num}: expected {len(names)} columns, got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == BLOCK_ROWS:
-                reduce_rows()
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if rows:
-        reduce_rows()
     if not parts:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     return TickTable(*(np.concatenate(column) for column in zip(*parts)))

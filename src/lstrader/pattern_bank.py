@@ -98,6 +98,15 @@ def read_json(path):
             ) from None
 
 
+def require_fields(data, fields, what: str) -> None:
+    """Raise ValueError unless data is a dict holding each (key, type,
+    description) of fields, naming the first field missing or mistyped."""
+    for key, kind, name in fields:
+        value = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{what} needs {name} {key!r}")
+
+
 def normalize(x) -> np.ndarray:
     """Zero-mean, unit-std copy of x; a constant vector maps to zeros."""
     x = np.asarray(x, dtype=np.float64)
@@ -536,14 +545,8 @@ class PatternBank:
     def from_json_dict(cls, data: dict) -> "PatternBank":
         """A bank from its JSON form; a missing or mistyped field raises
         ValueError naming it."""
-        for key, kind, name in (
-            ("patterns", list, "a list"),
-            ("window_length", int, "an integer"),
-            ("kernel_c", (int, float), "a number"),
-        ):
-            value = data.get(key) if isinstance(data, dict) else None
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"bank JSON needs {name} {key!r}")
+        require_fields(data, (("patterns", list, "a list"), ("window_length", int, "an integer"),
+                              ("kernel_c", (int, float), "a number")), "bank JSON")
         window_length = data["window_length"]
         patterns = data["patterns"]
         for i, pattern in enumerate(patterns):

@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .market_data import PriceSeries
-from .pattern_bank import PatternBank, anchored_rows, normalize_rows, read_json
+from .pattern_bank import PatternBank, anchored_rows, normalize_rows, read_json, require_fields
 
 KERNEL_GAUSSIAN_L2 = "gaussian_l2"
 KERNEL_EXP_SIMILARITY = "exp_similarity"
@@ -469,9 +469,8 @@ class PredictorModel:
     @classmethod
     def load_json(cls, path) -> "PredictorModel":
         data = read_json(path)
-        for key, kind in (("kernel", dict), ("weights", dict), ("banks", list)):
-            if not isinstance(data, dict) or not isinstance(data.get(key), kind):
-                raise ValueError(f"{path}: model JSON needs a {kind.__name__} {key!r}")
+        require_fields(data, (("kernel", dict, "a dict"), ("weights", dict, "a dict"),
+                              ("banks", list, "a list")), f"{path}: model JSON")
         try:
             kernel = KernelChoice(variant=data["kernel"]["variant"], c=float(data["kernel"]["c"]))
         except (KeyError, TypeError, ValueError) as exc:

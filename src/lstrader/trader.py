@@ -8,7 +8,9 @@ at the current bucket price with no fees or slippage.
 A round trip is a matched entry/exit pair returning the position to flat;
 its profit attaches to the closing trade. Any position still open at the
 end of a backtest is force-liquidated at the final bucket price and counted
-as a final round trip.
+as a final round trip. The backtest is event-driven: only a bucket with
+|dp| > threshold can move the position, so ``step`` runs there alone, and
+``np.repeat`` fills in the per-bucket mark to market between fills.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class Position:
             raise ValueError(f"position units must be in {{-1, 0, +1}}, got {self.units}")
 
 
-FLAT = Position(0)
+SHORT, FLAT, LONG = Position(-1), Position(0), Position(1)
+_POSITION = {-1: SHORT, 0: FLAT, 1: LONG}  # step moves between these, validated once
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,10 @@ def step(
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
     if dp > threshold and position.units <= 0:
-        new = Position(position.units + 1)
+        new = _POSITION[position.units + 1]
         return new, Trade(time=time, side=SIDE_BUY, price=price, position_after=new.units)
     if dp < -threshold and position.units >= 0:
-        new = Position(position.units - 1)
+        new = _POSITION[position.units - 1]
         return new, Trade(time=time, side=SIDE_SELL, price=price, position_after=new.units)
     return position, None
 
@@ -96,7 +99,8 @@ def run_backtest(
     At each feasible bucket t the predictor sees data up to t, predicts the
     change into t+1, and the state machine acts at the bucket-t price. An
     open position at the series end is liquidated at the final price. The
-    cumulative profit series marks the position to market per bucket.
+    cumulative profit series marks each bucket to market as cash + units *
+    price, with the cash and units left by the last fill at or before it.
 
     A precomputed (ts, dp) stream may be passed to share feature work across
     thresholds; it must cover exactly the feasible prediction points.
@@ -110,62 +114,58 @@ def run_backtest(
         given_ts, dp = dp_stream
         if len(given_ts) != len(ts) or given_ts[0] != ts[0] or given_ts[-1] != ts[-1]:
             raise ValueError("dp_stream does not cover this series' prediction points")
+        if len(dp) != len(ts):
+            raise ValueError(f"dp_stream has {len(dp)} predictions for {len(ts)} points")
 
+    dp = np.asarray(dp, dtype=np.float64)
     prices = series.prices
     n = len(series)
     first_t = int(ts[0])
+    signals = first_t + np.flatnonzero(np.abs(dp) > threshold)  # dp ends at bucket n - 2
 
-    trades: list[Trade] = []
+    fills: list[Trade] = []
+    position = FLAT
+    events = zip(signals.tolist(), dp[signals - first_t].tolist(), prices[signals].tolist())
+    for t, d, price in events:
+        position, trade = step(position, d, threshold, price, time=t)
+        if trade is not None:
+            fills.append(trade)
+    if position.units != 0:  # force-liquidate at the final bucket
+        side = SIDE_SELL if position.units > 0 else SIDE_BUY
+        fills.append(Trade(time=n - 1, side=side, price=float(prices[-1]), position_after=0))
+
     profits: list[float] = []
     holding_buckets: list[int] = []
     entry_prices: list[float] = []
-    cumulative = np.zeros(n)
-    cash = 0.0
-    position = FLAT
-    entry_price = 0.0
-    entry_time = 0
-
-    for t in range(first_t, n):
-        if t < n - 1:
-            position, trade = step(position, float(dp[t - first_t]), threshold, float(prices[t]), time=t)
-        else:
-            trade = None
-            if position.units != 0:  # force-liquidate at the final bucket
-                side = SIDE_SELL if position.units > 0 else SIDE_BUY
-                trade = Trade(time=t, side=side, price=float(prices[t]), position_after=0)
-                position = FLAT
-        if trade is not None:
-            cash += -trade.price if trade.side == SIDE_BUY else trade.price
-            if trade.position_after == 0:  # closed a round trip
-                direction = 1.0 if trade.side == SIDE_SELL else -1.0
-                profit = direction * (trade.price - entry_price)
-                trade = replace(trade, round_trip_profit=profit)
-                profits.append(profit)
-                holding_buckets.append(trade.time - entry_time)
-                entry_prices.append(entry_price)
-            else:  # opened a round trip
-                entry_price = trade.price
-                entry_time = trade.time
-            trades.append(trade)
-        cumulative[t] = cash + position.units * prices[t]
-
+    for i, trade in enumerate(fills):
+        if trade.position_after == 0:  # closes the round trip the fill before opened
+            entry = fills[i - 1]
+            profit = (1.0 if trade.side == SIDE_SELL else -1.0) * (trade.price - entry.price)
+            fills[i] = replace(trade, round_trip_profit=profit)
+            profits.append(profit)
+            holding_buckets.append(trade.time - entry.time)
+            entry_prices.append(entry.price)
+    signed = [trade.price if trade.side == SIDE_SELL else -trade.price for trade in fills]
     total_profit = math.fsum(profits)
-    fill_sum = math.fsum(
-        -trade.price if trade.side == SIDE_BUY else trade.price for trade in trades
-    )
-    if abs(total_profit - fill_sum) > 1e-9:
+    if abs(total_profit - math.fsum(signed)) > 1e-9:
         raise AssertionError("ledger conservation violated")  # internal sanity check
+
+    spans = np.diff([first_t] + [trade.time for trade in fills] + [n])
+    cash = np.repeat(np.cumsum([0.0] + signed), spans)  # cumsum adds in fill order
+    units = np.repeat([0] + [trade.position_after for trade in fills], spans)
+    cumulative = np.zeros(n)
+    cumulative[first_t:] = cash + units * prices[first_t:]
     cumulative[-1] = total_profit  # flat after liquidation: final mark is realized P&L
 
     benchmark_move = abs(float(prices[-1] - prices[0]))
     sharpe_value = sharpe(profits, benchmark_move, sharpe_variant)
     return BacktestReport(
         threshold=float(threshold),
-        trades=tuple(trades),
+        trades=tuple(fills),
         round_trip_profits=tuple(profits),
         cumulative_profit_series=cumulative,
         total_profit=total_profit,
-        num_trades=len(trades),
+        num_trades=len(fills),
         num_round_trips=len(profits),
         avg_holding_time=(
             float(np.mean(holding_buckets) * series.interval) if holding_buckets else 0.0

@@ -92,6 +92,38 @@ class TestGen:
         assert all({"start", "source", "length"} <= set(p) for p in data)
 
 
+class TestBadInputFiles:
+    """A bad series or spec file exits 1 with an error naming the file, no traceback."""
+
+    def test_report_names_bad_series_token(self, tmp_path, capsys):
+        series = tmp_path / "bad.csv"
+        series.write_text("bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,abc,0.0\n")
+        rc = run_cli("report", "--series", series, "--model", tmp_path / "model.json",
+                     "--out-dir", tmp_path / "rep")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bad.csv line 3: non-numeric price: 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"sources": [[1.0,', "spec.json: malformed JSON at line 1 column 19"),
+         ("{}", "spec.json: spec JSON needs a list 'sources'")],
+        ids=["truncated", "empty_object"],
+    )
+    @pytest.mark.parametrize("command", ["gen", "pipeline"])
+    def test_bad_spec_names_file(self, tmp_path, capsys, command, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / ("series.csv" if command == "gen" else "run")
+        rc = run_cli(command, "--spec", spec, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestIngest:
     def test_ingest_round_trip(self, tmp_path):
         ticks = tmp_path / "ticks.csv"

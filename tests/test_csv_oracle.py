@@ -1,0 +1,248 @@
+"""The block float-CSV writer and the block series reader against the
+per-row csv.writer/float() code they replaced.
+
+The oracle writers below are that code: one csv.writer row per bucket or
+pattern, repr(float(x)) per cell. The new writer must give the same bytes,
+and the reader must give back the written floats bit for bit, at sizes on
+both sides of a block boundary.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lstrader import market_data
+from lstrader.evaluator import BacktestReport, emit_report, row_from_report
+from lstrader.market_data import BLOCK_ROWS, WRITE_ROWS, PriceSeries
+from lstrader.pattern_bank import PatternBank, normalize
+
+AWKWARD = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, 1e-310, -1.5e300, 2.0**53 + 2, 1 / 3, 0.0])
+
+
+def oracle_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def float_cells(*columns):
+    return ([repr(float(v)) for v in values] for values in zip(*columns))
+
+
+def awkward_column(n, rng):
+    column = rng.normal(scale=1e3, size=n)
+    column[: min(n, len(AWKWARD))] = AWKWARD[:n]
+    return rng.permutation(column)
+
+
+def awkward_series(n, rng):
+    return PriceSeries(
+        start_time=1.7e9, interval=10.0,
+        prices=awkward_column(n, rng), imbalances=awkward_column(n, rng),
+    )
+
+
+def flat_report(cumulative):
+    return BacktestReport(
+        threshold=0.5, trades=(), round_trip_profits=(), cumulative_profit_series=cumulative,
+        total_profit=0.0, num_trades=0, num_round_trips=0, avg_holding_time=0.0,
+        avg_investment=0.0, benchmark_move=0.0, sharpe=math.nan, sharpe_defined=False,
+    )
+
+
+def awkward_banks(rng):
+    banks = []
+    for window in (3, 7):
+        vectors = np.stack([normalize(rng.normal(size=window)) for _ in range(5)] + [np.zeros(window)])
+        banks.append(
+            PatternBank(
+                window_length=window, vectors=vectors, labels=AWKWARD[:6] * (1 if window == 3 else -1),
+                populations=np.ones(6, dtype=np.int64), kernel_c=1.0,
+            )
+        )
+    return banks
+
+
+SIZES = [1, 2, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_series_csv_bytes_match_csv_writer(tmp_path, rng, n):
+    series = awkward_series(n, rng)
+    series.to_csv(tmp_path / "new.csv")
+    oracle_csv(tmp_path / "old.csv", ("bucket_time", "price", "imbalance"),
+               float_cells(series.bucket_times, series.prices, series.imbalances))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_series_csv_round_trip_is_bit_exact(tmp_path, rng, n):
+    series = awkward_series(n, rng)
+    series.to_csv(tmp_path / "series.csv")
+    loaded = PriceSeries.from_csv(tmp_path / "series.csv")
+    assert loaded.prices.tobytes() == series.prices.tobytes()
+    assert loaded.imbalances.tobytes() == series.imbalances.tobytes()
+    assert (loaded.start_time, loaded.interval) == (series.start_time, series.interval)
+
+
+@pytest.mark.parametrize("with_series", [True, False], ids=["series", "nan_prices"])
+@pytest.mark.parametrize("n", [1, WRITE_ROWS + 1])
+def test_report_csvs_match_csv_writer(tmp_path, rng, n, with_series):
+    series = awkward_series(n, rng)
+    report = flat_report(awkward_column(n, rng))
+    banks = awkward_banks(rng)
+    paths = emit_report(report, [row_from_report(report)], banks, tmp_path / "new",
+                        series=series if with_series else None)
+
+    if with_series:
+        times, prices = series.bucket_times, series.prices
+    else:  # no series: bucket indices and a nan price column
+        times, prices = np.arange(n, dtype=np.float64), np.full(n, np.nan)
+    oracle_csv(tmp_path / "curve.csv", ("bucket_time", "price", "cum_profit"),
+               float_cells(times, prices, report.cumulative_profit_series))
+    oracle_csv(tmp_path / "centers.csv", (), (
+        [bank.window_length, repr(float(bank.labels[i]))] + [repr(float(v)) for v in bank.vectors[i]]
+        for bank in banks for i in range(len(bank))
+    ))
+    with open(paths["equity_curve"], "rb") as fh:
+        assert fh.read() == (tmp_path / "curve.csv").read_bytes()
+    with open(paths["cluster_centers"], "rb") as fh:
+        assert fh.read() == (tmp_path / "centers.csv").read_bytes()
+
+
+class TestSeriesReaderFaults:
+    def write(self, path, rows):
+        good = [f"{10.0 * i!r},{100.0 + i!r},0.0" for i in range(len(rows))]
+        lines = [row if row is not None else line for row, line in zip(rows, good)]
+        path.write_text("bucket_time,price,imbalance\n" + "\n".join(lines) + "\n")
+        return path
+
+    def test_bad_token_names_file_line_and_column(self, tmp_path):
+        path = self.write(tmp_path / "bad.csv", [None, "10.0,abc,0.0", None])
+        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-numeric price: 'abc'$"):
+            PriceSeries.from_csv(path)
+
+    def test_bad_token_past_a_block_boundary(self, tmp_path):
+        rows = [None] * (BLOCK_ROWS + 10)
+        rows[BLOCK_ROWS + 4] = f"{10.0 * (BLOCK_ROWS + 4)},100.0,x1"
+        path = self.write(tmp_path / "bad.csv", rows)
+        with pytest.raises(ValueError, match=rf"bad\.csv line {BLOCK_ROWS + 6}: non-numeric imbalance: 'x1'"):
+            PriceSeries.from_csv(path)
+
+    def test_empty_token_is_named(self, tmp_path):
+        path = self.write(tmp_path / "bad.csv", [None, ",100.0,0.0"])
+        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-numeric bucket_time: ''"):
+            PriceSeries.from_csv(path)
+
+    def test_earlier_fault_is_reported_first(self, tmp_path):
+        path = self.write(tmp_path / "bad.csv", [None, "10.0,inf,0.0", "20.0,abc,0.0", "30.0,1.0"])
+        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-finite value in \['10.0', 'inf', '0.0'\]"):
+            PriceSeries.from_csv(path)
+        path = self.write(tmp_path / "bad.csv", [None, "10.0,abc,0.0", "20.0,1.0"])
+        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-numeric price"):
+            PriceSeries.from_csv(path)
+
+    def test_column_count_names_the_line(self, tmp_path):
+        path = self.write(tmp_path / "bad.csv", [None, None, "20.0,1.0"])
+        with pytest.raises(ValueError, match=r"bad\.csv line 4: expected 3 columns"):
+            PriceSeries.from_csv(path)
+
+    def test_uneven_spacing_still_rejected(self, tmp_path):
+        path = self.write(tmp_path / "bad.csv", [None, None, "25.0,1.0,0.0"])
+        with pytest.raises(ValueError, match=r"bad\.csv: bucket times are not uniformly spaced"):
+            PriceSeries.from_csv(path)
+
+
+def oracle_from_csv(path):
+    """The per-row reader from_csv replaced (csv.reader, float() per token),
+    with the fault messages of the block reader."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != HEADER:
+            raise ValueError(f"{path}: expected header {','.join(HEADER)}")
+        values = []
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path} line {reader.line_num}: expected 3 columns, got {len(row)}")
+                parsed = []
+                for name, token in zip(HEADER, row):
+                    try:
+                        parsed.append(float(token))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path} line {reader.line_num}: non-numeric {name}: {token!r}"
+                        ) from None
+                if not all(map(math.isfinite, parsed)):
+                    raise ValueError(f"{path} line {reader.line_num}: non-finite value in {row}")
+                values.append(parsed)
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    if not values:
+        raise ValueError(f"{path}: empty price series")
+    values = np.array(values)
+    steps = np.diff(values[:, 0])
+    if len(steps) and not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
+        raise ValueError(f"{path}: bucket times are not uniformly spaced")
+    return values
+
+
+HEADER = ("bucket_time", "price", "imbalance")
+FAULTS = ["", " ", "abc", "inf", "nan", '"1.5"', " 2.5", "1_0", '"1\n5"']
+
+
+@st.composite
+def series_texts(draw):
+    """A series CSV whose lines are mostly plain, with line-end, quoting,
+    blank-line, column-count and token faults mixed in."""
+    n = draw(st.integers(0, 14))
+    lines = ["bucket_time,price,imbalance"]
+    for i in range(n):
+        tokens = [repr(10.0 * i), repr(draw(st.floats(-1e6, 1e6))), repr(draw(st.floats(-1, 1)))]
+        if draw(st.integers(0, 7)) == 0:
+            tokens[draw(st.integers(0, 2))] = draw(st.sampled_from(FAULTS))
+        if draw(st.integers(0, 15)) == 0:
+            tokens = tokens[: draw(st.sampled_from([1, 2]))] if draw(st.booleans()) else tokens + ["0"]
+        lines.append(",".join(tokens))
+        if draw(st.integers(0, 15)) == 0:
+            lines.append(draw(st.sampled_from(["", " "])))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if draw(st.booleans()) else st.just(draw(st.sampled_from(["\n", "\r\n"])))
+    text = "".join(line + draw(ends) for line in lines)
+    return text[:-1] if draw(st.integers(0, 4)) == 0 else text  # at times no final newline
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_texts(), st.sampled_from([1, 2, 3, BLOCK_ROWS]))
+@example("bucket_time,price,imbalance\n0.0,1.0\n10.0,2.0,3.0,4.0\n", BLOCK_ROWS)  # widths that cancel
+@example("bucket_time,price,imbalance\r0.0,1.0,2.0\r10.0,1.0,2.0\r20.0,1.0,2.0\r", BLOCK_ROWS)
+@example("bucket_time,price,imbalance\r0.0,1.0,2.0\r,1.0,2.0\r,3.0,4.0\r", BLOCK_ROWS)  # lone CRs
+@example(f"bucket_time,price,imbalance\n0.0,{'0' * 131072}1,2.0\n", BLOCK_ROWS)  # past csv's field limit
+@example('bucket_time,price,imbalance\n0.0,"1.5",2.0\n"10.0","1,5",2.0\n', BLOCK_ROWS)
+@example("bucket_time,price,imbalance\n0.0,1.0,2.0\n10.0,1.0,2.0", BLOCK_ROWS)  # no final newline
+def test_block_reader_matches_per_row_reader(tmp_path_factory, text, block_rows):
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = oracle_from_csv(path)
+    except ValueError as exc:
+        expected = str(exc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market_data, "BLOCK_ROWS", block_rows)
+        try:
+            series = PriceSeries.from_csv(path)
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+    assert not isinstance(expected, str), expected
+    got = np.column_stack([series.bucket_times, series.prices, series.imbalances])
+    assert got.tobytes() == expected.tobytes()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -56,6 +58,52 @@ class TestSpecValidation:
         assert spec.label_dists == loaded.label_dists
         assert spec.noise_sigma == loaded.noise_sigma
         assert spec.seed == loaded.seed
+
+
+class TestSpecJsonFaults:
+    """A malformed spec file raises ValueError naming the file and the field."""
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        return LatentSourceSpec.load_json(path)
+
+    def test_truncated_file(self, tmp_path):
+        with pytest.raises(ValueError, match=r"spec\.json: malformed JSON at line 1 column 19"):
+            self.load(tmp_path, '{"sources": [[1.0,')
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.clear(), "spec JSON needs a list 'sources'"),
+            (lambda d: d.update(sources="abc"), "spec JSON needs a list 'sources'"),
+            (lambda d: d.pop("mix"), "spec JSON needs a list 'mix'"),
+            (lambda d: d.update(label_dists={}), "spec JSON needs a list 'label_dists'"),
+            (lambda d: d.update(noise_sigma="0.1"), "spec JSON needs a number 'noise_sigma'"),
+            (lambda d: d.update(seed=1.5), "spec JSON needs an integer 'seed'"),
+            (lambda d: d.update(seed=True), "spec JSON needs an integer 'seed'"),
+            (lambda d: d["label_dists"].__setitem__(0, "point"),
+             r"spec JSON label_dists\[0\] needs a string 'kind'"),
+            (lambda d: d["label_dists"][1].pop("mean"), r"spec JSON label_dists\[1\] needs a number 'mean'"),
+            (lambda d: d["sources"][0].__setitem__(1, "a"), "spec JSON values must be numbers"),
+            (lambda d: d["sources"][0].pop(), "spec JSON values must be numbers"),
+            (lambda d: d["label_dists"][0].update(variance="x"), "spec JSON values must be numbers"),
+            (lambda d: d["mix"].append(0.0), "mix must have 2 entries"),
+            (lambda d: d["label_dists"][0].update(kind="cauchy"), "unknown label distribution kind"),
+        ],
+        ids=["empty", "sources_str", "no_mix", "label_dists_dict", "noise_str", "seed_float",
+             "seed_bool", "label_dist_str", "no_mean", "source_str", "ragged", "variance_str",
+             "mix_length", "unknown_kind"],
+    )
+    def test_missing_or_mistyped_field(self, tmp_path, mutate, message):
+        data = two_source_spec().to_json_dict()
+        mutate(data)
+        with pytest.raises(ValueError, match=r"spec\.json: " + message):
+            self.load(tmp_path, json.dumps(data))
+
+    def test_not_an_object(self, tmp_path):
+        with pytest.raises(ValueError, match="spec.json: spec JSON needs a list 'sources'"):
+            self.load(tmp_path, "[1, 2]")
 
 
 class TestGenerateLabeled:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lstrader.pattern_bank import PatternBank, normalize
-from lstrader.regression import CombinerWeights, KernelChoice, PredictorModel
-from lstrader.trader import FLAT, Position, run_backtest, step, write_ledger_csv
+from lstrader.regression import CombinerWeights, KernelChoice, PredictorModel, fit_points
+from lstrader.trader import FLAT, Position, Trade, run_backtest, step, write_ledger_csv
 
 from conftest import series_from_prices
 
@@ -154,6 +154,14 @@ class TestRunBacktest:
         report = run_backtest(model, series, 0.15)
         assert report.cumulative_profit_series[-1] == pytest.approx(report.total_profit, abs=1e-9)
 
+    def test_dp_stream_of_wrong_length_rejected(self, rng):
+        model = make_model(rng)
+        series = random_series(rng, n=60)
+        ts, dp = model.dp_stream(series)
+        for wrong in (dp[:-1], np.append(dp, 1e9)):
+            with pytest.raises(ValueError, match="predictions"):
+                run_backtest(model, series, 0.1, dp_stream=(ts, wrong))
+
     def test_too_short_series_rejected(self, rng):
         model = make_model(rng)
         with pytest.raises(ValueError):
@@ -194,3 +202,130 @@ class TestRunBacktest:
                 if trade.position_after != 0:
                     entries.append(trade.price)
             assert report.avg_investment == pytest.approx(np.mean(entries), abs=1e-9)
+
+
+def reference_backtest(prices, first_t, dp, threshold):
+    """The per-bucket loop the event-driven backtest replaced, kept as its
+    oracle: (trades, round-trip profits, cumulative profit series)."""
+    n = len(prices)
+    trades, profits, cumulative = [], [], np.zeros(n)
+    cash, units, entry_price = 0.0, 0, 0.0
+    for t in range(first_t, n):
+        side = None
+        if t < n - 1:
+            d = float(dp[t - first_t])
+            if d > threshold and units <= 0:
+                side = "buy"
+            elif d < -threshold and units >= 0:
+                side = "sell"
+        elif units != 0:  # force-liquidate at the final bucket
+            side = "sell" if units > 0 else "buy"
+        if side is not None:
+            price = float(prices[t])
+            units += 1 if side == "buy" else -1
+            cash += -price if side == "buy" else price
+            profit = None
+            if units == 0:
+                profit = (1.0 if side == "sell" else -1.0) * (price - entry_price)
+                profits.append(profit)
+            else:
+                entry_price = price
+            trades.append(Trade(t, side, price, units, profit))
+        cumulative[t] = cash + units * prices[t]
+    cumulative[-1] = math.fsum(profits)
+    return trades, profits, cumulative
+
+
+ORACLE_MODEL = make_model(np.random.default_rng(7))
+
+
+def assert_matches_reference(prices, dp, threshold):
+    """run_backtest on a given dp stream equals the per-bucket reference exactly."""
+    series = series_from_prices(prices)
+    ts = fit_points(series, ORACLE_MODEL.banks)
+    dp = np.asarray(dp, dtype=np.float64)
+    assert len(dp) == len(ts)
+    report = run_backtest(ORACLE_MODEL, series, threshold, dp_stream=(ts, dp))
+    trades, profits, cumulative = reference_backtest(series.prices, int(ts[0]), dp, threshold)
+    assert report.trades == tuple(trades)
+    assert report.round_trip_profits == tuple(profits)
+    assert np.array_equal(report.cumulative_profit_series, cumulative)
+    return report
+
+
+@st.composite
+def dp_streams(draw):
+    """(prices, dp, threshold): dp mixes exact +-threshold ties, zeros,
+    multiples of the threshold (long same-sign runs) and arbitrary values."""
+    threshold = draw(st.sampled_from([0.5, 1e-3, 3.0]))
+    first_t = int(fit_points(series_from_prices(np.ones(40)), ORACLE_MODEL.banks)[0])
+    n = draw(st.integers(first_t + 2, first_t + 120))
+    ties = st.sampled_from([threshold, -threshold, 0.0, 2 * threshold, -2 * threshold])
+    value = st.one_of(ties, st.floats(-4 * threshold, 4 * threshold))
+    if draw(st.booleans()):  # runs of one value
+        runs = draw(st.lists(st.tuples(value, st.integers(1, 30)), min_size=1, max_size=12))
+        dp = [v for v, length in runs for _ in range(length)]
+        dp = (dp * (n // len(dp) + 1))[: n - 1 - first_t]
+    else:
+        dp = draw(st.lists(value, min_size=n - 1 - first_t, max_size=n - 1 - first_t))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # a log-normal walk crosses binades, where marking order shows in the last bits
+    prices = 100 * np.exp(np.cumsum(np.random.default_rng(seed).normal(scale=0.1, size=n)))
+    return prices, dp, threshold
+
+
+class TestBacktestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(dp_streams())
+    def test_matches_per_bucket_reference(self, case):
+        assert_matches_reference(*case)
+
+    def ones(self, n=40):
+        first_t = int(fit_points(series_from_prices(np.ones(n)), ORACLE_MODEL.banks)[0])
+        return first_t, np.ones(n - 1 - first_t)
+
+    def test_dp_at_threshold_never_trades(self, rng):
+        first_t, ones = self.ones()
+        dp = 0.5 * ones
+        dp[::2] *= -1
+        report = assert_matches_reference(100 + rng.normal(size=40).cumsum(), dp, 0.5)
+        assert report.num_trades == 0
+        assert not report.cumulative_profit_series.any()
+
+    def test_same_sign_run_holds_at_the_cap(self, rng):
+        first_t, ones = self.ones()
+        dp = ones.copy()
+        dp[:5] = -1.0  # short, flat, then long, held to the end
+        report = assert_matches_reference(100 + rng.normal(size=40).cumsum(), dp, 0.5)
+        assert [(t.time, t.side, t.position_after) for t in report.trades] == [
+            (first_t, "sell", -1), (first_t + 5, "buy", 0), (first_t + 6, "buy", 1), (39, "sell", 0),
+        ]
+
+    def test_zero_trades(self, rng):
+        first_t, ones = self.ones()
+        report = assert_matches_reference(100 + rng.normal(size=40).cumsum(), 0 * ones, 0.5)
+        assert report.trades == () and report.total_profit == 0.0
+
+    def test_reopening_marks_after_the_fill(self, rng):
+        # cash left by a round trip at small prices loses its low bits when a
+        # large price is added, so marking the reopening bucket with the state
+        # before its fill (cash + 0 units) would differ in the last bits
+        first_t, ones = self.ones()
+        dp = 0 * ones
+        dp[[0, 3, 6, 9]] = [1.0, -1.0, -1.0, 1.0]
+        prices = 100 + rng.normal(size=40).cumsum()
+        prices[[first_t, first_t + 3, first_t + 6]] = [3.3, 3.7, 1000.1]
+        report = assert_matches_reference(prices, dp, 0.5)
+        assert report.num_round_trips == 2
+
+    @pytest.mark.parametrize("sign, closing_side", [(1.0, "sell"), (-1.0, "buy")])
+    def test_forced_liquidation(self, rng, sign, closing_side):
+        first_t, ones = self.ones()
+        dp = 0 * ones
+        dp[-1] = sign  # opened at the last feasible bucket, closed at the final one
+        prices = 100 + rng.normal(size=40).cumsum()
+        report = assert_matches_reference(prices, dp, 0.5)
+        (opening, closing) = report.trades
+        assert (opening.time, closing.time, closing.side) == (38, 39, closing_side)
+        assert closing.round_trip_profit == sign * (prices[39] - prices[38])
+        assert report.cumulative_profit_series[-1] == report.total_profit
