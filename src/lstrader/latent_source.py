@@ -38,6 +38,8 @@ class LabelDist:
     def __post_init__(self) -> None:
         if self.kind not in (LABEL_POINT, LABEL_GAUSSIAN):
             raise ValueError(f"unknown label distribution kind: {self.kind!r}")
+        if not np.isfinite([self.mean, self.variance]).all():
+            raise ValueError("label mean and variance must be finite")
         if self.variance < 0:
             raise ValueError("label variance must be >= 0")
         if self.kind == LABEL_POINT and self.variance != 0.0:
@@ -69,6 +71,9 @@ class LatentSourceSpec:
         k = sources.shape[0]
         if mix.shape != (k,):
             raise ValueError(f"mix must have {k} entries, got shape {mix.shape}")
+        for name, values in (("sources", sources), ("mix", mix), ("noise_sigma", self.noise_sigma)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(mix < 0):
             raise ValueError("mixture probabilities must be >= 0")
         if abs(float(mix.sum()) - 1.0) > MIX_TOLERANCE:

@@ -24,18 +24,21 @@ and every value finite; a fault raises ValueError naming the line.
 ``PriceSeries`` serializes to CSV as ``bucket_time,price,imbalance`` with
 ``write_float_rows`` (repr() per value, csv.writer's ``\\r\\n`` line ends),
 which the report's float CSVs share; ``from_csv`` reads it back bit for bit.
+Both readers take BLOCK_ROWS lines at a time: np.loadtxt parses a plain block
+(see ``_plain_block``) in one call; from the first other block on, csv.reader
+and float() read on, so accepted values and fault messages stay the same.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,13 +136,19 @@ class PriceSeries:
 
     @classmethod
     def from_csv(cls, path, default_interval: float = DEFAULT_INTERVAL) -> "PriceSeries":
-        """Read a series CSV (see ``_series_blocks``); a fault raises ValueError naming file and line."""
+        """Read a series CSV (see ``_value_blocks``); a fault raises ValueError naming file and line."""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != _SERIES_HEADER:
                 raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
-            blocks = list(_series_blocks(fh, reader.line_num, f"{path} "))
+            blocks = []
+            for values, _, lines, rows in _value_blocks(fh, _SERIES_HEADER, np.zeros(3, dtype=bool),
+                                                         f"{path} ", False, reader.line_num):
+                bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+                if bad.size:
+                    raise ValueError(f"{path} line {lines[bad[0]]}: non-finite value in {rows[bad[0]]}")
+                blocks.append(values)
         if not blocks:
             raise ValueError(f"{path}: empty price series")
         times, prices, imbalances = np.concatenate(blocks).T
@@ -151,34 +160,6 @@ class PriceSeries:
         else:
             interval = default_interval
         return cls(float(times[0]), interval, prices, imbalances)
-
-
-def _series_blocks(fh, line_num: int, where: str):
-    """Value blocks of a series CSV after its line ``line_num``. A block whose
-    lines all end in a newline and hold two commas splits into csv.reader's
-    tokens unless float() refuses one (a quote, say); from the first other block,
-    or one with a fault, csv.reader and ``_convert`` read on, naming the line."""
-    while chunk := list(itertools.islice(fh, BLOCK_ROWS)):
-        text = "".join(chunk)
-        if (text.count("\n") == len(chunk) and max(map(len, chunk)) <= csv.field_size_limit()
-                and set(map(str.count, chunk, itertools.repeat(","))) == {2}):
-            tokens = text.replace("\n", ",").split(",")[:-1]  # float() drops a \r as csv does
-            with contextlib.suppress(ValueError):  # a token float() refuses
-                values = np.array(tokens, dtype=np.float64).reshape(-1, 3)
-                if np.isfinite(values).all():
-                    yield values
-                    line_num += len(chunk)
-                    continue
-        rest = csv.reader(itertools.chain(chunk, fh))
-        for rows, lines in _row_blocks(rest, 3, where, False, line_num):
-            values, _, error = _convert(rows, lines, _SERIES_HEADER, np.zeros(3, dtype=bool))
-            bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-            if bad.size:
-                raise ValueError(f"{where}line {lines[bad[0]]}: non-finite value in {rows[bad[0]]}")
-            if error is not None:
-                raise ValueError(f"{where}{error}")
-            yield values
-        return
 
 
 def write_float_rows(fh, columns, header: Iterable[str] = (), lead: str = "") -> None:
@@ -202,32 +183,27 @@ def imbalance(bid_total, ask_total) -> np.ndarray:
     return np.divide(bid - ask, total, out=np.zeros(total.shape), where=total != 0)
 
 
-def _as_lines(stream) -> Iterable[str]:
+def _as_lines(stream) -> Iterator[str]:
     if isinstance(stream, (bytes, bytearray)):
-        return io.StringIO(stream.decode("utf-8")).readlines()
+        stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        return io.StringIO(stream).readlines()
+        return iter(io.StringIO(stream).readlines())
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
         return io.TextIOWrapper(stream, encoding="utf-8")
-    return stream  # text file object or any iterable of lines
+    return iter(stream)  # text file object or any iterable of lines
 
 
 def _split_extended_header(header: list[str]) -> tuple[int, int]:
     """Validate the extended header and return (bid levels, ask levels)."""
-    cols = [c.strip() for c in header]
-    idx = 2
-    n_bid = 0
-    while idx + 1 < len(cols) and cols[idx] == f"bid_price_{n_bid + 1}":
-        if cols[idx + 1] != f"bid_vol_{n_bid + 1}":
-            raise ValueError(f"line 1: expected bid_vol_{n_bid + 1}, got {cols[idx + 1]!r}")
-        n_bid += 1
-        idx += 2
-    n_ask = 0
-    while idx + 1 < len(cols) and cols[idx] == f"ask_price_{n_ask + 1}":
-        if cols[idx + 1] != f"ask_vol_{n_ask + 1}":
-            raise ValueError(f"line 1: expected ask_vol_{n_ask + 1}, got {cols[idx + 1]!r}")
-        n_ask += 1
-        idx += 2
+    cols, idx, levels = [c.strip() for c in header], 2, []
+    for side in ("bid", "ask"):
+        n = 0
+        while idx + 1 < len(cols) and cols[idx] == f"{side}_price_{n + 1}":
+            if cols[idx + 1] != f"{side}_vol_{n + 1}":
+                raise ValueError(f"line 1: expected {side}_vol_{n + 1}, got {cols[idx + 1]!r}")
+            n, idx = n + 1, idx + 2
+        levels.append(n)
+    n_bid, n_ask = levels
     if idx != len(cols):
         raise ValueError(f"line 1: unrecognized tick CSV column {cols[idx]!r}")
     if n_bid == 0 and n_ask == 0:
@@ -255,7 +231,7 @@ def _layout(cols: tuple[str, ...]):
     return np.zeros(4, dtype=bool), (("bid", price, bid), ("ask", price, ask))
 
 
-def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarray):
+def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarray, where: str):
     """(values, blank, error) of a block of rows; blank tokens are NaN.
 
     One bulk conversion does the work. A block it refuses is converted token
@@ -281,7 +257,7 @@ def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarra
             try:
                 values[i, j] = np.nan if blank[i, j] else float(tok)
             except ValueError:
-                error = ValueError(f"line {lines[i]}: non-numeric {names[j]}: {shown!r}")
+                error = ValueError(f"{where}line {lines[i]}: non-numeric {names[j]}: {shown!r}")
                 return values[:i], blank[:i], error
     return values, blank, None
 
@@ -297,14 +273,12 @@ def _order_faults(prices: np.ndarray, present: np.ndarray, descending: bool) -> 
     return (present[:, 1:] & ~ordered).any(axis=1)
 
 
-def _reduce_block(rows, lines, names, layout, previous_ts: float):
-    """(timestamps, prices, imbalances) of a block of rows that pass every check.
+def _reduce_block(values, blank, lines, rows, names, sides, previous_ts: float):
+    """(timestamps, prices, imbalances) of a block of values (blanks NaN) that pass every check.
 
     A fault raises ValueError naming the first faulty line and the first
-    check of ``checks`` that line fails.
+    check of ``checks`` that line fails; only a non-finite token reads ``rows``.
     """
-    optional, sides = layout
-    values, blank, error = _convert(rows, lines, names, optional)
     ts, price = values[:, 0], values[:, 1]
     before = np.concatenate([[previous_ts], ts])[:-1]
     bad = ~np.isfinite(values) & ~blank
@@ -340,12 +314,10 @@ def _reduce_block(rows, lines, names, layout, previous_ts: float):
         i = faulty.argmax()
         describe = next(describe for mask, describe in checks if mask[i])
         raise ValueError(f"line {lines[i]}: {describe(i)}")
-    if error is not None:
-        raise error
     return ts, price, imbalance(bid, ask)
 
 
-def _row_blocks(reader, width: int, where: str = "", skip_blank: bool = True, line_num: int = 0):
+def _row_blocks(reader, width: int, where: str, skip_blank: bool, line_num: int):
     """(rows, line numbers) blocks of up to BLOCK_ROWS ``width``-token rows
     of a csv reader of the lines after ``line_num``, skipping empty rows and,
     with skip_blank, all-whitespace rows. A row of another width or a csv
@@ -375,6 +347,49 @@ def _row_blocks(reader, width: int, where: str = "", skip_blank: bool = True, li
         raise ValueError(f"{where}line {line_num + reader.line_num}: {fault}")
 
 
+def _plain_block(chunk: list[str], optional: np.ndarray):
+    """(values, blank) of lines csv.reader splits at every comma, or None. Lines fit
+    csv's field limit and hold a comma, no n or N (a NaN is an optional blank) and no
+    \\x1c-\\x1f, which loadtxt strips and float() refuses; loadtxt refuses what else it
+    and float() read apart: a quote, 1_0, a non-ASCII digit, a \\r inside a line."""
+    if (max(map(len, chunk)) > csv.field_size_limit()
+            or not all(map(operator.contains, chunk, itertools.repeat(",")))  # a row, not an empty line
+            or any(any(map(operator.contains, chunk, itertools.repeat(c))) for c in "nN\x1c\x1d\x1e\x1f")):
+        return None
+    if optional.any():  # a leading blank is in the required first column: loadtxt refuses it
+        chunk = [line.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+                 .replace(",\r\n", ",nan\r\n") if ",," in line or line.endswith((",\n", ",\r\n")) else line
+                 for line in chunk]
+    try:
+        values = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    blank = np.isnan(values)
+    if values.shape != (len(chunk), len(optional)) or (blank & ~optional).any() or np.isinf(values).any():
+        return None
+    return values, blank
+
+
+def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool, line_num: int):
+    """(values, blank, line numbers, rows) blocks of the lines of ``fh`` after its
+    line ``line_num``, blanks NaN: ``_plain_block``s of BLOCK_ROWS lines (rows None),
+    then, from the first other block on, csv.reader's rows by ``_row_blocks`` and
+    ``_convert``, whose fault raises once its block's earlier rows are checked."""
+    while chunk := list(itertools.islice(fh, BLOCK_ROWS)):
+        plain = _plain_block(chunk, optional)
+        if plain is None:
+            break
+        n, chunk = len(chunk), None  # let the lines go before the next block is read
+        yield *plain, range(line_num + 1, line_num + n + 1), None
+        line_num += n
+    for rows, lines in _row_blocks(csv.reader(itertools.chain(chunk, fh)), len(names), where,
+                                   skip_blank, line_num):
+        values, blank, error = _convert(rows, lines, names, optional, where)
+        yield values, blank, lines, rows
+        if error is not None:
+            raise error
+
+
 def parse_ticks(stream) -> TickTable:
     """Parse a tick CSV stream into a TickTable, in file order.
 
@@ -385,18 +400,17 @@ def parse_ticks(stream) -> TickTable:
     non-finite value or a decreasing timestamp raises ValueError naming the
     line.
     """
-    reader = csv.reader(_as_lines(stream))
-    header = next(reader, None)
-    while header is not None and all(tok.strip() == "" for tok in header):
-        header = next(reader, None)
+    lines = _as_lines(stream)
+    reader = csv.reader(lines)
+    header = next((row for row in reader if any(tok.strip() for tok in row)), None)
     if header is None:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     names = tuple(c.strip() for c in header)
-    layout = _layout(names)
+    optional, sides = _layout(names)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for rows, lines in _row_blocks(reader, len(names)):
+    for values, blank, line_nums, rows in _value_blocks(lines, names, optional, "", True, reader.line_num):
         previous_ts = float(parts[-1][0][-1]) if parts else -math.inf
-        parts.append(_reduce_block(rows, lines, names, layout, previous_ts))
+        parts.append(_reduce_block(values, blank, line_nums, rows, names, sides, previous_ts))
     if not parts:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     return TickTable(*(np.concatenate(column) for column in zip(*parts)))

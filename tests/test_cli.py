@@ -123,6 +123,25 @@ class TestBadInputFiles:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [(lambda d: d["mix"].__setitem__(0, None), "spec.json: mix must be finite"),
+         (lambda d: d.update(noise_sigma=float("nan")), "spec.json: noise_sigma must be finite")],
+        ids=["mix_null", "noise_nan"],
+    )
+    @pytest.mark.parametrize("command", ["gen", "pipeline"])
+    def test_non_finite_spec_names_file(self, tmp_path, capsys, command, mutate, message):
+        data = demo_spec().to_json_dict()
+        mutate(data)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))  # NaN is written as the literal json.load accepts
+        out = tmp_path / ("series.csv" if command == "gen" else "run")
+        rc = run_cli(command, "--spec", spec, "--out", out, "--duration", 3600)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestIngest:
     def test_ingest_round_trip(self, tmp_path):

@@ -246,3 +246,19 @@ def test_block_reader_matches_per_row_reader(tmp_path_factory, text, block_rows)
     assert not isinstance(expected, str), expected
     got = np.column_stack([series.bucket_times, series.prices, series.imbalances])
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token", ["\x1c2.5", "2.5\x1f", "1e999", "1_0", "١"])
+def test_tokens_loadtxt_and_float_read_apart(tmp_path, token):
+    """np.loadtxt strips \\x1c-\\x1f and reads 1e999 as inf; float() refuses the
+    first, and 1_0 and Arabic-Indic digits, which loadtxt refuses, float() reads."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(f"bucket_time,price,imbalance\n0.0,1.0,0.0\n10.0,{token},0.0\n".encode("utf-8"))
+    try:
+        expected = oracle_from_csv(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            PriceSeries.from_csv(path)
+        assert str(info.value) == str(exc)
+        return
+    assert PriceSeries.from_csv(path).prices.tobytes() == expected[:, 1].tobytes()

@@ -105,6 +105,31 @@ class TestSpecJsonFaults:
         with pytest.raises(ValueError, match="spec.json: spec JSON needs a list 'sources'"):
             self.load(tmp_path, "[1, 2]")
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["mix"].__setitem__(0, None), "mix must be finite"),
+            (lambda d: d["mix"].__setitem__(1, float("nan")), "mix must be finite"),
+            (lambda d: d["sources"][1].__setitem__(2, None), "sources must be finite"),
+            (lambda d: d["sources"][0].__setitem__(0, float("inf")), "sources must be finite"),
+            (lambda d: d.update(noise_sigma=float("nan")), "noise_sigma must be finite"),
+            (lambda d: d.update(noise_sigma=float("inf")), "noise_sigma must be finite"),
+            (lambda d: d["label_dists"][0].update(mean=float("nan")), "label mean and variance must be finite"),
+            (lambda d: d["label_dists"][1].update(mean=float("-inf")), "label mean and variance must be finite"),
+            (lambda d: d["label_dists"][0].update(kind="gaussian", variance=float("nan")),
+             "label mean and variance must be finite"),
+            (lambda d: d["label_dists"][0].update(kind="gaussian", variance=float("inf")),
+             "label mean and variance must be finite"),
+        ],
+        ids=["mix_null", "mix_nan", "source_null", "source_inf", "noise_nan", "noise_inf",
+             "mean_nan", "mean_inf", "variance_nan", "variance_inf"],
+    )
+    def test_non_finite_value(self, tmp_path, mutate, message):
+        data = two_source_spec().to_json_dict()
+        mutate(data)
+        with pytest.raises(ValueError, match=r"spec\.json: " + message):
+            self.load(tmp_path, json.dumps(data))  # NaN and Infinity as json.load accepts them
+
 
 class TestGenerateLabeled:
     def test_zero_noise_points_equal_sources_exactly(self):

@@ -396,6 +396,40 @@ class TestPatternBank:
         assert np.array_equal(loaded.populations, bank.populations)
         assert loaded.kernel_c == bank.kernel_c
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=5, max_size=5),
+            min_size=1,
+            max_size=4,
+        ),
+        labels=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        kernel_c=st.floats(min_value=1e-3, max_value=1e3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_json_round_trip_is_byte_exact_property(self, rows, labels, kernel_c, seed):
+        """Any finite label (-0.0, subnormals, 1e308) and population survive
+        save_json -> load -> save_json bit for bit, and the second file is the first."""
+        rng = np.random.default_rng(seed)
+        bank = PatternBank(
+            window_length=5,
+            vectors=np.stack([normalize(r) for r in rows]),
+            labels=np.array(labels[: len(rows)]),
+            populations=rng.integers(0, 2**62, size=len(rows)),
+            kernel_c=kernel_c,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+            bank.save_json(first)
+            loaded = PatternBank.load(first)
+            loaded.save_json(second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+        assert loaded.labels.tobytes() == bank.labels.tobytes()
+        assert loaded.populations.tobytes() == bank.populations.tobytes()
+        assert (loaded.window_length, loaded.kernel_c) == (bank.window_length, bank.kernel_c)
+
     @pytest.mark.parametrize("cut", [1, 8, 40, 9 * 8 + 24, 300])
     def test_truncated_binary_rejected_naming_file(self, tmp_path, cut):
         path = tmp_path / "bank_9.bin"

@@ -12,12 +12,15 @@ import csv
 import io
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lstrader import market_data
 from lstrader.market_data import BLOCK_ROWS, PriceSeries, coarsen, parse_ticks
 
 # -- reference ---------------------------------------------------------------
@@ -385,3 +388,127 @@ def test_random_tokens_agree(extended, cells):
     assert table.imbalances.tobytes() == np.array(
         [reference_imbalance(bids, asks) for _, _, bids, asks in expected], dtype=np.float64
     ).tobytes()
+
+
+# -- the plain-block reader against the csv path --------------------------------
+
+_EXTENDED_HEADER = "timestamp,price,bid_price_1,bid_vol_1,bid_price_2,bid_vol_2,ask_price_1,ask_vol_1"
+_PLAIN_FAULTS = [
+    "", " ", "  ", '"1.5"', "#", "1_0", "١", "nan", "inf", "-inf", "1e999", "-1", "x",
+    "\x1c2", "2\x1f", " 2.5", "0" * 131072 + "1",
+]
+
+
+@st.composite
+def tick_texts(draw):
+    """A tick CSV of mostly plain rows, some levels absent (blanks in the middle and
+    at the end of a line), with faults, line-end kinds and blank lines mixed in."""
+    header = draw(st.sampled_from([_EXTENDED_HEADER, ",".join(_BASIC_HEADER)]))
+    lines = [header]
+    for i in range(draw(st.integers(0, 12))):
+        price = draw(st.floats(1.0, 1e4))
+        volumes = [repr(draw(st.floats(0.0, 1e9))) for _ in range(3)]
+        if header == _EXTENDED_HEADER:
+            tokens = [repr(10.0 * i), repr(price), repr(price - 0.5), volumes[0],
+                      repr(price - 1.0), volumes[1], repr(price + 0.5), volumes[2]]
+            for start in (2, 4, 6):  # an absent level
+                if draw(st.integers(0, 3)) == 0:
+                    tokens[start : start + 2] = ["", ""]
+        else:
+            tokens = [repr(10.0 * i), repr(price)] + volumes[:2]
+        if draw(st.integers(0, 3)) == 0:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_PLAIN_FAULTS))
+        if draw(st.integers(0, 15)) == 0:
+            tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0"]
+        lines.append(",".join(tokens))
+        if draw(st.integers(0, 15)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",,,"])))
+    ends = (st.sampled_from(["\n", "\r\n", "\r"]) if draw(st.booleans())
+            else st.just(draw(st.sampled_from(["\n", "\r\n"]))))
+    text = "".join(line + draw(ends) for line in lines)
+    return text[:-1] if draw(st.integers(0, 4)) == 0 else text  # at times no final newline
+
+
+def parse_outcome(text, form):
+    """The TickTable columns' bytes, or the error (a header line csv refuses
+    raises csv.Error, on either path)."""
+    stream = {"str": text, "lines": io.StringIO(text, newline=""),  # newline="" as the CLI opens
+              "bytes": io.BytesIO(text.encode("utf-8"))}[form]
+    try:
+        table = parse_ticks(stream)
+    except (ValueError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return table.timestamps.tobytes(), table.prices.tobytes(), table.imbalances.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(tick_texts(), st.sampled_from([1, 2, 3, BLOCK_ROWS]), st.sampled_from(["str", "lines", "bytes"]))
+@example(_EXTENDED_HEADER + "\n1.0,100.0,99.5,2.0,,,100.5,1.0\n2.0,100.0,99.5,2.0,99.0,1.0,,\n", BLOCK_ROWS, "str")
+@example(_EXTENDED_HEADER + "\r\n1.0,100.0,,,,,100.5,1.0\r\n2.0,100.0,99.5,2.0,,,,\r\n", 1, "lines")
+@example(_EXTENDED_HEADER + "\n1.0,100.0,99.5,2.0,,,100.5,nan\n", BLOCK_ROWS, "str")  # a nan is no blank
+@example(_EXTENDED_HEADER + "\n1.0,1e999,99.5,2.0,,,100.5,1.0\n", BLOCK_ROWS, "str")
+@example(_EXTENDED_HEADER + "\n1.0,,99.5,2.0,,,100.5,1.0\n", BLOCK_ROWS, "str")  # a blank price
+@example("timestamp,price,bid_vol_total,ask_vol_total\r1.0,100.0,2.0,1.0\r\r\n\r\r\n", 1, "lines")  # empty lines
+@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,100.0,\x1c2,1.0\n", BLOCK_ROWS, "str")
+@example("timestamp,price,bid_vol_total,ask_vol_total\r1.0,100.0,2.0,1.0\r2.0,100.0,2.0,1.0\r", 2, "str")
+@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,100.0,2.0,1.0\n2.0,100.0,2.0,1.0", 2, "bytes")
+@example(f"timestamp,price,bid_vol_total,ask_vol_total\n1.0,{'0' * 131072}1,2.0,1.0\n", BLOCK_ROWS, "str")
+@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,1_0,2.0,1.0\n2.0,١,2.0,1.0\n", BLOCK_ROWS, "str")
+def test_plain_reader_matches_csv_path(text, block_rows, form):
+    """Values bit for bit, or the same message, with and without the plain-block reader."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(market_data, "BLOCK_ROWS", block_rows)
+        got = parse_outcome(text, form)
+        patch.setattr(market_data, "_plain_block", lambda chunk, optional: None)
+        want = parse_outcome(text, form)
+    assert got == want
+
+
+def test_plain_file_never_reaches_the_csv_path(monkeypatch):
+    """Plain rows with blank levels mid-line and at the line end, and \\r\\n ends,
+    are read without csv.reader."""
+    header, rows, _ = make_csv(13, 2 * BLOCK_ROWS + 5, max_depth=4)
+    text = "\r\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\r\n"
+    assert any(row[-1] == "" for row in rows) and any("" in row[2:-1] for row in rows)
+    want = parse_outcome(text, "lines")
+
+    def no_csv_path(*args):
+        raise AssertionError("a plain block fell back to csv.reader")
+
+    monkeypatch.setattr(market_data, "_convert", no_csv_path)
+    assert parse_outcome(text, "lines") == want
+
+
+def test_parse_ticks_peak_memory(tmp_path):
+    """9,000 ticks of 60 levels a side (about 22 MB of text): the blocks, not the
+    file, bound what is held at once. A joined block text or a token list per
+    block shows as a higher peak."""
+    rng = np.random.default_rng(5)
+    n, levels = 9000, 60
+    price = np.round(500.0 + np.cumsum(rng.normal(0.0, 0.25, n)), 2)
+    steps = 0.01 * np.arange(1, levels + 1)
+    table = np.empty((n, 2 + 4 * levels))
+    table[:, 0] = np.round(1.4e9 + np.cumsum(rng.exponential(5.0, n)), 3)
+    table[:, 1] = price
+    table[:, 2 : 2 + 2 * levels : 2] = price[:, None] - steps
+    table[:, 2 + 2 * levels :: 2] = price[:, None] + steps
+    table[:, 3 : 2 + 2 * levels : 2] = np.round(rng.exponential(2.0, (n, levels)), 8)
+    table[:, 3 + 2 * levels :: 2] = np.round(rng.exponential(2.0, (n, levels)), 8)
+    header = ["timestamp", "price"] + [f"{side}_{k}_{i}" for side in ("bid", "ask")
+                                       for i in range(1, levels + 1) for k in ("price", "vol")]
+    path = tmp_path / "ticks.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, row in enumerate(table.tolist()):
+            line = ",".join(map(repr, row))
+            fh.write((line.rsplit(",", 10)[0] + "," * 10 if i % 10 == 0 else line) + "\n")
+    with open(path, newline="", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            ticks = parse_ticks(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(ticks) == n
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
