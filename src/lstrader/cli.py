@@ -4,7 +4,7 @@ Subcommands:
   gen          synthetic price series from a latent source spec JSON
   ingest       tick CSV -> coarsened PriceSeries CSV
   build-banks  pattern banks from a (training) series
-  fit          kernel-constant calibration + combiner fit on a series
+  fit          kernel-constant calibration + combiner fit; writes model.json
   backtest     one threshold run, writing the ledger and report bundle
   sweep        threshold sweep table
   report       backtest + sweep + full report bundle in one go
@@ -15,6 +15,11 @@ The pipeline splits the series into three consecutive periods (train / fit
 period), builds banks on the first, calibrates on the second, and reports
 on the third. All randomness derives from one --seed. --windows takes any
 strictly increasing list of window lengths, one bank per length.
+
+Each bank is written once, by build-banks or by the pipeline (into the run
+directory's banks/), as JSON or, with --bank-format binary, LSTBANK1. The
+kernel constant c lives only in model.json, whose bank paths are relative
+to its own directory: fit refers to the files it read, so it writes no bank.
 """
 
 from __future__ import annotations
@@ -90,15 +95,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _bank_filename(window: int, bank_format: str) -> str:
-    return f"bank_{window}.{'bin' if bank_format == 'binary' else 'json'}"
-
-
-def _save_bank(bank: PatternBank, path: str, bank_format: str) -> None:
-    if bank_format == "binary":
-        bank.save_binary(path)
-    else:
-        bank.save_json(path)
+def _save_banks(banks, out_dir: str, bank_format: str) -> list[str]:
+    """Write each bank to out_dir as bank_<window>.json (or .bin, binary); their file names."""
+    os.makedirs(out_dir, exist_ok=True)
+    binary = bank_format == "binary"
+    names = []
+    for bank in banks:
+        name = f"bank_{bank.window_length}.{'bin' if binary else 'json'}"
+        (bank.save_binary if binary else bank.save_json)(os.path.join(out_dir, name))
+        names.append(name)
+    return names
 
 
 def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
@@ -148,70 +154,53 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _build_and_save_banks(series, cfg_args, out_dir: str) -> list[str]:
-    banks = build_banks(
-        series,
-        window_lengths=cfg_args.windows,
-        k=cfg_args.k,
-        m=cfg_args.m,
-        stride=cfg_args.stride,
-        seed=cfg_args.seed,
-        max_iters=cfg_args.max_iters,
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for bank in banks:
-        path = os.path.join(out_dir, _bank_filename(bank.window_length, cfg_args.bank_format))
-        _save_bank(bank, path, cfg_args.bank_format)
-        paths.append(path)
-    return paths
-
-
 def cmd_build_banks(args) -> int:
     series = PriceSeries.from_csv(args.series)
-    paths = _build_and_save_banks(series, args, args.out_dir)
-    for path in paths:
-        print(f"wrote {path}")
+    banks = build_banks(
+        series,
+        window_lengths=args.windows,
+        k=args.k,
+        m=args.m,
+        stride=args.stride,
+        seed=args.seed,
+        max_iters=args.max_iters,
+    )
+    for name in _save_banks(banks, args.out_dir, args.bank_format):
+        print(f"wrote {os.path.join(args.out_dir, name)}")
     return 0
 
 
-def _load_banks_from_dir(bank_dir: str) -> list[PatternBank]:
+def _load_banks_from_dir(bank_dir: str) -> list[tuple[PatternBank, str]]:
+    """(bank, path) of each bank_*.json / bank_*.bin file in bank_dir, shortest window first."""
     names = sorted(
         n for n in os.listdir(bank_dir) if n.startswith("bank_") and n.split(".")[-1] in ("json", "bin")
     )
     if not names:
         raise FileNotFoundError(f"no bank_*.json or bank_*.bin files in {bank_dir}")
-    banks = [PatternBank.load(os.path.join(bank_dir, n)) for n in names]
-    banks.sort(key=lambda b: b.window_length)
-    return banks
+    paths = [os.path.join(bank_dir, n) for n in names]
+    return sorted(((PatternBank.load(p), p) for p in paths), key=lambda bp: bp[0].window_length)
 
 
-def _fit_model(series, banks, c_grid, bank_format, out_dir: str):
-    """Calibrate c, refit weights, persist calibrated banks + model.json."""
+def _fit_model(series, banks, bank_refs, c_grid, out_dir: str):
+    """Calibrate c, refit weights and write model.json, which refers to the
+    banks' existing files by bank_refs (paths relative to out_dir)."""
     calibration = calibrate_c(c_grid, series, banks)
-    banks = [bank.with_kernel_c(calibration.c) for bank in banks]
     os.makedirs(out_dir, exist_ok=True)
-    bank_names = []
-    for bank in banks:
-        name = _bank_filename(bank.window_length, bank_format)
-        _save_bank(bank, os.path.join(out_dir, name), bank_format)
-        bank_names.append(name)
     model = PredictorModel(
         banks=tuple(banks),
         kernel=KernelChoice(KERNEL_EXP_SIMILARITY, c=calibration.c),
         weights=calibration.weights,
     )
     model_path = os.path.join(out_dir, "model.json")
-    model.save_json(model_path, bank_names)
+    model.save_json(model_path, bank_refs)
     return model, model_path, calibration
 
 
 def cmd_fit(args) -> int:
     series = PriceSeries.from_csv(args.series)
-    banks = _load_banks_from_dir(args.banks_dir)
-    model, model_path, calibration = _fit_model(
-        series, banks, args.c_grid, args.bank_format, args.out_dir
-    )
+    banks, paths = zip(*_load_banks_from_dir(args.banks_dir))
+    refs = [os.path.relpath(path, args.out_dir) for path in paths]
+    model, model_path, calibration = _fit_model(series, banks, refs, args.c_grid, args.out_dir)
     print(f"calibrated c={calibration.c} (grid MSE: {calibration.errors})")
     print(f"wrote {model_path}")
     return 0
@@ -276,7 +265,6 @@ def cmd_report(args) -> int:
 def run_pipeline(config: RunConfig) -> dict:
     """All stages in order; returns the summary dictionary."""
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
     seed_seq = np.random.SeedSequence(config.seed)
     gen_seed, bank_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
 
@@ -295,8 +283,8 @@ def run_pipeline(config: RunConfig) -> dict:
         with open(config.ticks_path, "r", newline="", encoding="utf-8") as fh:
             ticks = parse_ticks(fh)
         series = coarsen(ticks, interval=config.interval)
-    series_path = os.path.join(out, "series.csv")
-    series.to_csv(series_path)
+    os.makedirs(out, exist_ok=True)
+    series.to_csv(os.path.join(out, "series.csv"))
 
     n = len(series)
     n1 = int(config.split[0] * n)
@@ -327,18 +315,9 @@ def run_pipeline(config: RunConfig) -> dict:
         seed=bank_seed,
         max_iters=config.max_iters,
     )
-    banks_dir = os.path.join(out, "banks")
-    os.makedirs(banks_dir, exist_ok=True)
-    for bank in banks:
-        _save_bank(
-            bank,
-            os.path.join(banks_dir, _bank_filename(bank.window_length, config.bank_format)),
-            config.bank_format,
-        )
-
-    model, model_path, calibration = _fit_model(
-        fit_series, list(banks), config.c_grid, config.bank_format, out
-    )
+    names = _save_banks(banks, os.path.join(out, "banks"), config.bank_format)
+    refs = [os.path.join("banks", name) for name in names]
+    model, model_path, calibration = _fit_model(fit_series, banks, refs, config.c_grid, out)
     print(f"calibrated c={calibration.c}, weights ridge_fallback={model.weights.used_ridge}")
 
     # strict three-way split: every feature window must sit inside its period
@@ -439,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--banks-dir", required=True)
     fit.add_argument("--out-dir", required=True)
     fit.add_argument("--c-grid", type=_parse_floats, default=DEFAULT_C_GRID)
-    fit.add_argument("--bank-format", choices=("json", "binary"), default="json")
     fit.set_defaults(func=cmd_fit)
 
     backtest = sub.add_parser("backtest", help="run one threshold backtest")

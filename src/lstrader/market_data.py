@@ -139,7 +139,7 @@ class PriceSeries:
         """Read a series CSV (see ``_value_blocks``); a fault raises ValueError naming file and line."""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            header = _header(reader, f"{path} ", False)
             if header is None or tuple(h.strip() for h in header) != _SERIES_HEADER:
                 raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
             blocks = []
@@ -157,6 +157,8 @@ class PriceSeries:
             interval = float(steps[0])
             if not np.allclose(steps, interval, rtol=0, atol=1e-9):
                 raise ValueError(f"{path}: bucket times are not uniformly spaced")
+            if not interval > 0:
+                raise ValueError(f"{path}: bucket times must increase, got a step of {interval!r}")
         else:
             interval = default_interval
         return cls(float(times[0]), interval, prices, imbalances)
@@ -187,10 +189,19 @@ def _as_lines(stream) -> Iterator[str]:
     if isinstance(stream, (bytes, bytearray)):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        return iter(io.StringIO(stream).readlines())
+        return iter(io.StringIO(stream, newline="").readlines())  # a lone \r ends a line too
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
         return io.TextIOWrapper(stream, encoding="utf-8")
     return iter(stream)  # text file object or any iterable of lines
+
+
+def _header(reader, where: str, skip_blank: bool):
+    """The first row of a csv reader (with skip_blank, the first holding a non-blank
+    token), or None; a csv error raises ValueError naming its line after ``where``."""
+    try:
+        return next((row for row in reader if not skip_blank or any(tok.strip() for tok in row)), None)
+    except csv.Error as exc:
+        raise ValueError(f"{where}line {reader.line_num}: {exc}") from None
 
 
 def _split_extended_header(header: list[str]) -> tuple[int, int]:
@@ -358,7 +369,7 @@ def _plain_block(chunk: list[str], optional: np.ndarray):
         return None
     if optional.any():  # a leading blank is in the required first column: loadtxt refuses it
         chunk = [line.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-                 .replace(",\r\n", ",nan\r\n") if ",," in line or line.endswith((",\n", ",\r\n")) else line
+                 .replace(",\r", ",nan\r") if ",," in line or line.endswith((",\n", ",\r\n", ",\r")) else line
                  for line in chunk]
     try:
         values = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2)
@@ -402,7 +413,7 @@ def parse_ticks(stream) -> TickTable:
     """
     lines = _as_lines(stream)
     reader = csv.reader(lines)
-    header = next((row for row in reader if any(tok.strip() for tok in row)), None)
+    header = _header(reader, "", True)
     if header is None:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     names = tuple(c.strip() for c in header)

@@ -39,17 +39,20 @@ constant row is exactly zero; rows whose sum of squares lies outside
 rows once (``PatternBank.anchored``); query rows are passed in blocks of
 512 by the scorer.
 
-Bank serialization: a JSON form (window_length, kernel_c, and one
+Bank serialization: a JSON form (window_length and one
 {vector, label, population} record per pattern) and a compact binary form
 for large banks (little-endian, length-prefixed 64-bit floats), read and
-written as whole numpy record arrays. A malformed file, or one with a
-missing or mistyped field, raises ValueError naming the file.
+written as whole numpy record arrays. A bank holds no kernel constant: the
+model's c is the only one. The binary header keeps a reserved f64 slot
+(written 1.0, ignored on read), and a JSON key "kernel_c" in an older file
+is ignored. A malformed file, or one with a missing or mistyped field,
+raises ValueError naming the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -65,7 +68,7 @@ EFFECTIVENESS_EPS = 1e-9
 
 _BANK_MAGIC = b"LSTBANK1"
 _BANK_HEADER = np.dtype(
-    [("magic", "S8"), ("count", "<u8"), ("window_length", "<u8"), ("kernel_c", "<f8")]
+    [("magic", "S8"), ("count", "<u8"), ("window_length", "<u8"), ("reserved", "<f8")]
 )
 
 
@@ -459,15 +462,13 @@ class PatternBank:
     """Selected representative patterns for one window length.
 
     Vectors are stored normalized (or all-zero for a degenerate constant
-    representative); kernel_c is the kernel sharpness constant shared
-    across banks once calibrated.
+    representative).
     """
 
     window_length: int
     vectors: np.ndarray
     labels: np.ndarray
     populations: np.ndarray
-    kernel_c: float = 1.0
 
     def __post_init__(self) -> None:
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -486,8 +487,6 @@ class PatternBank:
             raise ValueError("populations must be >= 0")
         if not np.isfinite(labels).all():
             raise ValueError("bank labels must be finite")
-        if not self.kernel_c > 0:
-            raise ValueError("kernel_c must be > 0")
         means = vectors.mean(axis=1)
         rms = np.sqrt((vectors**2).mean(axis=1))
         ok = (np.abs(means) <= 1e-6) & ((np.abs(rms - 1.0) <= 1e-6) | (rms == 0.0))
@@ -510,13 +509,8 @@ class PatternBank:
             arr.setflags(write=False)
         return rows
 
-    def with_kernel_c(self, c: float) -> "PatternBank":
-        return replace(self, kernel_c=float(c))
-
     @classmethod
-    def from_patterns(
-        cls, window_length: int, selected: Sequence[BankPattern], kernel_c: float = 1.0
-    ) -> "PatternBank":
+    def from_patterns(cls, window_length: int, selected: Sequence[BankPattern]) -> "PatternBank":
         if not selected:
             raise ValueError("cannot build an empty bank")
         return cls(
@@ -524,13 +518,11 @@ class PatternBank:
             vectors=np.stack([p.vector for p in selected]),
             labels=np.array([p.label for p in selected]),
             populations=np.array([p.population for p in selected], dtype=np.int64),
-            kernel_c=float(kernel_c),
         )
 
     def to_json_dict(self) -> dict:
         return {
             "window_length": self.window_length,
-            "kernel_c": self.kernel_c,
             "patterns": [
                 {
                     "vector": [float(v) for v in self.vectors[i]],
@@ -545,8 +537,8 @@ class PatternBank:
     def from_json_dict(cls, data: dict) -> "PatternBank":
         """A bank from its JSON form; a missing or mistyped field raises
         ValueError naming it."""
-        require_fields(data, (("patterns", list, "a list"), ("window_length", int, "an integer"),
-                              ("kernel_c", (int, float), "a number")), "bank JSON")
+        require_fields(data, (("patterns", list, "a list"), ("window_length", int, "an integer")),
+                       "bank JSON")
         window_length = data["window_length"]
         patterns = data["patterns"]
         for i, pattern in enumerate(patterns):
@@ -569,7 +561,6 @@ class PatternBank:
             vectors=vectors,
             labels=labels,
             populations=populations,
-            kernel_c=float(data["kernel_c"]),
         )
 
     def save_json(self, path) -> None:
@@ -587,7 +578,7 @@ class PatternBank:
 
     def save_binary(self, path) -> None:
         header = np.array(
-            [(_BANK_MAGIC, len(self), self.window_length, self.kernel_c)], dtype=_BANK_HEADER
+            [(_BANK_MAGIC, len(self), self.window_length, 1.0)], dtype=_BANK_HEADER
         )
         records = np.empty(len(self), dtype=_bank_record(self.window_length))
         records["length"] = self.window_length
@@ -627,7 +618,6 @@ class PatternBank:
             vectors=records["vector"],
             labels=records["label"],
             populations=records["population"],
-            kernel_c=float(header["kernel_c"]),
         )
 
     @classmethod
@@ -648,7 +638,6 @@ def build_banks(
     stride: int = 1,
     seed: int = 0,
     max_iters: int = 100,
-    kernel_c: float = 1.0,
 ) -> tuple[PatternBank, ...]:
     """Build one bank per window length from a historical series.
 
@@ -675,5 +664,5 @@ def build_banks(
             windows.normalized, windows.labels, k_eff, seed=cluster_seed, max_iters=max_iters
         )
         selected = select_effective(clusters, m_eff)
-        banks.append(PatternBank.from_patterns(window, selected, kernel_c=kernel_c))
+        banks.append(PatternBank.from_patterns(window, selected))
     return tuple(banks)

@@ -435,9 +435,6 @@ class PredictorModel:
                 f"{len(banks)} banks need {len(banks) + 2} combiner weights (intercept, "
                 f"one per bank, imbalance), got {len(self.weights.w)}"
             )
-        if self.kernel.variant == KERNEL_EXP_SIMILARITY:
-            if any(b.kernel_c != self.kernel.c for b in banks):
-                raise ValueError("kernel constant must be shared across banks")
         object.__setattr__(self, "banks", banks)
 
     def dp_stream(self, series: PriceSeries, ts: np.ndarray | None = None):
@@ -486,11 +483,5 @@ class PredictorModel:
             tuple(float(w[k]) for k in names), used_ridge=bool(w.get("used_ridge", False))
         )
         base = os.path.dirname(os.fspath(path))
-        banks = []
-        for ref in data["banks"]:
-            bank_path = ref if os.path.isabs(ref) else os.path.join(base, ref)
-            bank = PatternBank.load(bank_path)
-            if kernel.variant == KERNEL_EXP_SIMILARITY:
-                bank = bank.with_kernel_c(kernel.c)
-            banks.append(bank)
-        return cls(banks=tuple(banks), kernel=kernel, weights=weights)
+        banks = tuple(PatternBank.load(os.path.join(base, ref)) for ref in data["banks"])
+        return cls(banks=banks, kernel=kernel, weights=weights)

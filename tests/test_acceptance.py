@@ -57,7 +57,6 @@ def planted_artifacts(noise_sigma: float):
     first, second = n // 3, n // 3
     banks = build_banks(series.slice(0, first), seed=PLANT_BANK_SEED)
     calibration = calibrate_c(C_GRID, series.slice(first, first + second), banks)
-    banks = tuple(bank.with_kernel_c(calibration.c) for bank in banks)
     model = PredictorModel(
         banks=banks,
         kernel=KernelChoice("exp_similarity", c=calibration.c),
@@ -81,14 +80,13 @@ def criterion(number: int, description: str):
     print(f"[ACCEPTANCE] criterion {number:2d} PASS: {description}")
 
 
-def make_bank(vectors, labels, kernel_c=1.0):
+def make_bank(vectors, labels):
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     return PatternBank(
         window_length=vectors.shape[1],
         vectors=vectors,
         labels=np.asarray(labels, dtype=np.float64),
         populations=np.ones(vectors.shape[0], dtype=np.int64),
-        kernel_c=kernel_c,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from lstrader.cli import RunConfig, main
 from lstrader.latent_source import demo_spec
 from lstrader.market_data import PriceSeries
+from lstrader.regression import PredictorModel
 
 SMALL = dict(duration=28800.0, windows="30,60,120", k="12", m="4")
 
@@ -122,6 +123,7 @@ class TestBadInputFiles:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -140,6 +142,23 @@ class TestBadInputFiles:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()  # the run directory is made once the input has loaded
+
+    @pytest.mark.parametrize("command", ["ingest", "report"])
+    def test_header_csv_refuses_names_line_1(self, tmp_path, capsys, command):
+        """A header field past csv's field limit exits 1 with the line, no traceback."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"timestamp,{'x' * 131073}\n1.0,100.0\n")
+        if command == "ingest":
+            rc = run_cli("ingest", "--ticks", bad, "--out", tmp_path / "o.csv")
+        else:
+            rc = run_cli("report", "--series", bad, "--model", tmp_path / "model.json",
+                         "--out-dir", tmp_path / "rep")
+        assert rc == 1
+        err = capsys.readouterr().err
+        prefix = "error: line 1: " if command == "ingest" else f"error: {bad} line 1: "
+        assert err.startswith(prefix + "field larger than field limit")
         assert "Traceback" not in err
 
 
@@ -296,7 +315,8 @@ class TestStagedCommands:
     )
     def test_malformed_json_fails_naming_file(self, spec_path, tmp_path, capsys, target, text, message):
         series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
-        (fit_dir / target).write_text(text)
+        # model.json refers to the banks fit read, in build-banks' --out-dir
+        (fit_dir / target if target == "model.json" else tmp_path / "banks" / target).write_text(text)
         capsys.readouterr()
         rc = run_cli(
             "report", "--series", series_csv, "--model", fit_dir / "model.json",
@@ -335,9 +355,13 @@ class TestStagedCommands:
         fit_dir = tmp_path / "fitted"
         assert run_cli(
             "fit", "--series", series_csv, "--banks-dir", banks_dir,
-            "--out-dir", fit_dir, "--c-grid", "1", "--bank-format", "binary",
+            "--out-dir", fit_dir, "--c-grid", "1",
         ) == 0
-        assert (fit_dir / "bank_120.bin").exists()
+        assert os.listdir(fit_dir) == ["model.json"]
+        refs = json.loads((fit_dir / "model.json").read_text())["banks"]
+        assert refs == ["../banks/bank_30.bin", "../banks/bank_60.bin", "../banks/bank_120.bin"]
+        model = PredictorModel.load_json(fit_dir / "model.json")
+        assert [bank.window_length for bank in model.banks] == [30, 60, 120]
 
     def test_truncated_binary_bank_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
@@ -389,6 +413,15 @@ class TestPipeline:
             "sweep.csv", "equity_curve.csv", "cluster_centers.csv", "summary.json",
         ):
             assert (out / name).exists()
+        # each bank once, under banks/, and only the model holds c
+        assert not [name for name in os.listdir(out) if name.startswith("bank_")]
+        banks = sorted(os.listdir(out / "banks"))
+        assert banks == ["bank_120.json", "bank_30.json", "bank_60.json"]
+        refs = json.loads((out / "model.json").read_text())["banks"]
+        assert refs == ["banks/bank_30.json", "banks/bank_60.json", "banks/bank_120.json"]
+        assert all((out / ref).is_file() for ref in refs)
+        for name in banks:
+            assert "kernel_c" not in json.loads((out / "banks" / name).read_text())
         periods = json.loads((out / "periods.json").read_text())
         n = periods["n_buckets"]
         assert periods["train"][0] == 0

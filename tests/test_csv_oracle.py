@@ -64,7 +64,7 @@ def awkward_banks(rng):
         banks.append(
             PatternBank(
                 window_length=window, vectors=vectors, labels=AWKWARD[:6] * (1 if window == 3 else -1),
-                populations=np.ones(6, dtype=np.int64), kernel_c=1.0,
+                populations=np.ones(6, dtype=np.int64),
             )
         )
     return banks
@@ -194,6 +194,8 @@ def oracle_from_csv(path):
     steps = np.diff(values[:, 0])
     if len(steps) and not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         raise ValueError(f"{path}: bucket times are not uniformly spaced")
+    if len(steps) and not steps[0] > 0:
+        raise ValueError(f"{path}: bucket times must increase, got a step of {float(steps[0])!r}")
     return values
 
 

@@ -148,6 +148,16 @@ class TestParseTicks:
         with pytest.raises(ValueError, match="line 3: field larger than field limit"):
             parse_ticks(tick_csv(f"1,100,1,1\n2,{huge},1,1\n"))
 
+    def test_header_csv_error_names_line(self):
+        with pytest.raises(ValueError, match="^line 1: field larger than field limit"):
+            parse_ticks(f"timestamp,price,{'x' * 131073}\n1,100\n")
+
+    def test_lone_cr_str_equals_newline_str(self):
+        text = EXTENDED_HEADER + "1,100,99.5,2,,,100.5,1\n2,100,99.5,2,99,1,,\n3,101,,,,,,\n"
+        want, got = parse_ticks(text), parse_ticks(text.replace("\n", "\r"))
+        for name in ("timestamps", "prices", "imbalances"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_blank_timestamp_is_non_numeric(self):
         with pytest.raises(ValueError, match="line 2: non-numeric timestamp: ''"):
             parse_ticks(tick_csv(",100,1,1\n"))
@@ -356,6 +366,19 @@ class TestPriceSeries:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            PriceSeries.from_csv(path)
+
+    @pytest.mark.parametrize("times, step", [((10.0, 10.0), "0.0"), ((20.0, 10.0, 0.0), "-10.0")])
+    def test_non_increasing_times_name_file(self, tmp_path, times, step):
+        path = tmp_path / "flat.csv"
+        path.write_text("bucket_time,price,imbalance\n" + "".join(f"{t},100.0,0.0\n" for t in times))
+        with pytest.raises(ValueError, match=f"flat.csv: bucket times must increase, got a step of {step}"):
+            PriceSeries.from_csv(path)
+
+    def test_header_csv_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"bucket_time,{'x' * 131073}\n0.0,100.0,0.0\n")
+        with pytest.raises(ValueError, match="bad.csv line 1: field larger than field limit"):
             PriceSeries.from_csv(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

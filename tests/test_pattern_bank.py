@@ -249,32 +249,31 @@ class TestSelectEffective:
 
 
 class TestPatternBank:
-    def make_bank(self, n=4, dim=6, kernel_c=2.0):
+    def make_bank(self, n=4, dim=6):
         rng = np.random.default_rng(31)
         selected = [
             BankPattern(vector=normalize(rng.normal(size=dim)), label=float(rng.normal()), population=i + 1)
             for i in range(n)
         ]
-        return PatternBank.from_patterns(dim, selected, kernel_c=kernel_c)
+        return PatternBank.from_patterns(dim, selected)
 
     def test_json_round_trip(self, tmp_path):
         bank = self.make_bank()
         path = tmp_path / "bank.json"
         bank.save_json(path)
+        assert sorted(json.loads(path.read_text())) == ["patterns", "window_length"]
         loaded = PatternBank.load(path)
         assert loaded.window_length == bank.window_length
-        assert loaded.kernel_c == bank.kernel_c
         assert np.array_equal(loaded.vectors, bank.vectors)
         assert np.array_equal(loaded.labels, bank.labels)
         assert np.array_equal(loaded.populations, bank.populations)
 
     def test_binary_round_trip(self, tmp_path):
-        bank = self.make_bank(n=7, dim=11, kernel_c=0.5)
+        bank = self.make_bank(n=7, dim=11)
         path = tmp_path / "bank.bin"
         bank.save_binary(path)
         loaded = PatternBank.load(path)
         assert loaded.window_length == bank.window_length
-        assert loaded.kernel_c == bank.kernel_c
         assert np.array_equal(loaded.vectors, bank.vectors)
         assert np.array_equal(loaded.labels, bank.labels)
         assert np.array_equal(loaded.populations, bank.populations)
@@ -304,8 +303,6 @@ class TestPatternBank:
             (lambda d: d.update(patterns={"vector": []}), "bank JSON needs a list 'patterns'"),
             (lambda d: d.pop("window_length"), "bank JSON needs an integer 'window_length'"),
             (lambda d: d.update(window_length="6"), "bank JSON needs an integer 'window_length'"),
-            (lambda d: d.pop("kernel_c"), "bank JSON needs a number 'kernel_c'"),
-            (lambda d: d.update(kernel_c=None), "bank JSON needs a number 'kernel_c'"),
             (lambda d: d["patterns"][2].pop("vector"), "bank JSON pattern 2 needs a 'vector'"),
             (lambda d: d["patterns"][1].pop("label"), "bank JSON pattern 1 needs a 'label'"),
             (lambda d: d["patterns"][0].pop("population"), "bank JSON pattern 0 needs a 'population'"),
@@ -317,7 +314,7 @@ class TestPatternBank:
         ],
         ids=[
             "no_patterns", "patterns_not_list", "no_window_length", "window_length_str",
-            "no_kernel_c", "kernel_c_null", "no_vector", "no_label", "no_population",
+            "no_vector", "no_label", "no_population",
             "pattern_not_dict", "short_vector", "vector_not_list", "label_str", "label_null",
         ],
     )
@@ -348,9 +345,9 @@ class TestPatternBank:
             PatternBank.load_binary(path)
 
     @staticmethod
-    def struct_bank_bytes(bank):
+    def struct_bank_bytes(bank, reserved=1.0):
         """The binary layout written field by field with struct."""
-        out = [b"LSTBANK1", struct.pack("<QQd", len(bank), bank.window_length, bank.kernel_c)]
+        out = [b"LSTBANK1", struct.pack("<QQd", len(bank), bank.window_length, reserved)]
         for i in range(len(bank)):
             out.append(struct.pack("<Q", bank.window_length))
             out.append(bank.vectors[i].astype("<f8").tobytes())
@@ -358,12 +355,31 @@ class TestPatternBank:
         return b"".join(out)
 
     def test_binary_layout_and_byte_exact_round_trip(self, tmp_path):
-        bank = self.make_bank(n=5, dim=9, kernel_c=3.25)
+        bank = self.make_bank(n=5, dim=9)
         first, second = tmp_path / "a.bin", tmp_path / "b.bin"
         bank.save_binary(first)
         assert first.read_bytes() == self.struct_bank_bytes(bank)
         PatternBank.load(first).save_binary(second)
         assert second.read_bytes() == first.read_bytes()
+
+    def test_old_files_with_a_kernel_c_load_the_same_bank(self, tmp_path):
+        """A bank JSON with a "kernel_c" key and an LSTBANK1 header whose reserved
+        slot holds 3.25, as older versions wrote them, load to the same bank, and
+        it saves to the new forms byte for byte."""
+        bank = self.make_bank(n=5, dim=9)
+        old_json, old_bin = tmp_path / "old.json", tmp_path / "old.bin"
+        old_json.write_text(json.dumps({**bank.to_json_dict(), "kernel_c": 2.5}))
+        old_bin.write_bytes(self.struct_bank_bytes(bank, reserved=3.25))
+        for path in (old_json, old_bin):
+            loaded = PatternBank.load(path)
+            assert loaded.window_length == bank.window_length
+            for name in ("vectors", "labels", "populations"):
+                assert getattr(loaded, name).tobytes() == getattr(bank, name).tobytes()
+        PatternBank.load(old_bin).save_binary(tmp_path / "new.bin")
+        assert (tmp_path / "new.bin").read_bytes() == self.struct_bank_bytes(bank)
+        PatternBank.load(old_json).save_json(tmp_path / "new.json")
+        bank.save_json(tmp_path / "want.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -372,17 +388,15 @@ class TestPatternBank:
             min_size=1,
             max_size=4,
         ),
-        kernel_c=st.floats(min_value=1e-3, max_value=1e3),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_binary_round_trip_is_byte_exact_property(self, rows, kernel_c, seed):
+    def test_binary_round_trip_is_byte_exact_property(self, rows, seed):
         rng = np.random.default_rng(seed)
         bank = PatternBank(
             window_length=5,
             vectors=np.stack([normalize(r) for r in rows]),
             labels=rng.normal(scale=1e3, size=len(rows)),
             populations=rng.integers(0, 2**62, size=len(rows)),
-            kernel_c=kernel_c,
         )
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
@@ -394,7 +408,6 @@ class TestPatternBank:
         assert np.array_equal(loaded.vectors, bank.vectors)
         assert np.array_equal(loaded.labels, bank.labels)
         assert np.array_equal(loaded.populations, bank.populations)
-        assert loaded.kernel_c == bank.kernel_c
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -404,10 +417,9 @@ class TestPatternBank:
             max_size=4,
         ),
         labels=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
-        kernel_c=st.floats(min_value=1e-3, max_value=1e3),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_json_round_trip_is_byte_exact_property(self, rows, labels, kernel_c, seed):
+    def test_json_round_trip_is_byte_exact_property(self, rows, labels, seed):
         """Any finite label (-0.0, subnormals, 1e308) and population survive
         save_json -> load -> save_json bit for bit, and the second file is the first."""
         rng = np.random.default_rng(seed)
@@ -416,7 +428,6 @@ class TestPatternBank:
             vectors=np.stack([normalize(r) for r in rows]),
             labels=np.array(labels[: len(rows)]),
             populations=rng.integers(0, 2**62, size=len(rows)),
-            kernel_c=kernel_c,
         )
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
@@ -428,7 +439,7 @@ class TestPatternBank:
         assert loaded.vectors.tobytes() == bank.vectors.tobytes()
         assert loaded.labels.tobytes() == bank.labels.tobytes()
         assert loaded.populations.tobytes() == bank.populations.tobytes()
-        assert (loaded.window_length, loaded.kernel_c) == (bank.window_length, bank.kernel_c)
+        assert loaded.window_length == bank.window_length
 
     @pytest.mark.parametrize("cut", [1, 8, 40, 9 * 8 + 24, 300])
     def test_truncated_binary_rejected_naming_file(self, tmp_path, cut):

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def row_blocks(m):
     return st.tuples(block, block)
 
 
-def bank_from_vectors(vectors, labels, kernel_c=1.0, populations=None):
+def bank_from_vectors(vectors, labels, populations=None):
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     n = vectors.shape[0]
     if populations is None:
@@ -52,13 +53,12 @@ def bank_from_vectors(vectors, labels, kernel_c=1.0, populations=None):
         vectors=vectors,
         labels=np.asarray(labels, dtype=np.float64),
         populations=np.asarray(populations, dtype=np.int64),
-        kernel_c=kernel_c,
     )
 
 
-def random_bank(rng, n=20, dim=8, kernel_c=1.0):
+def random_bank(rng, n=20, dim=8):
     vectors = np.stack([normalize(rng.normal(size=dim)) for _ in range(n)])
-    return bank_from_vectors(vectors, rng.normal(size=n), kernel_c=kernel_c)
+    return bank_from_vectors(vectors, rng.normal(size=n))
 
 
 class TestSimilarity:
@@ -322,16 +322,16 @@ class TestAssembleFeatures:
         decoys = [normalize(rng.normal(size=window)) for _ in range(3)]
         kernel = KernelChoice("exp_similarity", c=8.0)
         banks = tuple(
-            bank_from_vectors([target] + decoys, [0.7, 0.0, 0.0, 0.0], kernel_c=8.0)
+            bank_from_vectors([target] + decoys, [0.7, 0.0, 0.0, 0.0])
             for _ in range(3)
         )
         # build a series whose last `window` prices equal 100 + 3 * shape
         prices = np.concatenate([np.full(window, 100.0), 100.0 + 3.0 * shape])
         series = series_from_prices(prices)
         banks = (
-            bank_from_vectors([target] + decoys[:1], [0.7, 0.0], kernel_c=8.0),
-            bank_from_vectors([normalize(rng.normal(size=16))], [0.0], kernel_c=8.0),
-            bank_from_vectors([normalize(rng.normal(size=20))], [0.0], kernel_c=8.0),
+            bank_from_vectors([target] + decoys[:1], [0.7, 0.0]),
+            bank_from_vectors([normalize(rng.normal(size=16))], [0.0]),
+            bank_from_vectors([normalize(rng.normal(size=20))], [0.0]),
         )
         feats = assemble_features(len(prices) - 1, series, banks, kernel)
         assert abs(feats[0] - 0.7) <= 0.1
@@ -481,7 +481,7 @@ class TestCalibrateC:
 
 class TestPredictorModel:
     def make_model(self, rng, c=2.0):
-        banks = tuple(random_bank(rng, n=4, dim=w, kernel_c=c) for w in (4, 6, 8))
+        banks = tuple(random_bank(rng, n=4, dim=w) for w in (4, 6, 8))
         return PredictorModel(
             banks=banks,
             kernel=KernelChoice("exp_similarity", c=c),
@@ -499,25 +499,41 @@ class TestPredictorModel:
         for a, b in zip(loaded.banks, model.banks):
             assert np.array_equal(a.vectors, b.vectors)
 
+    def test_old_bank_files_predict_the_same(self, rng, tmp_path):
+        """JSON banks carrying "kernel_c" 1.0 and an LSTBANK1 bank whose header
+        slot holds 3.25, as older versions wrote them, beside a model c of 4.0,
+        predict bit for bit as the same banks written in the new form."""
+        model = self.make_model(rng, c=4.0)
+        old, new = tmp_path / "old", tmp_path / "new"
+        names = ["bank_4.json", "bank_6.json", "bank_8.bin"]
+        for folder in (old, new):
+            folder.mkdir()
+            model.save_json(folder / "model.json", names)
+        for bank, name in zip(model.banks, names):
+            if name.endswith(".bin"):
+                bank.save_binary(new / name)
+                blob = bytearray((new / name).read_bytes())
+                blob[24:32] = struct.pack("<d", 3.25)  # magic, count, window_length, slot
+                (old / name).write_bytes(bytes(blob))
+            else:
+                bank.save_json(new / name)
+                (old / name).write_text(json.dumps({**bank.to_json_dict(), "kernel_c": 1.0}))
+        series = series_from_prices(
+            100 + np.cumsum(rng.normal(size=40)), imbalances=rng.uniform(-1, 1, 40)
+        )
+        loaded = PredictorModel.load_json(old / "model.json")
+        assert loaded.kernel.c == 4.0
+        ts, got = loaded.dp_stream(series)
+        want_ts, want = PredictorModel.load_json(new / "model.json").dp_stream(series)
+        assert ts.tobytes() == want_ts.tobytes()
+        assert got.tobytes() == want.tobytes() == model.dp_stream(series)[1].tobytes()
+
     def test_requires_one_weight_per_bank(self, rng):
         banks = (random_bank(rng, n=3, dim=4),)
         with pytest.raises(ValueError, match="1 banks need 3 combiner weights"):
             PredictorModel(banks=banks, kernel=GAUSSIAN, weights=CombinerWeights((0, 0, 0, 0, 0)))
         with pytest.raises(ValueError, match="at least one bank"):
             PredictorModel(banks=(), kernel=GAUSSIAN, weights=CombinerWeights((0, 0, 0)))
-
-    def test_kernel_c_must_be_shared(self, rng):
-        banks = (
-            random_bank(rng, n=3, dim=4, kernel_c=1.0),
-            random_bank(rng, n=3, dim=6, kernel_c=2.0),
-            random_bank(rng, n=3, dim=8, kernel_c=1.0),
-        )
-        with pytest.raises(ValueError, match="shared"):
-            PredictorModel(
-                banks=banks,
-                kernel=KernelChoice("exp_similarity", c=1.0),
-                weights=CombinerWeights((0, 0, 0, 0, 0)),
-            )
 
     def test_dp_stream_matches_manual_affine(self, rng):
         model = self.make_model(rng)
@@ -532,7 +548,7 @@ class TestPredictorModel:
     @pytest.mark.parametrize("windows", [(4,), (4, 6), (4, 6, 8), (4, 6, 8, 10)])
     def test_any_bank_count_round_trips(self, rng, tmp_path, windows):
         n = len(windows)
-        banks = tuple(random_bank(rng, n=4, dim=w, kernel_c=2.0) for w in windows)
+        banks = tuple(random_bank(rng, n=4, dim=w) for w in windows)
         model = PredictorModel(
             banks=banks,
             kernel=KernelChoice("exp_similarity", c=2.0),

@@ -466,18 +466,20 @@ def test_plain_reader_matches_csv_path(text, block_rows, form):
 
 
 def test_plain_file_never_reaches_the_csv_path(monkeypatch):
-    """Plain rows with blank levels mid-line and at the line end, and \\r\\n ends,
-    are read without csv.reader."""
+    """Plain rows with blank levels mid-line and at the line end, and \\r\\n or
+    lone \\r ends, are read without csv.reader."""
     header, rows, _ = make_csv(13, 2 * BLOCK_ROWS + 5, max_depth=4)
-    text = "\r\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\r\n"
     assert any(row[-1] == "" for row in rows) and any("" in row[2:-1] for row in rows)
-    want = parse_outcome(text, "lines")
+    texts = ["\r\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\r\n"]
+    texts.append(texts[0].replace("\r\n", "\r"))
+    wants = [parse_outcome(text, "lines") for text in texts]
+    assert wants[0] == wants[1]
 
     def no_csv_path(*args):
         raise AssertionError("a plain block fell back to csv.reader")
 
     monkeypatch.setattr(market_data, "_convert", no_csv_path)
-    assert parse_outcome(text, "lines") == want
+    assert [parse_outcome(text, "lines") for text in texts] == wants
 
 
 def test_parse_ticks_peak_memory(tmp_path):

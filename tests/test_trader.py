@@ -22,7 +22,6 @@ def make_model(rng, windows=(3, 5, 8), weights=(0.0, 1.0, 1.0, 1.0, 0.0), c=2.0)
                 vectors=vectors,
                 labels=rng.normal(size=4),
                 populations=np.ones(4, dtype=np.int64),
-                kernel_c=c,
             )
         )
     return PredictorModel(
