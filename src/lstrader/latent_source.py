@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .market_data import DEFAULT_INTERVAL, PriceSeries
+from .market_data import DEFAULT_INTERVAL, MAX_BUCKETS, PriceSeries
 from .pattern_bank import read_json, require_fields
 
 MIX_TOLERANCE = 1e-12
@@ -212,12 +212,21 @@ def generate_price_series(
     for test introspection.
 
     The imbalance channel is ``tanh(imbalance_gain * next_increment)``:
-    zero gain produces a neutral (all-zero) channel.
+    zero gain produces a neutral (all-zero) channel. A non-finite duration,
+    or one of more than MAX_BUCKETS buckets, is refused before anything is
+    allocated.
     """
     if not interval > 0:
         raise ValueError("interval must be > 0")
+    if not np.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration!r}")
+    steps = duration // interval
+    if steps + 1 > MAX_BUCKETS:
+        raise ValueError(
+            f"duration {duration!r} s needs more than {MAX_BUCKETS} buckets of {interval!r} s"
+        )
     pattern_len = spec.dim
-    num_buckets = int(duration // interval) + 1
+    num_buckets = int(steps) + 1
     num_increments = num_buckets - 1
     if num_increments < pattern_len:
         raise ValueError(

@@ -115,6 +115,10 @@ def normalize(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0 or x.max() == x.min():
         return np.zeros_like(x)
+    peak = max(abs(x.max()), abs(x.min()))
+    if not 2.0**-400 <= peak <= 2.0**400:
+        # an exact power-of-two rescale, so the variance neither under- nor overflows
+        x = np.ldexp(x, -np.frexp(peak)[1])
     deviations = x - x.mean()
     deviations -= deviations.mean()  # kill the residual of an inexact mean
     variance = (deviations @ deviations) / x.size
@@ -641,9 +645,12 @@ def build_banks(
 ) -> tuple[PatternBank, ...]:
     """Build one bank per window length from a historical series.
 
-    For small inputs k is clamped to half the window count (at least 1) and
-    m to the effective k, so short series still yield usable banks.
+    k and m must be at least 1. For small inputs k is clamped to half the
+    window count (at least 1) and m to the effective k, so short series
+    still yield usable banks.
     """
+    if k < 1 or m < 1:
+        raise ValueError(f"k and m must be >= 1, got k={k}, m={m}")
     window_lengths = tuple(int(w) for w in window_lengths)
     if any(b <= a for a, b in zip(window_lengths, window_lengths[1:])):
         raise ValueError("window lengths must be strictly increasing")

@@ -83,8 +83,8 @@ class KernelChoice:
     def __post_init__(self) -> None:
         if self.variant not in _KERNEL_VARIANTS:
             raise ValueError(f"unknown kernel variant: {self.variant!r}")
-        if self.variant == KERNEL_EXP_SIMILARITY and not self.c > 0:
-            raise ValueError("exp_similarity requires c > 0")
+        if self.variant == KERNEL_EXP_SIMILARITY and not (np.isfinite(self.c) and self.c > 0):
+            raise ValueError("exp_similarity requires a finite c > 0")
 
 
 def _similarity(queries: np.ndarray, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
@@ -382,8 +382,8 @@ def calibrate_c(
     grid = sorted({float(c) for c in grid})
     if not grid:
         raise ValueError("c grid is empty")
-    if grid[0] <= 0:
-        raise ValueError("c grid values must be > 0")
+    if not all(np.isfinite(c) and c > 0 for c in grid):
+        raise ValueError("c grid values must be finite and > 0")
     ts = fit_points(fit_series, banks)
     if ts.size < MIN_FIT_SAMPLES:
         raise ValueError(

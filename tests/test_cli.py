@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from lstrader.cli import RunConfig, main
+from lstrader import latent_source
+from lstrader.cli import build_parser, main
 from lstrader.latent_source import demo_spec
 from lstrader.market_data import PriceSeries
 from lstrader.regression import PredictorModel
@@ -53,7 +54,41 @@ def fit_small_model(spec_path, tmp_path):
     return series_csv, fit_dir
 
 
+SERIES_DEFAULTS = dict(duration=259200.0, interval=10.0, start_price=500.0, imbalance_gain=0.0)
+MINING_DEFAULTS = dict(windows=(180, 360, 720), k=100, m=20, stride=1, max_iters=100, bank_format="json")
+
+# (required flags, every resulting attribute) per subcommand, defaults as literals
+PARSED_DEFAULTS = {
+    "gen": (["--spec", "s.json", "--out", "o.csv"], dict(
+        spec="s.json", out="o.csv", seed=None, placements=None, **SERIES_DEFAULTS)),
+    "ingest": (["--ticks", "t.csv", "--out", "o.csv"], dict(
+        ticks="t.csv", out="o.csv", interval=10.0)),
+    "build-banks": (["--series", "s.csv", "--out-dir", "b"], dict(
+        series="s.csv", out_dir="b", seed=0, **MINING_DEFAULTS)),
+    "fit": (["--series", "s.csv", "--banks-dir", "b", "--out-dir", "f"], dict(
+        series="s.csv", banks_dir="b", out_dir="f", c_grid=(0.5, 1.0, 2.0, 4.0, 8.0))),
+    "backtest": (["--series", "s.csv", "--model", "m.json", "--threshold", "0.2", "--out-dir", "r"],
+                 dict(series="s.csv", model="m.json", threshold=0.2, out_dir="r", sharpe_variant="sqrt")),
+    "sweep": (["--series", "s.csv", "--model", "m.json", "--thresholds", "0.1,0.2", "--out", "w.csv"],
+              dict(series="s.csv", model="m.json", thresholds=(0.1, 0.2), out="w.csv",
+                   sharpe_variant="sqrt")),
+    "report": (["--series", "s.csv", "--model", "m.json", "--out-dir", "r"], dict(
+        series="s.csv", model="m.json", out_dir="r", thresholds=None, sharpe_variant="sqrt")),
+    "pipeline": (["--spec", "s.json", "--out", "run"], dict(
+        spec="s.json", ticks=None, out="run", c_grid=(0.5, 1.0, 2.0, 4.0, 8.0), thresholds=None,
+        sharpe_variant="sqrt", split=(1 / 3, 1 / 3, 1 / 3), seed=0,
+        **SERIES_DEFAULTS, **MINING_DEFAULTS)),
+}
+
+
 class TestArgHandling:
+    @pytest.mark.parametrize("command", list(PARSED_DEFAULTS))
+    def test_parsed_defaults(self, command):
+        required, expected = PARSED_DEFAULTS[command]
+        parsed = vars(build_parser().parse_args([command, *required]))
+        assert parsed.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+        assert parsed == {"command": command, **expected}
+
     def test_unknown_subcommand_nonzero(self, capsys):
         assert run_cli("frobnicate") != 0
 
@@ -91,6 +126,29 @@ class TestGen:
         ) == 0
         data = json.loads(placements.read_text())
         assert all({"start", "source", "length"} <= set(p) for p in data)
+
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_gen_refuses_non_finite_duration(self, spec_path, tmp_path, capsys, duration):
+        out = tmp_path / "series.csv"
+        assert run_cli("gen", "--spec", spec_path, "--out", out, "--duration", duration) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration must be finite")
+        assert not out.exists()
+
+    def test_gen_refuses_more_than_max_buckets_before_allocating(
+        self, spec_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("generate_price_series allocated the series")
+
+        monkeypatch.setattr(latent_source, "MAX_BUCKETS", 100)
+        monkeypatch.setattr(latent_source.np, "empty", no_allocation)
+        out = tmp_path / "series.csv"
+        assert run_cli("gen", "--spec", spec_path, "--out", out, "--duration", 7200) == 1
+        assert capsys.readouterr().err == (
+            "error: duration 7200.0 s needs more than 100 buckets of 10.0 s\n"
+        )
+        assert not out.exists()
 
 
 class TestBadInputFiles:
@@ -540,13 +598,60 @@ class TestPipeline:
         assert len(calls) == 2
         assert "feature windows cross a period boundary" in capsys.readouterr().err
 
-    def test_run_config_validation(self):
-        with pytest.raises(ValueError, match="split"):
-            RunConfig(spec_path="x.json", split=(0.5, 0.5, 0.5))
-        with pytest.raises(ValueError, match="exactly one"):
-            RunConfig()
-        with pytest.raises(ValueError, match="exactly one"):
-            RunConfig(spec_path="a", ticks_path="b")
+    def test_split_and_source_validation(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(*small_pipeline_args(spec_path, out, extra=("--split", "0.5,0.5,0.5"))) == 1
+        assert "error: split fractions sum to 1.5" in capsys.readouterr().err
+        # argparse's required, mutually exclusive source group: usage error, exit 2
+        assert run_cli("pipeline", "--out", out) == 2
+        assert run_cli("pipeline", "--spec", spec_path, "--ticks", "t.csv", "--out", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "split, message",
+        [("nan,0.5,0.5", "split needs three positive fractions"),
+         ("0.5,inf,0.5", "split fractions sum to inf, expected 1"),
+         ("0.001,0.001,0.998", "series of 721 buckets cannot be split into three periods")],
+        ids=["nan", "inf", "short_series"],
+    )
+    def test_bad_split_fails_before_anything_is_written(
+        self, spec_path, tmp_path, capsys, split, message
+    ):
+        out = tmp_path / "run"
+        args = small_pipeline_args(spec_path, out, extra=("--split", split))
+        args[args.index("--duration") + 1] = "7200"
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--k", "0"), "k and m must be >= 1, got k=0, m=4"),
+         (("--k", "-3"), "k and m must be >= 1, got k=-3, m=4"),
+         (("--m", "0"), "k and m must be >= 1, got k=12, m=0"),
+         (("--c-grid", "1,inf"), "c grid values must be finite and > 0"),
+         (("--c-grid", "nan"), "c grid values must be finite and > 0")],
+        ids=["k_0", "k_negative", "m_0", "c_grid_inf", "c_grid_nan"],
+    )
+    def test_bad_mining_or_grid_flag_fails_with_diagnostic(
+        self, spec_path, tmp_path, capsys, flags, message
+    ):
+        # the last --k or --m given wins over the small run's own
+        assert run_cli(*small_pipeline_args(spec_path, tmp_path / "run", extra=flags)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_pipeline_stdout_lines(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(*small_pipeline_args(spec_path, out)) == 0
+        periods = json.loads((out / "periods.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        train, fit, ev = (tuple(periods[name]) for name in ("train", "fit", "eval"))
+        assert capsys.readouterr().out.splitlines() == [
+            f"periods: train={train} fit={fit} eval={ev}",
+            f"calibrated c={summary['kernel_c']}, weights ridge_fallback={summary['used_ridge']}",
+            f"eval: threshold={summary['threshold']} profit={summary['total_profit']} "
+            f"trades={summary['num_trades']} sharpe={summary['sharpe']}",
+        ]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_pipeline_from_ticks_rejects_non_finite(self, tmp_path, capsys, bad):

@@ -245,6 +245,19 @@ class TestGeneratePriceSeries:
             covered += p.length
         assert covered == len(result.series) - 1
 
+    @pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            generate_price_series(demo_spec(), duration=duration, seed=0)
+
+    def test_more_than_max_buckets_rejected(self, monkeypatch):
+        from lstrader import latent_source
+
+        monkeypatch.setattr(latent_source, "MAX_BUCKETS", 100)
+        with pytest.raises(ValueError, match="needs more than 100 buckets of 10.0 s"):
+            generate_price_series(demo_spec(), duration=1000.0, seed=0)
+        assert len(generate_price_series(demo_spec(), duration=990.0, seed=0).series) == 100
+
     def test_duration_shorter_than_pattern_rejected(self):
         spec = demo_spec(pattern_len=60)
         with pytest.raises(ValueError, match="shorter"):

@@ -40,6 +40,18 @@ class TestNormalize:
     def test_constant_maps_to_zero(self):
         assert not normalize([5.0, 5.0, 5.0]).any()
 
+    @pytest.mark.parametrize(
+        "scale", [2.0**-600, 2.0**-1000, 2.0**600], ids=["2^-600", "2^-1000", "2^600"]
+    )
+    def test_tiny_and_huge_vectors_normalize_bit_for_bit(self, scale):
+        """A vector whose variance would under- or overflow normalizes to the
+        same bits as the same vector at unit scale; the byte-exact bank
+        property found [0, 0, 0, 0, 1.09e-160]."""
+        x = np.array([0.0, 1.0, -2.5, 3.0, 0.75])
+        assert normalize(x * scale).tobytes() == normalize(x).tobytes()
+        out = normalize([0.0, 0.0, 0.0, 0.0, 1.0931460866485707e-160])
+        assert abs(np.sqrt((out**2).mean()) - 1.0) < 1e-12
+
     @given(vectors, st.floats(min_value=0.01, max_value=100), st.floats(min_value=-50, max_value=50))
     def test_positive_affine_invariance(self, values, alpha, beta):
         x = np.array(values)
@@ -476,6 +488,11 @@ class TestBuildBanks:
         series = self.synthetic_series(181)  # 30 minutes only
         with pytest.raises(ValueError, match="at least"):
             build_banks(series)
+
+    @pytest.mark.parametrize("k, m", [(0, 20), (-3, 20), (10, 0)])
+    def test_k_and_m_below_one_rejected(self, k, m):
+        with pytest.raises(ValueError, match=f"k and m must be >= 1, got k={k}, m={m}"):
+            build_banks(self.synthetic_series(900), window_lengths=(30,), k=k, m=m)
 
     def test_boundary_series_clamps_to_single_pattern(self):
         series = self.synthetic_series(721)  # exactly 120 minutes + 1 bucket

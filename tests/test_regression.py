@@ -478,6 +478,19 @@ class TestCalibrateC:
         with pytest.raises(ValueError):
             calibrate_c([], planted_series_for_calibration(rng), self.make_banks(rng))
 
+    @pytest.mark.parametrize(
+        "grid", [[1.0, np.inf], [np.nan], [0.0, 1.0], [-2.0]], ids=["inf", "nan", "zero", "negative"]
+    )
+    def test_non_finite_or_non_positive_grid_rejected(self, rng, grid):
+        with pytest.raises(ValueError, match="c grid values must be finite and > 0"):
+            calibrate_c(grid, planted_series_for_calibration(rng), self.make_banks(rng))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
+def test_exp_similarity_needs_finite_positive_c(c):
+    with pytest.raises(ValueError, match="requires a finite c > 0"):
+        KernelChoice("exp_similarity", c=c)
+
 
 class TestPredictorModel:
     def make_model(self, rng, c=2.0):
@@ -580,8 +593,9 @@ class TestPredictorModel:
             (lambda d: d.update(kernel="exp_similarity"), "needs a dict 'kernel'"),
             (lambda d: d["kernel"].pop("c"), r"bad model kernel \(KeyError: 'c'\)"),
             (lambda d: d["kernel"].update(c=None), "bad model kernel"),
+            (lambda d: d["kernel"].update(c=float("inf")), "bad model kernel.*finite c > 0"),
         ],
-        ids=["no_kernel", "no_weights", "no_banks", "kernel_not_dict", "no_c", "c_null"],
+        ids=["no_kernel", "no_weights", "no_banks", "kernel_not_dict", "no_c", "c_null", "c_inf"],
     )
     def test_load_rejects_malformed_model_naming_file(self, rng, tmp_path, edit, message):
         model = self.make_model(rng)
