@@ -19,7 +19,9 @@ strictly increasing list of window lengths, one bank per length.
 The parsed command line is the pipeline's only config. A flag that a staged
 command shares with the pipeline is declared once, in a parent parser, and
 the pipeline generates, ingests and builds banks through the same helper as
-gen, ingest and build-banks. A bad --split fails before anything is written.
+gen, ingest and build-banks. A bad --split, mining flag (--windows, --k,
+--m, --stride, --max-iters) or --c-grid fails before anything is written; a
+list flag with no value fails as argparse's usage error naming the flag.
 
 Each bank is written once, by build-banks or by the pipeline (into the run
 directory's banks/), as JSON or, with --bank-format binary, LSTBANK1. The
@@ -45,6 +47,7 @@ from .pattern_bank import (
     DEFAULT_WINDOW_LENGTHS,
     PatternBank,
     build_banks,
+    check_mining,
 )
 from .regression import (
     DEFAULT_C_GRID,
@@ -52,6 +55,7 @@ from .regression import (
     KernelChoice,
     PredictorModel,
     calibrate_c,
+    check_c_grid,
     fit_points,
 )
 
@@ -59,12 +63,19 @@ SPLIT_TOLERANCE = 1e-9
 AUTO_THRESHOLD_QUANTILES = (0.5, 0.7, 0.8, 0.9, 0.95, 0.99)
 
 
+def _listed(values: tuple, text: str) -> tuple:
+    """values, unless the comma-separated text held none: argparse then names the flag."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    return values
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+    return _listed(tuple(float(tok) for tok in text.split(",") if tok.strip() != ""), text)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    return _listed(tuple(int(tok) for tok in text.split(",") if tok.strip() != ""), text)
 
 
 def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
@@ -252,6 +263,8 @@ def cmd_pipeline(args) -> int:
         raise ValueError("split needs three positive fractions")
     if not abs(sum(split) - 1.0) <= SPLIT_TOLERANCE:
         raise ValueError(f"split fractions sum to {sum(split)!r}, expected 1")
+    check_mining(args.windows, args.k, args.m, args.stride, args.max_iters)
+    check_c_grid(args.c_grid)
     seed_seq = np.random.SeedSequence(args.seed)
     gen_seed, bank_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
 

@@ -24,9 +24,17 @@ and every value finite; a fault raises ValueError naming the line.
 ``PriceSeries`` serializes to CSV as ``bucket_time,price,imbalance`` with
 ``write_float_rows`` (repr() per value, csv.writer's ``\\r\\n`` line ends),
 which the report's float CSVs share; ``from_csv`` reads it back bit for bit.
-Both readers take BLOCK_ROWS lines at a time: np.loadtxt parses a plain block
+Both readers take a block of lines at a time: np.loadtxt parses a plain block
 (see ``_plain_block``) in one call; from the first other block on, csv.reader
 and float() read on, so accepted values and fault messages stay the same.
+
+Memory is bounded by one block, whatever the file length. A block is
+BLOCK_ROWS lines, or fewer once its text reaches BLOCK_CHARS: a series block
+(about 60 bytes a line) is 4096 lines, a 60-level tick block about 1000
+lines, 2 MB of text and 2 MB of floats. ``parse_ticks`` takes the book
+columns as slices (views, not copies), reduces each block to three owned
+columns (timestamp, price, imbalance) and lets the block go before the next
+is read, so only those columns grow with the file.
 """
 
 from __future__ import annotations
@@ -45,7 +53,9 @@ import numpy as np
 MAX_BOOK_DEPTH = 60
 DEFAULT_INTERVAL = 10.0
 MAX_BUCKETS = 10**8  # about 32 years at 10 s; bounds what an absurd timestamp gap can allocate
-BLOCK_ROWS = 4096  # rows per bulk float conversion; bounds the tokens held at once
+BLOCK_ROWS = 4096  # most rows per bulk float conversion
+BLOCK_CHARS = 2**21  # a block takes no more lines once they hold this much text (about 2 MB)
+_READ_LINES = 64  # lines of a block's first read, which sizes the next
 WRITE_ROWS = 512  # rows per joined write: 4096 left ~2 MiB of freed floats and strings resident
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
@@ -226,7 +236,8 @@ def _split_extended_header(header: list[str]) -> tuple[int, int]:
 
 def _layout(cols: tuple[str, ...]):
     """(optional, sides) of a header: per column whether a blank token means an
-    absent level, and per book side (side, price columns, volume columns).
+    absent level, and per book side (side, price columns, volume columns), the
+    columns as slices, so that selecting them from a block makes no copy.
 
     The basic form is a one-level book per side priced at the trade price.
     """
@@ -234,12 +245,15 @@ def _layout(cols: tuple[str, ...]):
         raise ValueError("line 1: missing tick CSV header (must start with timestamp,price)")
     if len(cols) > 2 and cols[2] != "bid_vol_total":
         n_bid, n_ask = _split_extended_header(list(cols))
-        bid, ask = 2 + 2 * np.arange(n_bid), 2 + 2 * n_bid + 2 * np.arange(n_ask)
-        return np.arange(len(cols)) >= 2, (("bid", bid, bid + 1), ("ask", ask, ask + 1))
+        ask = 2 + 2 * n_bid
+        return np.arange(len(cols)) >= 2, (
+            ("bid", slice(2, ask, 2), slice(3, ask, 2)),
+            ("ask", slice(ask, len(cols), 2), slice(ask + 1, len(cols), 2)),
+        )
     if cols != _BASIC_HEADER:
         raise ValueError(f"line 1: expected header {','.join(_BASIC_HEADER)}")
-    price, bid, ask = np.array([1]), np.array([2]), np.array([3])
-    return np.zeros(4, dtype=bool), (("bid", price, bid), ("ask", price, ask))
+    price = slice(1, 2)
+    return np.zeros(4, dtype=bool), (("bid", price, slice(2, 3)), ("ask", price, slice(3, 4)))
 
 
 def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarray, where: str):
@@ -325,17 +339,19 @@ def _reduce_block(values, blank, lines, rows, names, sides, previous_ts: float):
         i = faulty.argmax()
         describe = next(describe for mask, describe in checks if mask[i])
         raise ValueError(f"line {lines[i]}: {describe(i)}")
-    return ts, price, imbalance(bid, ask)
+    return ts.copy(), price.copy(), imbalance(bid, ask)  # owned: the block's values can go
 
 
 def _row_blocks(reader, width: int, where: str, skip_blank: bool, line_num: int):
-    """(rows, line numbers) blocks of up to BLOCK_ROWS ``width``-token rows
-    of a csv reader of the lines after ``line_num``, skipping empty rows and,
-    with skip_blank, all-whitespace rows. A row of another width or a csv
-    error raises ValueError naming its line after ``where``, once the rows
-    before it are yielded: an earlier fault is reported first."""
+    """(rows, line numbers) blocks of up to BLOCK_ROWS ``width``-token rows,
+    ending early once their tokens hold BLOCK_CHARS characters, of a csv reader
+    of the lines after ``line_num``, skipping empty rows and, with skip_blank,
+    all-whitespace rows. A row of another width or a csv error raises
+    ValueError naming its line after ``where``, once the rows before it are
+    yielded: an earlier fault is reported first."""
     rows: list[list[str]] = []
     lines: list[int] = []
+    chars = 0
     fault = None
     try:
         for row in reader:
@@ -346,10 +362,12 @@ def _row_blocks(reader, width: int, where: str, skip_blank: bool, line_num: int)
                 break
             rows.append(row)
             lines.append(line_num + reader.line_num)
-            if len(rows) == BLOCK_ROWS:
+            chars += sum(map(len, row))
+            if len(rows) == BLOCK_ROWS or chars >= BLOCK_CHARS:
                 yield rows, lines
                 rows.clear()  # in place: the caller's name for the block lets go of it too
                 lines.clear()
+                chars = 0
     except csv.Error as exc:
         fault = str(exc)
     if rows:
@@ -381,17 +399,38 @@ def _plain_block(chunk: list[str], optional: np.ndarray):
     return values, blank
 
 
+def _line_block(fh) -> list[str]:
+    """The next BLOCK_ROWS lines of fh, or fewer once they hold about
+    BLOCK_CHARS characters; every line whole. Past the first _READ_LINES
+    lines, each read is sized by the mean line length so far, so a file of
+    short lines takes two reads a block."""
+    chunk = list(itertools.islice(fh, min(_READ_LINES, BLOCK_ROWS)))
+    chars = sum(map(len, chunk))
+    while chunk and len(chunk) < BLOCK_ROWS and chars < BLOCK_CHARS:
+        fits = -(-(BLOCK_CHARS - chars) * len(chunk) // max(chars, 1))  # lines of the mean length
+        part = list(itertools.islice(fh, min(BLOCK_ROWS - len(chunk), fits)))
+        if not part:
+            break
+        chunk += part
+        if len(chunk) < BLOCK_ROWS:  # a block full of rows needs no count
+            chars += sum(map(len, part))
+    return chunk
+
+
 def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool, line_num: int):
     """(values, blank, line numbers, rows) blocks of the lines of ``fh`` after its
-    line ``line_num``, blanks NaN: ``_plain_block``s of BLOCK_ROWS lines (rows None),
+    line ``line_num``, blanks NaN: ``_plain_block``s of ``_line_block``s (rows None),
     then, from the first other block on, csv.reader's rows by ``_row_blocks`` and
-    ``_convert``, whose fault raises once its block's earlier rows are checked."""
-    while chunk := list(itertools.islice(fh, BLOCK_ROWS)):
+    ``_convert``, whose fault raises once its block's earlier rows are checked.
+    A block is let go of before the next is read; a caller that keeps no view of
+    it holds one block at a time."""
+    while chunk := _line_block(fh):
         plain = _plain_block(chunk, optional)
         if plain is None:
             break
         n, chunk = len(chunk), None  # let the lines go before the next block is read
         yield *plain, range(line_num + 1, line_num + n + 1), None
+        del plain  # nor hold this block's values while the next is parsed
         line_num += n
     for rows, lines in _row_blocks(csv.reader(itertools.chain(chunk, fh)), len(names), where,
                                    skip_blank, line_num):
@@ -399,6 +438,7 @@ def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool,
         yield values, blank, lines, rows
         if error is not None:
             raise error
+        del values, blank
 
 
 def parse_ticks(stream) -> TickTable:
@@ -406,10 +446,10 @@ def parse_ticks(stream) -> TickTable:
 
     Accepts a text or binary file object, a str/bytes blob, or any iterable
     of lines. An empty or header-only stream yields a table of length 0.
-    Rows are converted and checked BLOCK_ROWS at a time, each block reduced
-    to its three columns before the next is read. A malformed row, a
-    non-finite value or a decreasing timestamp raises ValueError naming the
-    line.
+    Rows are converted and checked a block at a time, each block reduced
+    to three owned columns before the next is read, so the memory held grows
+    with the ticks only by those columns. A malformed row, a non-finite value
+    or a decreasing timestamp raises ValueError naming the line.
     """
     lines = _as_lines(stream)
     reader = csv.reader(lines)
@@ -422,6 +462,7 @@ def parse_ticks(stream) -> TickTable:
     for values, blank, line_nums, rows in _value_blocks(lines, names, optional, "", True, reader.line_num):
         previous_ts = float(parts[-1][0][-1]) if parts else -math.inf
         parts.append(_reduce_block(values, blank, line_nums, rows, names, sides, previous_ts))
+        del values, blank  # the loop holds no block while the next is read
     if not parts:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     return TickTable(*(np.concatenate(column) for column in zip(*parts)))

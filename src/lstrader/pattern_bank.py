@@ -128,12 +128,19 @@ def normalize(x) -> np.ndarray:
 
 
 def normalize_rows(block: np.ndarray) -> np.ndarray:
-    """Row-wise normalize; constant rows become zero rows."""
+    """Row-wise normalize; constant rows become zero rows. A row is rescaled
+    as ``normalize`` rescales a vector, so each row's variance is finite."""
     block = np.asarray(block, dtype=np.float64)
+    high, low = block.max(axis=1), block.min(axis=1)
+    constant = high == low
+    peak = np.maximum(np.abs(high), np.abs(low))
+    wild = ~((peak >= 2.0**-400) & (peak <= 2.0**400))
+    if wild.any():
+        block = block.copy()
+        block[wild] = np.ldexp(block[wild], -np.frexp(peak[wild])[1][:, None])
     deviations = block - block.mean(axis=1, keepdims=True)
     deviations -= deviations.mean(axis=1, keepdims=True)
     variance = np.einsum("ij,ij->i", deviations, deviations) / block.shape[1]
-    constant = block.max(axis=1) == block.min(axis=1)
     scale = np.sqrt(variance, out=np.zeros_like(variance), where=variance > 0)
     usable = (scale > 0) & ~constant
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -280,14 +287,21 @@ def _nearest_two(
     nearest = np.empty(rows.size, dtype=np.intp)
     best = np.empty(rows.size)
     second = np.full(rows.size, np.inf)
+    every_row = rows.size == points.shape[0]  # rows are distinct and ascending, so 0..n-1
     for start, block in _blocks(rows):
-        d2 = sq_norms[block, None] + sq_centroids[None, :] - 2.0 * (points[block] @ centroids.T)
-        np.clip(d2, 0.0, None, out=d2)
         out = slice(start, start + block.size)
+        take = out if every_row else block  # a slice is a view, not a gathered copy
+        cross = points[take] @ centroids.T
+        cross *= 2.0
+        d2 = sq_norms[take, None] + sq_centroids[None, :]
+        d2 -= cross
+        np.clip(d2, 0.0, None, out=d2)
         nearest[out] = d2.argmin(axis=1)
-        best[out] = d2[np.arange(block.size), nearest[out]]
+        picked = (np.arange(block.size), nearest[out])
+        best[out] = d2[picked]
         if centroids.shape[0] > 1:
-            second[out] = np.partition(d2, 1, axis=1)[:, 1]
+            d2[picked] = np.inf
+            second[out] = d2.min(axis=1)
     return nearest, best, second
 
 
@@ -634,6 +648,27 @@ class PatternBank:
         return cls.load_json(path)
 
 
+def check_mining(window_lengths, k: int, m: int, stride: int, max_iters: int) -> tuple[int, ...]:
+    """The window lengths as ints, once they and the other ``build_banks``
+    settings are valid: at least one length, each >= 1 and strictly
+    increasing, and k, m, stride and max_iters each >= 1. Otherwise raises
+    ValueError naming what is wrong, before any series is needed."""
+    if k < 1 or m < 1:
+        raise ValueError(f"k and m must be >= 1, got k={k}, m={m}")
+    window_lengths = tuple(int(w) for w in window_lengths)
+    if not window_lengths:
+        raise ValueError("need at least one window length")
+    if any(b <= a for a, b in zip(window_lengths, window_lengths[1:])):
+        raise ValueError("window lengths must be strictly increasing")
+    if window_lengths[0] < 1:
+        raise ValueError(f"window lengths must be >= 1, got {window_lengths[0]}")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    return window_lengths
+
+
 def build_banks(
     series: PriceSeries,
     window_lengths: Sequence[int] = DEFAULT_WINDOW_LENGTHS,
@@ -645,16 +680,12 @@ def build_banks(
 ) -> tuple[PatternBank, ...]:
     """Build one bank per window length from a historical series.
 
-    k and m must be at least 1. For small inputs k is clamped to half the
-    window count (at least 1) and m to the effective k, so short series
-    still yield usable banks.
+    The settings must pass ``check_mining``. For small inputs k is clamped
+    to half the window count (at least 1) and m to the effective k, so short
+    series still yield usable banks.
     """
-    if k < 1 or m < 1:
-        raise ValueError(f"k and m must be >= 1, got k={k}, m={m}")
-    window_lengths = tuple(int(w) for w in window_lengths)
-    if any(b <= a for a, b in zip(window_lengths, window_lengths[1:])):
-        raise ValueError("window lengths must be strictly increasing")
-    longest = max(window_lengths)
+    window_lengths = check_mining(window_lengths, k, m, stride, max_iters)
+    longest = window_lengths[-1]
     if len(series) < longest + 1:
         raise ValueError(
             f"series has {len(series)} buckets, need at least {longest + 1} "
@@ -670,6 +701,7 @@ def build_banks(
         clusters = kmeans(
             windows.normalized, windows.labels, k_eff, seed=cluster_seed, max_iters=max_iters
         )
+        del windows  # free this length's windows before the next length's are made
         selected = select_effective(clusters, m_eff)
         banks.append(PatternBank.from_patterns(window, selected))
     return tuple(banks)

@@ -367,6 +367,17 @@ def fit_points(series: PriceSeries, banks: Sequence[PatternBank]) -> np.ndarray:
     return np.arange(first, last + 1)
 
 
+def check_c_grid(grid: Sequence[float]) -> list[float]:
+    """The distinct values of a c grid in ascending order; ValueError unless
+    there is at least one and each is finite and > 0."""
+    grid = sorted({float(c) for c in grid})
+    if not grid:
+        raise ValueError("c grid is empty")
+    if not all(np.isfinite(c) and c > 0 for c in grid):
+        raise ValueError("c grid values must be finite and > 0")
+    return grid
+
+
 def calibrate_c(
     grid: Sequence[float],
     fit_series: PriceSeries,
@@ -379,11 +390,7 @@ def calibrate_c(
     to the smaller c. Similarity scores do not depend on c, so the sweep
     costs one pass of window scoring plus a softmax and a small OLS per c.
     """
-    grid = sorted({float(c) for c in grid})
-    if not grid:
-        raise ValueError("c grid is empty")
-    if not all(np.isfinite(c) and c > 0 for c in grid):
-        raise ValueError("c grid values must be finite and > 0")
+    grid = check_c_grid(grid)
     ts = fit_points(fit_series, banks)
     if ts.size < MIN_FIT_SAMPLES:
         raise ValueError(

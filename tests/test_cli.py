@@ -630,15 +630,29 @@ class TestPipeline:
          (("--k", "-3"), "k and m must be >= 1, got k=-3, m=4"),
          (("--m", "0"), "k and m must be >= 1, got k=12, m=0"),
          (("--c-grid", "1,inf"), "c grid values must be finite and > 0"),
-         (("--c-grid", "nan"), "c grid values must be finite and > 0")],
-        ids=["k_0", "k_negative", "m_0", "c_grid_inf", "c_grid_nan"],
+         (("--c-grid", "nan"), "c grid values must be finite and > 0"),
+         (("--windows", "0,60"), "window lengths must be >= 1, got 0"),
+         (("--windows", "60,30"), "window lengths must be strictly increasing"),
+         (("--stride", "0"), "stride must be >= 1"),
+         (("--max-iters", "0"), "max_iters must be >= 1")],
+        ids=["k_0", "k_negative", "m_0", "c_grid_inf", "c_grid_nan", "windows_0",
+             "windows_decreasing", "stride_0", "max_iters_0"],
     )
     def test_bad_mining_or_grid_flag_fails_with_diagnostic(
         self, spec_path, tmp_path, capsys, flags, message
     ):
-        # the last --k or --m given wins over the small run's own
-        assert run_cli(*small_pipeline_args(spec_path, tmp_path / "run", extra=flags)) == 1
+        # the last flag given wins over the small run's own
+        out = tmp_path / "run"
+        assert run_cli(*small_pipeline_args(spec_path, out, extra=flags)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--windows", "--c-grid", "--thresholds", "--split"])
+    def test_empty_list_flag_is_a_usage_error_naming_it(self, spec_path, tmp_path, capsys, flag):
+        out = tmp_path / "run"
+        assert run_cli(*small_pipeline_args(spec_path, out, extra=(flag, ","))) == 2
+        assert f"error: argument {flag}: expected at least one value, got ','" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pipeline_stdout_lines(self, spec_path, tmp_path, capsys):
         out = tmp_path / "run"

@@ -232,6 +232,19 @@ def series_texts(draw):
 @example('bucket_time,price,imbalance\n0.0,"1.5",2.0\n"10.0","1,5",2.0\n', BLOCK_ROWS)
 @example("bucket_time,price,imbalance\n0.0,1.0,2.0\n10.0,1.0,2.0", BLOCK_ROWS)  # no final newline
 def test_block_reader_matches_per_row_reader(tmp_path_factory, text, block_rows):
+    assert_reads_as_oracle(tmp_path_factory, text, BLOCK_ROWS=block_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_texts(), st.sampled_from([1, 40, 100, 250]), st.sampled_from([1, 3]))
+def test_text_bounded_blocks_match_per_row_reader(tmp_path_factory, text, block_chars, first_read):
+    """Blocks cut short by BLOCK_CHARS, down to one line each, read as whole ones."""
+    assert_reads_as_oracle(tmp_path_factory, text, BLOCK_CHARS=block_chars, _READ_LINES=first_read)
+
+
+def assert_reads_as_oracle(tmp_path_factory, text, **constants):
+    """PriceSeries.from_csv of text, with the given market_data constants, gives
+    the oracle's values bit for bit or its message."""
     path = tmp_path_factory.mktemp("series") / "s.csv"
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -239,7 +252,8 @@ def test_block_reader_matches_per_row_reader(tmp_path_factory, text, block_rows)
     except ValueError as exc:
         expected = str(exc)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(market_data, "BLOCK_ROWS", block_rows)
+        for name, value in constants.items():
+            patch.setattr(market_data, name, value)
         try:
             series = PriceSeries.from_csv(path)
         except ValueError as exc:

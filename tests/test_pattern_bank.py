@@ -16,6 +16,7 @@ from lstrader.pattern_bank import (
     extract_windows,
     kmeans,
     normalize,
+    normalize_rows,
     select_effective,
 )
 
@@ -51,6 +52,17 @@ class TestNormalize:
         assert normalize(x * scale).tobytes() == normalize(x).tobytes()
         out = normalize([0.0, 0.0, 0.0, 0.0, 1.0931460866485707e-160])
         assert abs(np.sqrt((out**2).mean()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**-600, 2.0**-1000, 2.0**600], ids=["2^-600", "2^-1000", "2^600"]
+    )
+    def test_tiny_and_huge_rows_normalize_as_vectors_do(self, scale):
+        """normalize_rows rescales a row as normalize rescales a vector: the
+        same bits as at unit scale, and the same values as normalize."""
+        rows = np.array([[0.0, 1.0, -2.5, 3.0, 0.75], [4.0, 4.0, 4.0, 4.0, 4.0], [0.0] * 5])
+        assert normalize_rows(rows * scale).tobytes() == normalize_rows(rows).tobytes()
+        block = np.vstack([rows * scale, [[0.0, 0.0, 0.0, 0.0, 1.0931460866485707e-160]]])
+        np.testing.assert_allclose(normalize_rows(block), normalized_rows(block), rtol=0, atol=1e-12)
 
     @given(vectors, st.floats(min_value=0.01, max_value=100), st.floats(min_value=-50, max_value=50))
     def test_positive_affine_invariance(self, values, alpha, beta):
@@ -493,6 +505,10 @@ class TestBuildBanks:
     def test_k_and_m_below_one_rejected(self, k, m):
         with pytest.raises(ValueError, match=f"k and m must be >= 1, got k={k}, m={m}"):
             build_banks(self.synthetic_series(900), window_lengths=(30,), k=k, m=m)
+
+    def test_no_window_length_rejected(self):
+        with pytest.raises(ValueError, match="need at least one window length"):
+            build_banks(self.synthetic_series(900), window_lengths=())
 
     def test_boundary_series_clamps_to_single_pattern(self):
         series = self.synthetic_series(721)  # exactly 120 minutes + 1 bucket

@@ -465,6 +465,18 @@ def test_plain_reader_matches_csv_path(text, block_rows, form):
     assert got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(tick_texts(), st.sampled_from([1, 100, 250, 600]), st.sampled_from([1, 3]))
+def test_text_bounded_blocks_read_the_same(text, block_chars, first_read):
+    """Blocks cut short by BLOCK_CHARS, down to one line each, give the same
+    columns or the same message as blocks of BLOCK_ROWS lines."""
+    want = parse_outcome(text, "lines")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market_data, "BLOCK_CHARS", block_chars)
+        patch.setattr(market_data, "_READ_LINES", first_read)
+        assert parse_outcome(text, "lines") == want
+
+
 def test_plain_file_never_reaches_the_csv_path(monkeypatch):
     """Plain rows with blank levels mid-line and at the line end, and \\r\\n or
     lone \\r ends, are read without csv.reader."""
@@ -482,12 +494,11 @@ def test_plain_file_never_reaches_the_csv_path(monkeypatch):
     assert [parse_outcome(text, "lines") for text in texts] == wants
 
 
-def test_parse_ticks_peak_memory(tmp_path):
-    """9,000 ticks of 60 levels a side (about 22 MB of text): the blocks, not the
-    file, bound what is held at once. A joined block text or a token list per
-    block shows as a higher peak."""
+def write_wide_ticks(path, n, levels, quoted=False):
+    """n ticks of ``levels`` levels a side, every tenth with its last five ask
+    levels blank; quoted puts every timestamp in quotes, which sends the file
+    down the csv.reader path from its first block."""
     rng = np.random.default_rng(5)
-    n, levels = 9000, 60
     price = np.round(500.0 + np.cumsum(rng.normal(0.0, 0.25, n)), 2)
     steps = 0.01 * np.arange(1, levels + 1)
     table = np.empty((n, 2 + 4 * levels))
@@ -499,12 +510,18 @@ def test_parse_ticks_peak_memory(tmp_path):
     table[:, 3 + 2 * levels :: 2] = np.round(rng.exponential(2.0, (n, levels)), 8)
     header = ["timestamp", "price"] + [f"{side}_{k}_{i}" for side in ("bid", "ask")
                                        for i in range(1, levels + 1) for k in ("price", "vol")]
-    path = tmp_path / "ticks.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i, row in enumerate(table.tolist()):
             line = ",".join(map(repr, row))
+            if quoted:
+                line = '"' + line.replace(",", '",', 1)
             fh.write((line.rsplit(",", 10)[0] + "," * 10 if i % 10 == 0 else line) + "\n")
+    return path
+
+
+def parse_peak(path):
+    """(ticks, tracemalloc peak in bytes) of parse_ticks on the file at path."""
     with open(path, newline="", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
@@ -512,5 +529,32 @@ def test_parse_ticks_peak_memory(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return ticks, peak
+
+
+def test_parse_ticks_peak_memory(tmp_path):
+    """9,000 ticks of 60 levels a side (about 22 MB of text): the blocks, not the
+    file, bound what is held at once. A joined block text or a token list per
+    block shows as a higher peak."""
+    n = 9000
+    ticks, peak = parse_peak(write_wide_ticks(tmp_path / "ticks.csv", n, levels=60))
     assert len(ticks) == n
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv_path"])
+def test_parse_ticks_memory_does_not_grow_with_file_length(tmp_path, quoted):
+    """Three times the ticks raise the peak by less than the longer file's three
+    output columns and 1 MiB: a block is let go of once it is reduced, so
+    neither its values nor a view of them stays behind. At 60 levels a side,
+    1500 ticks are one and a half blocks (about 3 MB of text)."""
+    n = 1500
+    peaks = []
+    for rows in (n, 3 * n):
+        ticks, peak = parse_peak(write_wide_ticks(tmp_path / f"{rows}.csv", rows, 60, quoted))
+        assert len(ticks) == rows
+        peaks.append(peak)
+    columns = 3 * 8 * 3 * n
+    assert peaks[1] - peaks[0] < columns + 2**20, (
+        f"peak {peaks[0] / 2**20:.2f} MiB at {n} ticks, {peaks[1] / 2**20:.2f} MiB at {3 * n}"
+    )
