@@ -20,8 +20,9 @@ The parsed command line is the pipeline's only config. A flag that a staged
 command shares with the pipeline is declared once, in a parent parser, and
 the pipeline generates, ingests and builds banks through the same helper as
 gen, ingest and build-banks. A bad --split, mining flag (--windows, --k,
---m, --stride, --max-iters) or --c-grid fails before anything is written; a
-list flag with no value fails as argparse's usage error naming the flag.
+--m, --stride, --max-iters) or --c-grid, or a period too short for the
+longest window, fails before anything is written; a list flag with no value
+fails as argparse's usage error naming the flag.
 
 Each bank is written once, by build-banks or by the pipeline (into the run
 directory's banks/), as JSON or, with --bank-format binary, LSTBANK1. The
@@ -52,11 +53,11 @@ from .pattern_bank import (
 from .regression import (
     DEFAULT_C_GRID,
     KERNEL_EXP_SIMILARITY,
+    MIN_FIT_SAMPLES,
     KernelChoice,
     PredictorModel,
     calibrate_c,
     check_c_grid,
-    fit_points,
 )
 
 SPLIT_TOLERANCE = 1e-9
@@ -275,6 +276,15 @@ def cmd_pipeline(args) -> int:
     bounds = {"train": (0, n1), "fit": (n1, n1 + n2), "eval": (n1 + n2, n)}
     if not (0 < n1 < n1 + n2 < n):
         raise ValueError(f"series of {n} buckets cannot be split into three periods")
+    # windows end inside their period: a bank needs one labeled window of the
+    # longest length, calibration MIN_FIT_SAMPLES points, evaluation one point
+    longest = max(args.windows)
+    for name, need in (("train", longest + 1), ("fit", longest + 1 + MIN_FIT_SAMPLES),
+                       ("eval", longest + 2)):
+        lo, hi = bounds[name]
+        if hi - lo < need:
+            raise ValueError(f"{name} period has {hi - lo} buckets, need at least {need} "
+                             f"for windows of length {longest}")
     os.makedirs(out, exist_ok=True)
     series.to_csv(os.path.join(out, "series.csv"))
     with open(os.path.join(out, "periods.json"), "w", encoding="utf-8") as fh:
@@ -295,21 +305,6 @@ def cmd_pipeline(args) -> int:
     refs = [os.path.join("banks", name) for name in names]
     model, model_path, calibration = _fit_model(fit_series, banks, refs, args.c_grid, out)
     print(f"calibrated c={calibration.c}, weights ridge_fallback={model.weights.used_ridge}")
-
-    # strict three-way split: every feature window must sit inside its period
-    longest = max(args.windows)
-    fit_ts_global = fit_points(fit_series, model.banks) + bounds["fit"][0]
-    eval_ts_global = fit_points(eval_series, model.banks) + bounds["eval"][0]
-    if (
-        fit_ts_global.min() - longest + 1 < bounds["fit"][0]
-        or fit_ts_global.max() >= bounds["eval"][0]
-        or eval_ts_global.min() - longest + 1 < bounds["eval"][0]
-    ):
-        raise ValueError(
-            f"feature windows cross a period boundary: fit points "
-            f"[{fit_ts_global.min()}, {fit_ts_global.max()}], eval points from "
-            f"{eval_ts_global.min()}, longest window {longest}, periods {bounds}"
-        )
 
     report = _evaluate(model, eval_series, args, out, extra_summary={"seed": args.seed})
     print(

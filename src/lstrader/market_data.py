@@ -1,40 +1,14 @@
 """Tick-stream parsing and coarsening onto a uniform time grid.
 
-Raw exchange observations arrive as irregularly spaced ticks, each carrying
-a trade price and an order-book snapshot. Everything downstream runs on a
-gapless fixed-interval grid, so this module parses the tick CSV into a
-columnar ``TickTable`` (timestamp, price and order-book imbalance per tick)
-and maps ticks onto interval buckets. Each tick lands in the closest
-*future* grid point, the last tick inside a bucket wins, and empty buckets
-carry the previous bucket's values forward.
-
-Tick CSV schema (header row required, UTF-8, ``.`` decimal separator):
-
-* basic:    ``timestamp,price,bid_vol_total,ask_vol_total``
-* extended: ``timestamp,price,bid_price_1,bid_vol_1,...,ask_price_1,ask_vol_1,...``
-  with up to 60 levels per side; a level with a blank price and a blank
-  volume is absent (at any depth), a level with only one of them blank is
-  an error.
-
-Imbalance is (v_bid - v_ask) / (v_bid + v_ask) over all present levels, 0
-for an empty book. Prices must be > 0, volumes >= 0, timestamps
-non-decreasing, present bid (ask) prices strictly descending (ascending),
-and every value finite; a fault raises ValueError naming the line.
-
-``PriceSeries`` serializes to CSV as ``bucket_time,price,imbalance`` with
-``write_float_rows`` (repr() per value, csv.writer's ``\\r\\n`` line ends),
-which the report's float CSVs share; ``from_csv`` reads it back bit for bit.
-Both readers take a block of lines at a time: np.loadtxt parses a plain block
-(see ``_plain_block``) in one call; from the first other block on, csv.reader
-and float() read on, so accepted values and fault messages stay the same.
-
-Memory is bounded by one block, whatever the file length. A block is
-BLOCK_ROWS lines, or fewer once its text reaches BLOCK_CHARS: a series block
-(about 60 bytes a line) is 4096 lines, a 60-level tick block about 1000
-lines, 2 MB of text and 2 MB of floats. ``parse_ticks`` takes the book
-columns as slices (views, not copies), reduces each block to three owned
-columns (timestamp, price, imbalance) and lets the block go before the next
-is read, so only those columns grow with the file.
+Raw ticks (a trade price and an order-book snapshot each) are parsed into a
+columnar ``TickTable`` and mapped onto a gapless fixed-interval grid, a
+``PriceSeries``, which is written and read back bit for bit as CSV. The
+tick and series CSV formats, the checks a tick must pass, the grid mapping
+and the memory bound are set out once, in README.md ("How it works", step
+1, and "File formats"). Both readers take a block of lines at a time
+(``_value_blocks``): np.loadtxt parses a plain block (``_plain_block``) in
+one call; from the first other block on, csv.reader and float() read on,
+so accepted values and fault messages stay the same.
 """
 
 from __future__ import annotations
@@ -175,13 +149,18 @@ class PriceSeries:
 
 
 def write_float_rows(fh, columns, header: Iterable[str] = (), lead: str = "") -> None:
-    """CSV rows of equal-length float columns (1-D, or 2-D for several), each led by ``lead``:
-    csv.writer's bytes for repr(float(x)) cells, joined from WRITE_ROWS-row ``.tolist()``s."""
+    """CSV rows of equal-length float64 columns (1-D, or 2-D for several), each led by
+    ``lead``: csv.writer's bytes for repr(float(x)) cells, joined WRITE_ROWS rows at a
+    time. A block calls repr once per distinct bit pattern, not per cell; bits, not
+    float equality, tell values apart, so -0.0 and 0.0 keep their own cells."""
     if header:
         fh.write(",".join(header) + "\r\n")
     for start in range(0, len(columns[0]), WRITE_ROWS):
-        block = np.column_stack([c[start : start + WRITE_ROWS] for c in columns]).tolist()
-        fh.write("".join(f"{lead}{','.join(map(repr, row))}\r\n" for row in block))
+        block = np.column_stack([c[start : start + WRITE_ROWS] for c in columns])
+        bits, cell = np.unique(block.view(np.uint64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        rows = text[cell.reshape(block.shape)].tolist()
+        fh.write("".join(f"{lead}{','.join(row)}\r\n" for row in rows))
 
 
 def imbalance(bid_total, ask_total) -> np.ndarray:
@@ -417,13 +396,29 @@ def _line_block(fh) -> list[str]:
     return chunk
 
 
+def _capped_lines(fh, width: int) -> Iterator[str]:
+    """The lines of a text stream, each read with a cap: the longest line a row of
+    ``width`` fields within csv's field limit can take (every character a doubled
+    quote). A line that reaches it ends the stream as one field over the limit,
+    which csv.reader refuses at that line, so no line is held whole."""
+    limit = csv.field_size_limit()
+    cap = width * (2 * limit + 3) + 2
+    while line := fh.readline(cap):
+        if len(line) >= cap:
+            yield "x" * (limit + 1)
+            return
+        yield line
+
+
 def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool, line_num: int):
     """(values, blank, line numbers, rows) blocks of the lines of ``fh`` after its
     line ``line_num``, blanks NaN: ``_plain_block``s of ``_line_block``s (rows None),
     then, from the first other block on, csv.reader's rows by ``_row_blocks`` and
     ``_convert``, whose fault raises once its block's earlier rows are checked.
     A block is let go of before the next is read; a caller that keeps no view of
-    it holds one block at a time."""
+    it holds one block at a time. A file stream's lines are ``_capped_lines``."""
+    if hasattr(fh, "readline"):
+        fh = _capped_lines(fh, len(names))
     while chunk := _line_block(fh):
         plain = _plain_block(chunk, optional)
         if plain is None:

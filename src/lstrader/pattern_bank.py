@@ -31,22 +31,15 @@ every point-to-centroid distance in every iteration, with less work:
 - the objective is sum ||x||^2 - 2 sum_j s_j.c_j + sum_j n_j ||c_j||^2 over
   the cluster sums s_j and sizes n_j, so it needs no pass over the points.
 
-Scoring rows: ``anchored_rows`` is the row rule of the similarity score
-(see ``regression``). Each row is taken relative to its own last value, so a
-constant row is exactly zero; rows whose sum of squares lies outside
-[2^-400, 2^400] are rescaled by the power of two that brings their largest
-|difference| into [0.5, 1), an exact operation. A bank computes its own
-rows once (``PatternBank.anchored``); query rows are passed in blocks of
-512 by the scorer.
+Scoring rows: ``anchored_rows`` and ``anchored_moments`` are the row rule
+of the similarity score (see ``regression``, which anchors one block of
+query rows for every bank). A bank computes its own rows once
+(``PatternBank.anchored``). ``row_blocks`` serves both modules' blocked
+loops.
 
-Bank serialization: a JSON form (window_length and one
-{vector, label, population} record per pattern) and a compact binary form
-for large banks (little-endian, length-prefixed 64-bit floats), read and
-written as whole numpy record arrays. A bank holds no kernel constant: the
-model's c is the only one. The binary header keeps a reserved f64 slot
-(written 1.0, ignored on read), and a JSON key "kernel_c" in an older file
-is ignored. A malformed file, or one with a missing or mistyped field,
-raises ValueError naming the file.
+Bank serialization (JSON, and a binary form read and written as whole numpy
+record arrays) is set out in README.md ("File formats"). A malformed file,
+or one with a missing or mistyped field, raises ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -151,31 +144,35 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
 
 def anchored_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row rule of the similarity score: each row taken relative to its
-    own last value, with the mean and the mean square about the mean of
-    those differences.
+    own last value, d = rows - rows[:, -1:], then ``anchored_moments`` of d."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return anchored_moments(block - block[:, -1:])
 
-    Returns (d, mean, msq): d = rows - rows[:, -1:], mean = sum(d) / M and
+
+def anchored_moments(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, mean, msq) of anchored rows d: mean = sum(d) / M and
     msq = max(sum(d^2) - sum(d) * mean, 0) / M. A constant row is exactly
-    zero. Rows whose sum(d^2) lies outside [2^-400, 2^400] are first
-    multiplied by the power of two that brings their largest |d| into
-    [0.5, 1), which is exact; so the product of two mean squares neither
-    under- nor overflows.
+    zero. Rows whose sum(d^2) lies outside [2^-400, 2^400] are multiplied by
+    the power of two that brings their largest |d| into [0.5, 1), which is
+    exact, so the product of two mean squares neither under- nor overflows.
+    Such rows are rescaled in a copy: d itself is never written, so it may be
+    a view of a block that other callers share.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        d = block - block[:, -1:]
         s2 = np.einsum("ij,ij->i", d, d)
         wild = ~((s2 >= 2.0**-400) & (s2 <= 2.0**400))  # NaN and inf included
         if wild.any():
             rows = d[wild]
             _, exponent = np.frexp(np.abs(rows).max(axis=1))
             rows = np.ldexp(rows, -exponent[:, None])
+            d = d.copy()
             d[wild] = rows
             s2[wild] = np.einsum("ij,ij->i", rows, rows)
             if not np.isfinite(s2).all():
                 raise ValueError(
                     "rows must be finite, with finite differences from their last value"
                 )
-    m = block.shape[1]
+    m = d.shape[1]
     s1 = d.sum(axis=1)
     mean = s1 / m
     msq = np.maximum(s2 - s1 * mean, 0.0) / m
@@ -266,9 +263,11 @@ def _kmeanspp_init(
     return centers
 
 
-def _blocks(rows: np.ndarray):
-    for start in range(0, rows.size, _BLOCK_ROWS):
-        yield start, rows[start : start + _BLOCK_ROWS]
+def row_blocks(rows: np.ndarray, size: int):
+    """(slice, rows[slice]) over the leading axis of an array, size rows at a time."""
+    for lo in range(0, len(rows), size):
+        out = slice(lo, lo + size)
+        yield out, rows[out]
 
 
 def _nearest_two(
@@ -288,8 +287,7 @@ def _nearest_two(
     best = np.empty(rows.size)
     second = np.full(rows.size, np.inf)
     every_row = rows.size == points.shape[0]  # rows are distinct and ascending, so 0..n-1
-    for start, block in _blocks(rows):
-        out = slice(start, start + block.size)
+    for out, block in row_blocks(rows, _BLOCK_ROWS):
         take = out if every_row else block  # a slice is a view, not a gathered copy
         cross = points[take] @ centroids.T
         cross *= 2.0
@@ -407,10 +405,10 @@ def kmeans(
         set_bounds(rows, best, second)
         changed = nearest != assignments[rows]
         moved, to_cluster = rows[changed], nearest[changed]
-        for start, block in _blocks(moved):
+        for out, block in row_blocks(moved, _BLOCK_ROWS):
             delta = np.zeros((k, block.size))
             cols = np.arange(block.size)
-            delta[to_cluster[start : start + block.size], cols] = 1.0
+            delta[to_cluster[out], cols] = 1.0
             delta[assignments[block], cols] = -1.0
             sums += delta @ points[block]
         assignments[moved] = to_cluster

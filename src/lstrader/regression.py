@@ -30,15 +30,15 @@ bit. A magnitude guard rescales, by an exact power of two, rows whose
 sum(d^2) lies outside [2^-400, 2^400], so finite inputs of any magnitude
 neither overflow nor underflow; ``similarity`` is the 1x1 call.
 
-Query rows are scored in blocks of SCORE_BLOCK_ROWS = 512: ``feature_block``
-and ``calibrate_c`` take the trailing windows of a series a block at a time
-(a view of the prices for consecutive points, a gathered block for
-scattered ones), so no call allocates memory proportional to the number of
-points times M. ``_kernel_weights`` turns a block of query rows into
-normalized weights against one bank. Everything that predicts goes through
-it: ``feature_block`` and, as one-row calls, ``kernel_weights``,
-``predict_label``, ``empirical_conditional``, ``classify_binary`` and
-``assemble_features``.
+Prediction points are scored SCORE_BLOCK_ROWS = 512 at a time, one
+anchored block per point block: ``_score_blocks`` takes the windows of the
+longest bank's length, anchors them once, d = windows - windows[:, -1:],
+and each bank scores its suffix d[:, longest - M:], bit for bit the d of
+its own windows (a wild row is rescaled in a copy; gaussian_l2 normalizes
+the suffix of the windows). A block goes before the next is made, so
+memory does not grow with the number of points. ``feature_block`` and
+``calibrate_c`` share that loop; ``kernel_weights`` and the one-row calls
+built on it score through the same ``_scores``.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -58,7 +58,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .market_data import PriceSeries
-from .pattern_bank import PatternBank, anchored_rows, normalize_rows, read_json, require_fields
+from .pattern_bank import (PatternBank, anchored_moments, anchored_rows, normalize_rows,
+                           read_json, require_fields, row_blocks)
 
 KERNEL_GAUSSIAN_L2 = "gaussian_l2"
 KERNEL_EXP_SIMILARITY = "exp_similarity"
@@ -86,13 +87,18 @@ class KernelChoice:
         if self.variant == KERNEL_EXP_SIMILARITY and not (np.isfinite(self.c) and self.c > 0):
             raise ValueError("exp_similarity requires a finite c > 0")
 
+    @property
+    def scale(self) -> float:
+        """The factor on the log-kernel scores: c for exp_similarity, 1 for gaussian_l2."""
+        return self.c if self.variant == KERNEL_EXP_SIMILARITY else 1.0
 
-def _similarity(queries: np.ndarray, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """s of one block of query rows against pattern rows given as their
-    anchored_rows, written into out if given."""
+
+def _similarity(rows: tuple, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """s of one block of query rows against pattern rows, both given as their
+    anchored_moments, written into out if given."""
     dv, mean_v, msq_v = rows_v
-    d, mean, msq = anchored_rows(queries)
-    m = queries.shape[1]
+    d, mean, msq = rows
+    m = d.shape[1]
     scores = np.matmul(d, dv.T, out=out)
     cross = mean[:, None] * mean_v
     cross *= m
@@ -106,12 +112,6 @@ def _similarity(queries: np.ndarray, rows_v: tuple, out: np.ndarray | None = Non
     np.divide(scores, denom, out=scores, where=denom > 0)
     np.minimum(scores, 1.0, out=scores)
     return np.maximum(scores, -1.0, out=scores)
-
-
-def _row_blocks(rows: np.ndarray):
-    """(slice, block) over the rows of an array, SCORE_BLOCK_ROWS at a time."""
-    for lo in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
-        yield slice(lo, lo + SCORE_BLOCK_ROWS), rows[lo : lo + SCORE_BLOCK_ROWS]
 
 
 def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -128,8 +128,8 @@ def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         raise ValueError("similarity needs vectors of length >= 2")
     rows_v = anchored_rows(vectors)
     scores = np.empty((queries.shape[0], vectors.shape[0]))
-    for out, block in _row_blocks(queries):
-        _similarity(block, rows_v, out=scores[out])
+    for out, block in row_blocks(queries, SCORE_BLOCK_ROWS):
+        _similarity(anchored_rows(block), rows_v, out=scores[out])
     return scores
 
 
@@ -155,7 +155,7 @@ def _scores(queries: np.ndarray, bank: PatternBank, variant: str) -> np.ndarray:
             f"queries have length {queries.shape[1]}, bank expects {bank.window_length}"
         )
     if variant == KERNEL_EXP_SIMILARITY:
-        return _similarity(queries, bank.anchored)
+        return _similarity(anchored_rows(queries), bank.anchored)
     sq_q = np.einsum("ij,ij->i", queries, queries)
     sq_v = np.einsum("ij,ij->i", bank.vectors, bank.vectors)
     d2 = sq_q[:, None] + sq_v[None, :] - 2.0 * (queries @ bank.vectors.T)
@@ -172,18 +172,12 @@ def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:
     return w
 
 
-def _kernel_weights(queries: np.ndarray, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
-    """The scorer: normalized kernel weights (n, K) of query rows against a bank."""
-    scale = kernel.c if kernel.variant == KERNEL_EXP_SIMILARITY else 1.0
-    return _softmax(_scores(queries, bank, kernel.variant), scale)
-
-
 def kernel_weights(x, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
     """Normalized kernel weight per bank pattern (non-negative, sums to 1)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (bank.window_length,):
         raise ValueError(f"query has shape {x.shape}, bank expects ({bank.window_length},)")
-    return _kernel_weights(x[None, :], bank, kernel)[0]
+    return _softmax(_scores(x[None, :], bank, kernel.variant), kernel.scale)[0]
 
 
 def predict_label(x, bank: PatternBank, kernel: KernelChoice) -> float:
@@ -226,7 +220,7 @@ def _window_blocks(series: PriceSeries, m: int, ts: np.ndarray):
     consecutive points (every caller in the pipeline) is a view of the
     prices; scattered points are gathered one block at a time."""
     prices = series.prices
-    for out, starts in _row_blocks(ts - m + 1):
+    for out, starts in row_blocks(ts - m + 1, SCORE_BLOCK_ROWS):
         lo = starts[0]
         if starts.size == 1:
             yield out, prices[lo : lo + m][None, :]
@@ -234,6 +228,25 @@ def _window_blocks(series: PriceSeries, m: int, ts: np.ndarray):
             yield out, sliding_window_view(prices[lo : lo + starts.size + m - 1], m)
         else:
             yield out, sliding_window_view(prices, m)[starts]
+
+
+def _score_blocks(series: PriceSeries, banks: Sequence[PatternBank], variant: str, ts: np.ndarray):
+    """(slice, bank index, ``_scores``) of the prediction points ts, SCORE_BLOCK_ROWS
+    points at a time, each bank scoring its trailing suffix of one block of
+    windows of the longest length. For exp_similarity the block is anchored
+    once: the suffix of d = windows - windows[:, -1:] is a bank's own d."""
+    longest = history_required(banks)
+    for out, windows in _window_blocks(series, longest, ts):
+        if variant == KERNEL_EXP_SIMILARITY:
+            with np.errstate(invalid="ignore", over="ignore"):
+                windows = windows - windows[:, -1:]
+        for j, bank in enumerate(banks):
+            suffix = windows[:, longest - bank.window_length :]
+            if variant == KERNEL_GAUSSIAN_L2:
+                yield out, j, _scores(normalize_rows(suffix), bank, variant)
+            else:
+                yield out, j, _similarity(anchored_moments(suffix), bank.anchored)
+        del windows, suffix  # a block goes before the next is made
 
 
 def feature_block(
@@ -261,11 +274,8 @@ def feature_block(
             f"[{needed}, {len(series) - 1}], got [{ts.min()}, {ts.max()}]"
         )
     features = np.empty((ts.size, len(banks) + 1))
-    for j, bank in enumerate(banks):
-        for out, windows in _window_blocks(series, bank.window_length, ts):
-            if kernel.variant == KERNEL_GAUSSIAN_L2:
-                windows = normalize_rows(windows)
-            features[out, j] = _kernel_weights(windows, bank, kernel) @ bank.labels
+    for out, j, scores in _score_blocks(series, banks, kernel.variant, ts):
+        features[out, j] = _softmax(scores, kernel.scale) @ banks[j].labels
     features[:, -1] = series.imbalances[ts]
     return features
 
@@ -398,12 +408,9 @@ def calibrate_c(
         )
     targets = fit_series.prices[ts + 1] - fit_series.prices[ts]
     imbalances = fit_series.imbalances[ts]
-    scores = []
-    for bank in banks:
-        bank_scores = np.empty((ts.size, len(bank)))
-        for out, windows in _window_blocks(fit_series, bank.window_length, ts):
-            bank_scores[out] = _scores(windows, bank, KERNEL_EXP_SIMILARITY)
-        scores.append(bank_scores)
+    scores = [np.empty((ts.size, len(bank))) for bank in banks]
+    for out, j, block in _score_blocks(fit_series, banks, KERNEL_EXP_SIMILARITY, ts):
+        scores[j][out] = block
 
     best: tuple[float, float, CombinerWeights] | None = None
     errors = []

@@ -580,23 +580,37 @@ class TestPipeline:
         assert "sharpe_sqrt" in summary
         assert "sharpe_paper_literal" in summary
 
-    def test_split_invariant_is_an_explicit_error(self, spec_path, tmp_path, monkeypatch, capsys):
-        # an explicit check, not an assert: shift the eval points before the
-        # eval period and the pipeline must refuse with a diagnostic
-        import lstrader.cli as cli
+    @staticmethod
+    def _period_split(n, train, fit):
+        """A --split whose periods of an n-bucket series hold train, fit and the
+        rest of the buckets (each fraction half a bucket above its floor)."""
+        return f"{(train + 0.5) / n!r},{(fit + 0.5) / n!r},{(n - train - fit - 1) / n!r}"
 
-        real = cli.fit_points
-        calls = []
+    @pytest.mark.parametrize(
+        "train, fit, message",
+        [(120, 1380, "train period has 120 buckets, need at least 121"),
+         (1500, 125, "fit period has 125 buckets, need at least 126"),
+         (1500, 1260, "eval period has 121 buckets, need at least 122")],
+        ids=["train", "fit", "eval"],
+    )
+    def test_short_period_fails_before_anything_is_written(
+        self, spec_path, tmp_path, capsys, train, fit, message
+    ):
+        """One bucket short of what the longest window (120) needs: a labeled
+        window to train on, MIN_FIT_SAMPLES fit points, one eval point."""
+        out = tmp_path / "run"
+        args = small_pipeline_args(spec_path, out, extra=("--split", self._period_split(2881, train, fit)))
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == f"error: {message} for windows of length 120\n"
+        assert not out.exists()
 
-        def shifted(series, banks):
-            calls.append(len(series))
-            ts = real(series, banks)
-            return ts - 200 if len(calls) == 2 else ts
-
-        monkeypatch.setattr(cli, "fit_points", shifted)
-        assert run_cli(*small_pipeline_args(spec_path, tmp_path / "run")) == 1
-        assert len(calls) == 2
-        assert "feature windows cross a period boundary" in capsys.readouterr().err
+    def test_shortest_periods_run_through(self, spec_path, tmp_path, capsys):
+        """Periods of exactly the buckets the check asks for are enough to run."""
+        out = tmp_path / "run"
+        args = small_pipeline_args(spec_path, out, extra=("--split", self._period_split(369, 121, 126)))
+        args[args.index("--duration") + 1] = "3680"
+        assert run_cli(*args) == 0
+        assert "periods: train=(0, 121) fit=(121, 247) eval=(247, 369)" in capsys.readouterr().out
 
     def test_split_and_source_validation(self, spec_path, tmp_path, capsys):
         out = tmp_path / "run"

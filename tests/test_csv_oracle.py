@@ -8,6 +8,7 @@ both sides of a block boundary.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -115,6 +116,52 @@ def test_report_csvs_match_csv_writer(tmp_path, rng, n, with_series):
         assert fh.read() == (tmp_path / "curve.csv").read_bytes()
     with open(paths["cluster_centers"], "rb") as fh:
         assert fh.read() == (tmp_path / "centers.csv").read_bytes()
+
+
+# values whose repr is awkward, or that are equal as floats but not as bits
+BIT_POOL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.nan, -np.nan,
+                     np.inf, -np.inf, 1.0, 0.1 + 0.2, 1e22, -1.5e300])
+
+
+def row_wise_rows(columns, header, lead):
+    """The row-wise writer write_float_rows replaced: one csv.writer row per
+    row, the lead's cells first, then repr(float(x)) per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(header)
+    lead_cells = lead.split(",")[:-1]
+    for row in np.column_stack(columns).tolist():
+        writer.writerow(lead_cells + [repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+@given(
+    rows=st.integers(1, 2 * WRITE_ROWS + 2),
+    width=st.integers(1, 4),
+    lead=st.sampled_from(["", "180,"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=WRITE_ROWS + 1, width=1, lead="", seed=0)
+@example(rows=2 * WRITE_ROWS, width=3, lead="180,", seed=1)
+@settings(max_examples=60, deadline=None)
+def test_write_float_rows_bytes_equal_row_wise_writer(rows, width, lead, seed):
+    """Bit-pattern dedupe per block gives the row-wise bytes: -0.0 beside 0.0
+    in one block, subnormals, nan of either sign, and values repeated on both
+    sides of each WRITE_ROWS boundary; a 2-D column after a 1-D one with a lead."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=1e3, size=(rows, width))
+    awkward = rng.random((rows, width)) < 0.5
+    values[awkward] = BIT_POOL[rng.integers(len(BIT_POOL), size=awkward.sum())]
+    flat = values.reshape(-1)
+    flat[:2] = (-0.0, 0.0)[: flat.size]
+    after = np.arange(WRITE_ROWS, rows, WRITE_ROWS)  # the first row of each later block
+    values[after] = values[after - 1]
+    columns = (values[:, 0], values[:, 1:]) if width > 1 else (values[:, 0],)
+    header = ("a", "b") if width > 1 else ()
+    buf = io.StringIO()
+    market_data.write_float_rows(buf, columns, header, lead=lead)
+    assert buf.getvalue() == row_wise_rows(columns, header, lead)
 
 
 class TestSeriesReaderFaults:

@@ -1,4 +1,6 @@
+import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +178,66 @@ _FUZZ_HEADERS = [
     "timestamp,price,bid_price_1,bid_vol_1,bid_price_2,bid_vol_2,ask_price_1,ask_vol_1",
     "timestamp,price,ask_price_1,ask_vol_1",
 ]
+
+
+def _read_peak(read, path, mode):
+    """(result or ValueError message, tracemalloc peak in bytes) of read on the file at path."""
+    with open(path, mode, **({} if "b" in mode else {"newline": "", "encoding": "utf-8"})) as fh:
+        tracemalloc.start()
+        try:
+            result = read(fh)
+        except ValueError as exc:
+            result = str(exc)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    return result, peak
+
+
+class TestOverLongLine:
+    """A line longer than any row of fields within csv's field limit is refused
+    without being held whole: the 8 MiB token below used to be read into one
+    string (and a second for csv's field) before csv refused it."""
+
+    TOKEN = "1" * (8 * 2**20)
+
+    @pytest.mark.parametrize("mode", ["r", "rb"])
+    def test_tick_line_refused_within_a_bounded_peak(self, tmp_path, mode):
+        path = tmp_path / "ticks.csv"
+        path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n2,{self.TOKEN},1,1\n3,100,1,1\n")
+        message, peak = _read_peak(parse_ticks, path, mode)
+        assert message == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_series_line_refused_within_a_bounded_peak(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,{self.TOKEN},0.0\n")
+        message, peak = _read_peak(lambda fh: PriceSeries.from_csv(path), path, "r")
+        assert message == f"{path} line 3: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_earlier_fault_still_reported_first(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,0,1,1\n2,{self.TOKEN},1,1\n")
+        message, _ = _read_peak(parse_ticks, path, "r")
+        assert message == "line 2: tick price must be > 0, got 0.0"
+
+    def test_fields_at_the_limit_still_parse(self, tmp_path):
+        """Four fields of exactly the limit (whitespace-padded numbers), quoted,
+        make the longest plain row; it reads as it did before the cap."""
+        limit = csv.field_size_limit()
+        cells = [f'"{tok.rjust(limit)}"' for tok in ("1", "100", "3", "1")]
+        path = tmp_path / "ticks.csv"
+        path.write_text("timestamp,price,bid_vol_total,ask_vol_total\n" + ",".join(cells) + "\n2,101,1,1\n")
+        ticks, _ = _read_peak(parse_ticks, path, "r")
+        assert list(ticks.prices) == [100.0, 101.0]
+        assert list(ticks.imbalances) == [0.5, 0.0]
+        # the longest line a row of four fields within the limit can take: each
+        # field is `limit` doubled quotes; csv splits it, the converter names it
+        path.write_text("timestamp,price,bid_vol_total,ask_vol_total\n"
+                        + ",".join(['"' + '""' * limit + '"'] * 4) + "\n")
+        message, _ = _read_peak(parse_ticks, path, "r")
+        assert message.startswith("line 2: non-numeric timestamp: '\"\"\"")
 
 
 class TestParseTicksFuzz:

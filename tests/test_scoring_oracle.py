@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lstrader.pattern_bank import PatternBank, normalize
+from lstrader import regression
+from lstrader.pattern_bank import PatternBank, normalize, normalize_rows
 from lstrader.regression import (
     SCORE_BLOCK_ROWS,
     KernelChoice,
@@ -161,28 +162,32 @@ def test_calibrate_c_mse_matches_long_double_reference(name, exponent):
 
 
 def test_feature_block_memory_is_bounded():
-    """Scoring 60,000 points against a 720 bank allocates a few blocks of
-    rows, not a (points, 720) array (345 MB)."""
+    """Scoring 60,000 points against banks of 180, 360 and 720 holds the
+    features (1.8 MiB) and one anchored block of 512 x 720 (2.8 MiB) with
+    its scores, about 5.6 MiB: not a (points, 720) array (345 MB), nor the
+    previous block while the next is made (2.8 MiB more)."""
     rng = np.random.default_rng(3)
     n = 60_000 + 720
     series = series_from_prices(5000 + np.cumsum(rng.normal(size=n)))
-    vectors = np.array([normalize(rng.normal(size=720)) for _ in range(20)])
-    bank = PatternBank(
-        window_length=720,
-        vectors=vectors,
-        labels=rng.normal(size=20),
-        populations=np.ones(20, dtype=np.int64),
+    banks = tuple(
+        PatternBank(
+            window_length=m,
+            vectors=np.array([normalize(rng.normal(size=m)) for _ in range(20)]),
+            labels=rng.normal(size=20),
+            populations=np.ones(20, dtype=np.int64),
+        )
+        for m in (180, 360, 720)
     )
     ts = np.arange(720, n)
     for kernel in KERNELS:
         tracemalloc.start()
         try:
-            features = feature_block(series, (bank,), kernel, ts)
+            features = feature_block(series, banks, kernel, ts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert features.shape == (ts.size, 2)
-        assert peak < 32 * 2**20, f"{kernel.variant}: peak {peak / 2**20:.1f} MiB"
+        assert features.shape == (ts.size, 4)
+        assert peak < 7 * 2**20, f"{kernel.variant}: peak {peak / 2**20:.1f} MiB"
 
 
 def spiky_rows(m):
@@ -212,3 +217,102 @@ def test_symmetric_and_block_matches_single_pairs_on_spiky_rows(blocks):
             assert batch[i, j] == pytest.approx(s, abs=1e-12)
             if q.max() == q.min() or v.max() == v.min():
                 assert s == 0.0
+
+
+def per_bank_features(series, banks, kernel, ts):
+    """The bank-major loop that block-major scoring replaced: each bank takes
+    its own windows, a block of points at a time, and anchors (inside
+    _scores) or normalizes them itself."""
+    features = np.empty((ts.size, len(banks) + 1))
+    for j, bank in enumerate(banks):
+        for out, windows in regression._window_blocks(series, bank.window_length, ts):
+            if kernel.variant == "gaussian_l2":
+                windows = normalize_rows(windows)
+            scores = regression._scores(windows, bank, kernel.variant)
+            features[out, j] = regression._softmax(scores, kernel.scale) @ bank.labels
+    features[:, -1] = series.imbalances[ts]
+    return features
+
+
+def per_bank_calibration(grid, series, banks):
+    """calibrate_c over per-bank scores: (c, weights, ridge flag, MSE table)."""
+    ts = fit_points(series, banks)
+    targets = series.prices[ts + 1] - series.prices[ts]
+    scores = []
+    for bank in banks:
+        bank_scores = np.empty((ts.size, len(bank)))
+        for out, windows in regression._window_blocks(series, bank.window_length, ts):
+            bank_scores[out] = regression._scores(windows, bank, "exp_similarity")
+        scores.append(bank_scores)
+    best, errors = None, []
+    for c in sorted(set(grid)):
+        columns = [regression._softmax(s, c) @ bank.labels for s, bank in zip(scores, banks)]
+        features = np.column_stack(columns + [series.imbalances[ts]])
+        weights = regression._fit_weights_xy(features, targets)
+        residual = weights.apply(features) - targets
+        mse = float((residual @ residual) / residual.size)
+        errors.append((c, mse))
+        if best is None or mse < best[0]:
+            best = (mse, c, weights)
+    return best[1], best[2].w, best[2].used_ridge, tuple(errors)
+
+
+def outcome(call):
+    """repr of call()'s result, or of the ValueError it raised (nan == nan here)."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def block_major_cases(draw):
+    lengths = sorted(draw(st.sets(st.integers(2, 24), min_size=1, max_size=4)))
+    points = draw(st.sampled_from(["consecutive", "scattered", "single"]))
+    return lengths, points, draw(st.integers(0, 2**32 - 1))
+
+
+@given(block_major_cases())
+@settings(max_examples=60, deadline=None)
+def test_block_major_scoring_equals_per_bank_loop_bit_for_bit(case):
+    """One anchored block of the longest windows, each bank scoring its suffix,
+    gives the per-bank loop's features and calibration bit for bit. Segments at
+    1e-70 and 1e70 make rows whose suffix for a short bank lies outside
+    [2^-400, 2^400] while a longer bank's suffix does not; such a row must be
+    rescaled in a copy, not in the block the longer banks read."""
+    lengths, points, seed = case
+    rng = np.random.default_rng(seed)
+    shortest, longest = lengths[0], lengths[-1]
+    n = longest + SCORE_BLOCK_ROWS + 40
+    prices = 100.0 + np.cumsum(rng.normal(size=n))
+    for _ in range(8):
+        start = int(rng.integers(0, n))
+        stop = min(n, start + int(rng.integers(1, longest + 1)))
+        scale = rng.choice([1e-70, 1e70, 0.0])
+        prices[start:stop] = scale * rng.normal(size=stop - start) + (0.0 if scale else prices[start])
+    # a point whose shortest window alone lies in a tiny segment
+    t = int(rng.integers(longest + shortest, n - 1))
+    prices[t - shortest + 1 : t + 1] = 1e-70 * rng.normal(size=shortest)
+    series = series_from_prices(prices, imbalances=rng.uniform(-1, 1, size=n))
+    banks = tuple(
+        PatternBank(
+            window_length=m,
+            vectors=np.array([normalize(rng.normal(size=m)) for _ in range(3)] + [np.zeros(m)]),
+            labels=rng.normal(size=4),
+            populations=np.ones(4, dtype=np.int64),
+        )
+        for m in lengths
+    )
+    if points == "consecutive":
+        ts = np.arange(longest, n - 1)
+    elif points == "scattered":  # unsorted, repeated, crossing block boundaries
+        ts = np.append(rng.integers(longest, n, size=SCORE_BLOCK_ROWS + 20), t)
+    else:
+        ts = np.array([t])
+    for kernel in (KernelChoice("exp_similarity", c=float(rng.choice(GRID))), KernelChoice("gaussian_l2")):
+        got = feature_block(series, banks, kernel, ts)
+        assert got.tobytes() == per_bank_features(series, banks, kernel, ts).tobytes(), kernel
+    want = outcome(lambda: per_bank_calibration(GRID, series, banks))
+    got = outcome(lambda: (lambda r: (r.c, r.weights.w, r.weights.used_ridge, r.errors))(
+        calibrate_c(GRID, series, banks)))
+    assert got == want
