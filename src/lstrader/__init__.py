@@ -21,7 +21,6 @@ from .latent_source import (
 )
 from .market_data import PriceSeries, TickTable, coarsen, imbalance, parse_ticks
 from .pattern_bank import (
-    BankPattern,
     ClusterSet,
     PatternBank,
     WindowSet,

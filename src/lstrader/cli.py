@@ -24,10 +24,10 @@ gen, ingest and build-banks. A bad --split, mining flag (--windows, --k,
 longest window, fails before anything is written; a list flag with no value
 fails as argparse's usage error naming the flag.
 
-Each bank is written once, by build-banks or by the pipeline (into the run
-directory's banks/), as JSON or, with --bank-format binary, LSTBANK1. The
-kernel constant c lives only in model.json, whose bank paths are relative
-to its own directory: fit refers to the files it read, so it writes no bank.
+Each bank is written once, as bank_<window>.json, by build-banks or by the
+pipeline (into the run directory's banks/). The kernel constant c lives
+only in model.json, whose bank paths are relative to its own directory: fit
+refers to the files it read, so it writes no bank.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import evaluator, trader
 from .latent_source import LatentSourceSpec, generate_price_series
-from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, parse_ticks
+from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, open_text, parse_ticks
 from .pattern_bank import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_NUM_SELECTED,
@@ -123,7 +123,7 @@ def cmd_gen(args) -> int:
 
 def _ingest(args) -> PriceSeries:
     """The --ticks file coarsened onto the --interval grid."""
-    with open(args.ticks, "r", newline="", encoding="utf-8") as fh:
+    with open_text(args.ticks, newline="") as fh:
         ticks = parse_ticks(fh)
     return coarsen(ticks, interval=args.interval)
 
@@ -137,7 +137,7 @@ def cmd_ingest(args) -> int:
 
 def _build_banks(args, series, seed, out_dir):
     """One bank per --windows length under the mining flags, each written to
-    out_dir as bank_<window>.json (or .bin, binary); (banks, file names)."""
+    out_dir as bank_<window>.json; (banks, file names)."""
     banks = build_banks(
         series,
         window_lengths=args.windows,
@@ -148,12 +148,9 @@ def _build_banks(args, series, seed, out_dir):
         max_iters=args.max_iters,
     )
     os.makedirs(out_dir, exist_ok=True)
-    binary = args.bank_format == "binary"
-    names = []
-    for bank in banks:
-        name = f"bank_{bank.window_length}.{'bin' if binary else 'json'}"
-        (bank.save_binary if binary else bank.save_json)(os.path.join(out_dir, name))
-        names.append(name)
+    names = [f"bank_{bank.window_length}.json" for bank in banks]
+    for bank, name in zip(banks, names):
+        bank.save_json(os.path.join(out_dir, name))
     return banks, names
 
 
@@ -166,12 +163,10 @@ def cmd_build_banks(args) -> int:
 
 
 def _load_banks_from_dir(bank_dir: str) -> list[tuple[PatternBank, str]]:
-    """(bank, path) of each bank_*.json / bank_*.bin file in bank_dir, shortest window first."""
-    names = sorted(
-        n for n in os.listdir(bank_dir) if n.startswith("bank_") and n.split(".")[-1] in ("json", "bin")
-    )
+    """(bank, path) of each bank_*.json file in bank_dir, shortest window first."""
+    names = sorted(n for n in os.listdir(bank_dir) if n.startswith("bank_") and n.endswith(".json"))
     if not names:
-        raise FileNotFoundError(f"no bank_*.json or bank_*.bin files in {bank_dir}")
+        raise FileNotFoundError(f"no bank_*.json files in {bank_dir}")
     paths = [os.path.join(bank_dir, n) for n in names]
     return sorted(((PatternBank.load(p), p) for p in paths), key=lambda bp: bp[0].window_length)
 
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     mining.add_argument("--m", type=int, default=DEFAULT_NUM_SELECTED)
     mining.add_argument("--stride", type=int, default=1)
     mining.add_argument("--max-iters", type=int, default=100)
-    mining.add_argument("--bank-format", choices=("json", "binary"), default="json")
     calibration = argparse.ArgumentParser(add_help=False)
     calibration.add_argument("--c-grid", type=_parse_floats, default=DEFAULT_C_GRID)
     sharpe = argparse.ArgumentParser(add_help=False)

@@ -13,6 +13,7 @@ so accepted values and fault messages stay the same.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -121,7 +122,7 @@ class PriceSeries:
     @classmethod
     def from_csv(cls, path, default_interval: float = DEFAULT_INTERVAL) -> "PriceSeries":
         """Read a series CSV (see ``_value_blocks``); a fault raises ValueError naming file and line."""
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open_text(path, newline="") as fh:
             reader = csv.reader(fh)
             header = _header(reader, f"{path} ", False)
             if header is None or tuple(h.strip() for h in header) != _SERIES_HEADER:
@@ -146,6 +147,16 @@ class PriceSeries:
         else:
             interval = default_interval
         return cls(float(times[0]), interval, prices, imbalances)
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """path opened to read UTF-8 text; a byte that is not UTF-8 raises ValueError naming it."""
+    with open(path, "r", newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_float_rows(fh, columns, header: Iterable[str] = (), lead: str = "") -> None:

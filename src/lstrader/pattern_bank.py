@@ -37,9 +37,9 @@ query rows for every bank). A bank computes its own rows once
 (``PatternBank.anchored``). ``row_blocks`` serves both modules' blocked
 loops.
 
-Bank serialization (JSON, and a binary form read and written as whole numpy
-record arrays) is set out in README.md ("File formats"). A malformed file,
-or one with a missing or mistyped field, raises ValueError naming the file.
+A bank is one ``PatternBank`` (three arrays) in memory and one JSON file on
+disk, as README.md ("File formats") sets out. A malformed file, or one with
+a missing or mistyped field, raises ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -52,30 +52,12 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .market_data import PriceSeries
+from .market_data import PriceSeries, open_text
 
 DEFAULT_WINDOW_LENGTHS = (180, 360, 720)
 DEFAULT_NUM_CLUSTERS = 100
 DEFAULT_NUM_SELECTED = 20
 EFFECTIVENESS_EPS = 1e-9
-
-_BANK_MAGIC = b"LSTBANK1"
-_BANK_HEADER = np.dtype(
-    [("magic", "S8"), ("count", "<u8"), ("window_length", "<u8"), ("reserved", "<f8")]
-)
-
-
-def _bank_record(window_length: int) -> np.dtype:
-    """One binary bank record: length prefix, vector, label, population."""
-    return np.dtype(
-        [
-            ("length", "<u8"),
-            ("vector", "<f8", (window_length,)),
-            ("label", "<f8"),
-            ("population", "<u8"),
-        ]
-    )
-
 
 # Rows per gathered block in k-means: bounds its temporaries to this many
 # rows of the point matrix, whatever the number of points.
@@ -84,14 +66,30 @@ _BLOCK_ROWS = 1024
 
 def read_json(path):
     """The parsed contents of a JSON file; malformed JSON raises ValueError
-    naming the file, line and column."""
-    with open(path, "r", encoding="utf-8") as fh:
+    naming the file, line and column, and text that is not UTF-8 naming the file."""
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
+
+
+_JSON_NUMBER = frozenset((int, float, type(None)))  # the types json.load gives a number or null
+
+
+def _json_floats(values: list, field: str) -> np.ndarray:
+    """A list of JSON numbers as float64 (null as NaN); a string, boolean or
+    other value, or an integer past float64's range, raises ValueError naming field."""
+    try:
+        if set(map(type, values)) <= _JSON_NUMBER:
+            return np.array(values, dtype=np.float64)
+    except OverflowError:
+        pass
+    kind = next((f"a {type(v).__name__}" for v in values if type(v) not in _JSON_NUMBER),
+                "an integer past float64's range")
+    raise ValueError(f"bank JSON pattern values must be numbers: {field} holds {kind}")
 
 
 def require_fields(data, fields, what: str) -> None:
@@ -436,21 +434,12 @@ def kmeans(
     )
 
 
-@dataclass(frozen=True)
-class BankPattern:
-    """A selected representative: normalized vector, label, source population."""
+def select_effective(clusters: ClusterSet, m: int) -> "PatternBank":
+    """The bank of the top-m clusters by effectiveness |mean label| / (label std + eps).
 
-    vector: np.ndarray
-    label: float
-    population: int
-
-
-def select_effective(clusters: ClusterSet, m: int) -> list[BankPattern]:
-    """Top-m clusters by effectiveness |mean label| / (label std + eps).
-
-    Ties break toward larger population, then lower cluster id. The
-    representative is the centroid re-normalized to zero mean / unit std,
-    labeled with the cluster's mean member label.
+    Ties break toward larger population, then lower cluster id. Each pattern
+    is a centroid re-normalized to zero mean / unit std, labeled with its
+    cluster's mean member label and carrying its population.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -462,15 +451,13 @@ def select_effective(clusters: ClusterSet, m: int) -> list[BankPattern]:
     order = sorted(
         range(clusters.k),
         key=lambda i: (-scores[i], -int(clusters.populations[i]), i),
+    )[:m]
+    return PatternBank(
+        window_length=clusters.centroids.shape[1],
+        vectors=np.stack([normalize(clusters.centroids[i]) for i in order]),
+        labels=clusters.member_label_mean[order],
+        populations=clusters.populations[order],
     )
-    return [
-        BankPattern(
-            vector=normalize(clusters.centroids[i]),
-            label=float(clusters.member_label_mean[i]),
-            population=int(clusters.populations[i]),
-        )
-        for i in order[:m]
-    ]
 
 
 @dataclass(frozen=True)
@@ -525,17 +512,6 @@ class PatternBank:
             arr.setflags(write=False)
         return rows
 
-    @classmethod
-    def from_patterns(cls, window_length: int, selected: Sequence[BankPattern]) -> "PatternBank":
-        if not selected:
-            raise ValueError("cannot build an empty bank")
-        return cls(
-            window_length=window_length,
-            vectors=np.stack([p.vector for p in selected]),
-            labels=np.array([p.label for p in selected]),
-            populations=np.array([p.population for p in selected], dtype=np.int64),
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "window_length": self.window_length,
@@ -551,33 +527,29 @@ class PatternBank:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PatternBank":
-        """A bank from its JSON form; a missing or mistyped field raises
-        ValueError naming it."""
+        """A bank from its JSON form, in one pass over the patterns. Vector
+        values and labels must be JSON numbers (a null reads as NaN, which
+        the bank refuses) and a population an integer in [0, 2^63); a
+        missing or mistyped field raises ValueError naming it and its pattern."""
         require_fields(data, (("patterns", list, "a list"), ("window_length", int, "an integer")),
                        "bank JSON")
         window_length = data["window_length"]
-        patterns = data["patterns"]
-        for i, pattern in enumerate(patterns):
+        vectors, labels, populations = [], [], []
+        for i, pattern in enumerate(data["patterns"]):
             for key in ("vector", "label", "population"):
                 if not isinstance(pattern, dict) or key not in pattern:
                     raise ValueError(f"bank JSON pattern {i} needs a {key!r}")
-            vector = pattern["vector"]
+            vector, population = pattern["vector"], pattern["population"]
             if not isinstance(vector, list) or len(vector) != window_length:
                 raise ValueError(
                     f"bank JSON pattern {i} needs a 'vector' of window_length {window_length} values"
                 )
-        try:
-            vectors = np.array([p["vector"] for p in patterns], dtype=np.float64)
-            labels = np.array([p["label"] for p in patterns], dtype=np.float64)
-            populations = np.array([p["population"] for p in patterns], dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bank JSON pattern values must be numbers ({exc})") from None
-        return cls(
-            window_length=window_length,
-            vectors=vectors,
-            labels=labels,
-            populations=populations,
-        )
+            if type(population) is not int or not 0 <= population < 2**63:
+                raise ValueError(f"bank JSON pattern {i} needs an integer 'population' in [0, 2^63)")
+            vectors.append(_json_floats(vector, f"pattern {i} 'vector'"))
+            labels.append(_json_floats([pattern["label"]], f"pattern {i} 'label'")[0])
+            populations.append(population)
+        return cls(window_length, vectors, labels, populations)
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -585,65 +557,14 @@ class PatternBank:
             fh.write("\n")
 
     @classmethod
-    def load_json(cls, path) -> "PatternBank":
+    def load(cls, path) -> "PatternBank":
+        """A bank from its JSON file; malformed JSON, text that is not UTF-8,
+        or a missing or mistyped field raises ValueError naming the file."""
         data = read_json(path)
         try:
             return cls.from_json_dict(data)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-
-    def save_binary(self, path) -> None:
-        header = np.array(
-            [(_BANK_MAGIC, len(self), self.window_length, 1.0)], dtype=_BANK_HEADER
-        )
-        records = np.empty(len(self), dtype=_bank_record(self.window_length))
-        records["length"] = self.window_length
-        records["vector"] = self.vectors
-        records["label"] = self.labels
-        records["population"] = self.populations
-        with open(path, "wb") as fh:
-            fh.write(header.tobytes())
-            fh.write(records.tobytes())
-
-    @classmethod
-    def load_binary(cls, path) -> "PatternBank":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[: len(_BANK_MAGIC)] != _BANK_MAGIC:
-            raise ValueError(f"{path}: not a pattern bank file")
-        if len(blob) < _BANK_HEADER.itemsize:
-            raise ValueError(f"{path}: truncated pattern bank header ({len(blob)} bytes)")
-        header = np.frombuffer(blob, dtype=_BANK_HEADER, count=1)[0]
-        count, window_length = int(header["count"]), int(header["window_length"])
-        expected = _BANK_HEADER.itemsize + count * (8 * window_length + 24)
-        if len(blob) != expected:
-            raise ValueError(
-                f"{path}: pattern bank file is {len(blob)} bytes, expected {expected} "
-                f"for {count} patterns of length {window_length} (truncated or corrupt)"
-            )
-        records = np.frombuffer(
-            blob, dtype=_bank_record(window_length), count=count, offset=_BANK_HEADER.itemsize
-        )
-        bad = np.flatnonzero(records["length"] != window_length)
-        if bad.size:
-            i = int(bad[0])
-            length = int(records["length"][i])
-            raise ValueError(f"{path}: pattern {i} length {length} != {window_length}")
-        return cls(
-            window_length=window_length,
-            vectors=records["vector"],
-            labels=records["label"],
-            populations=records["population"],
-        )
-
-    @classmethod
-    def load(cls, path) -> "PatternBank":
-        """Load a bank from either serialized form, sniffing the magic bytes."""
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_BANK_MAGIC))
-        if magic == _BANK_MAGIC:
-            return cls.load_binary(path)
-        return cls.load_json(path)
 
 
 def check_mining(window_lengths, k: int, m: int, stride: int, max_iters: int) -> tuple[int, ...]:
@@ -700,6 +621,5 @@ def build_banks(
             windows.normalized, windows.labels, k_eff, seed=cluster_seed, max_iters=max_iters
         )
         del windows  # free this length's windows before the next length's are made
-        selected = select_effective(clusters, m_eff)
-        banks.append(PatternBank.from_patterns(window, selected))
+        banks.append(select_effective(clusters, m_eff))
     return tuple(banks)

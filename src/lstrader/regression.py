@@ -15,30 +15,19 @@ where s is the mean- and scale-invariant correlation
 std being the square root of the mean squared deviation, and s = 0 when
 either vector is constant.
 
-There is one scoring rule and one scorer. ``similarity_many`` evaluates s
-for a block of query rows against a block of pattern rows. Each row is
-first taken relative to its own last value, d = x - x[-1]
-(``pattern_bank.anchored_rows``), so a constant row is exactly zero and a
-row at any price level keeps its small moves exactly; with s1 = sum(d),
-mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
+How scores are computed (each row taken relative to its own last value,
+the magnitude guard, one anchored block of SCORE_BLOCK_ROWS points for
+every bank) is set out once, in README.md ("How it works", step 3). The
+formula: on anchored rows d (``pattern_bank.anchored_rows``), with
+s1 = sum(d), mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
 
     s = (d . d_v - M mean mean_v) / (M sqrt(msq msq_v)),
 
-0 where the denominator is 0, clipped to [-1, 1]. Both sides go through the
-same row rule (a bank caches its own rows), so s(a, b) == s(b, a) bit for
-bit. A magnitude guard rescales, by an exact power of two, rows whose
-sum(d^2) lies outside [2^-400, 2^400], so finite inputs of any magnitude
-neither overflow nor underflow; ``similarity`` is the 1x1 call.
-
-Prediction points are scored SCORE_BLOCK_ROWS = 512 at a time, one
-anchored block per point block: ``_score_blocks`` takes the windows of the
-longest bank's length, anchors them once, d = windows - windows[:, -1:],
-and each bank scores its suffix d[:, longest - M:], bit for bit the d of
-its own windows (a wild row is rescaled in a copy; gaussian_l2 normalizes
-the suffix of the windows). A block goes before the next is made, so
-memory does not grow with the number of points. ``feature_block`` and
-``calibrate_c`` share that loop; ``kernel_weights`` and the one-row calls
-built on it score through the same ``_scores``.
+0 where the denominator is 0, clipped to [-1, 1]. Both sides go through
+the same row rule, so s(a, b) == s(b, a) bit for bit. ``_similarity`` is
+the one place the formula is computed (``similarity_many`` and its 1x1
+call ``similarity`` wrap it), and ``_score_blocks`` the one block loop,
+shared by ``feature_block`` and ``calibrate_c``.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -7,6 +8,7 @@ from lstrader import latent_source
 from lstrader.cli import build_parser, main
 from lstrader.latent_source import demo_spec
 from lstrader.market_data import PriceSeries
+from lstrader.pattern_bank import PatternBank
 from lstrader.regression import PredictorModel
 
 SMALL = dict(duration=28800.0, windows="30,60,120", k="12", m="4")
@@ -54,8 +56,34 @@ def fit_small_model(spec_path, tmp_path):
     return series_csv, fit_dir
 
 
+def lstbank1_bytes(bank):
+    """A bank in the LSTBANK1 binary layout older versions wrote, field by field:
+    magic, count, window length, a reserved f64, then per pattern a length
+    prefix, the vector, the label and the population, all little-endian."""
+    out = [b"LSTBANK1", struct.pack("<QQd", len(bank), bank.window_length, 1.0)]
+    for i in range(len(bank)):
+        out.append(struct.pack("<Q", bank.window_length))
+        out.append(bank.vectors[i].astype("<f8").tobytes())
+        out.append(struct.pack("<dQ", float(bank.labels[i]), int(bank.populations[i])))
+    return b"".join(out)
+
+
+def old_binary_banks(spec_path, tmp_path):
+    """fit_small_model, its banks then rewritten as LSTBANK1 .bin files that
+    model.json refers to: (series path, model dir, banks dir)."""
+    series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+    banks_dir = tmp_path / "banks"
+    for path in sorted(banks_dir.iterdir()):
+        path.with_suffix(".bin").write_bytes(lstbank1_bytes(PatternBank.load(path)))
+        path.unlink()
+    model = json.loads((fit_dir / "model.json").read_text())
+    model["banks"] = [ref.replace(".json", ".bin") for ref in model["banks"]]
+    (fit_dir / "model.json").write_text(json.dumps(model))
+    return series_csv, fit_dir, banks_dir
+
+
 SERIES_DEFAULTS = dict(duration=259200.0, interval=10.0, start_price=500.0, imbalance_gain=0.0)
-MINING_DEFAULTS = dict(windows=(180, 360, 720), k=100, m=20, stride=1, max_iters=100, bank_format="json")
+MINING_DEFAULTS = dict(windows=(180, 360, 720), k=100, m=20, stride=1, max_iters=100)
 
 # (required flags, every resulting attribute) per subcommand, defaults as literals
 PARSED_DEFAULTS = {
@@ -217,6 +245,28 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         prefix = "error: line 1: " if command == "ingest" else f"error: {bad} line 1: "
         assert err.startswith(prefix + "field larger than field limit")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("reader", ["spec", "ticks", "series", "model", "bank"])
+    def test_non_utf8_input_names_file(self, spec_path, tmp_path, capsys, reader):
+        """A byte that is not UTF-8 exits 1 with the file named, for every reader."""
+        out = tmp_path / "out"
+        if reader in ("model", "bank"):
+            series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+            bad = fit_dir / "model.json" if reader == "model" else tmp_path / "banks" / "bank_60.json"
+            args = ("report", "--series", series_csv, "--model", fit_dir / "model.json", "--out-dir", out)
+        else:
+            bad = tmp_path / f"{reader}.txt"
+            args = {
+                "spec": ("gen", "--spec", bad, "--out", out),
+                "ticks": ("ingest", "--ticks", bad, "--out", out),
+                "series": ("report", "--series", bad, "--model", tmp_path / "model.json", "--out-dir", out),
+            }[reader]
+        bad.write_bytes(b"\xff")
+        capsys.readouterr()
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad.name}: not UTF-8 text" in err
         assert "Traceback" not in err
 
 
@@ -401,45 +451,31 @@ class TestStagedCommands:
         assert err.startswith("error: ")
         assert "2 banks need weights w0..w3" in err
 
-    def test_binary_bank_format(self, spec_path, tmp_path):
-        series_csv = tmp_path / "series.csv"
-        run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
-        banks_dir = tmp_path / "banks"
-        assert run_cli(
-            "build-banks", "--series", series_csv, "--out-dir", banks_dir,
-            "--windows", "30,60,120", "--k", "8", "--m", "3", "--bank-format", "binary",
-        ) == 0
-        assert sorted(os.listdir(banks_dir)) == ["bank_120.bin", "bank_30.bin", "bank_60.bin"]
-        fit_dir = tmp_path / "fitted"
-        assert run_cli(
-            "fit", "--series", series_csv, "--banks-dir", banks_dir,
-            "--out-dir", fit_dir, "--c-grid", "1",
-        ) == 0
-        assert os.listdir(fit_dir) == ["model.json"]
-        refs = json.loads((fit_dir / "model.json").read_text())["banks"]
-        assert refs == ["../banks/bank_30.bin", "../banks/bank_60.bin", "../banks/bank_120.bin"]
-        model = PredictorModel.load_json(fit_dir / "model.json")
-        assert [bank.window_length for bank in model.banks] == [30, 60, 120]
-
-    def test_truncated_binary_bank_fails_with_diagnostic(self, spec_path, tmp_path, capsys):
-        series_csv = tmp_path / "series.csv"
-        run_cli("gen", "--spec", spec_path, "--out", series_csv, "--duration", 21600)
-        banks_dir = tmp_path / "banks"
-        assert run_cli(
-            "build-banks", "--series", series_csv, "--out-dir", banks_dir,
-            "--windows", "30,60,120", "--k", "8", "--m", "3", "--bank-format", "binary",
-        ) == 0
-        bank = banks_dir / "bank_60.bin"
-        bank.write_bytes(bank.read_bytes()[:-5])
+    def test_old_binary_bank_fails_naming_file(self, spec_path, tmp_path, capsys):
+        """A model.json that refers to an LSTBANK1 bank, a form that no longer
+        loads, exits 1 naming the file, with no traceback."""
+        series_csv, fit_dir, banks_dir = old_binary_banks(spec_path, tmp_path)
         capsys.readouterr()
         rc = run_cli(
-            "fit", "--series", series_csv, "--banks-dir", banks_dir,
-            "--out-dir", tmp_path / "fitted", "--c-grid", "1",
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--out-dir", tmp_path / "rep",
         )
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "bank_60.bin" in err
+        assert "bank_30.bin: " in err
+        assert "Traceback" not in err
+
+    def test_fit_finds_no_bank_among_old_binary_files(self, spec_path, tmp_path, capsys):
+        series_csv, _, banks_dir = old_binary_banks(spec_path, tmp_path)
+        assert sorted(os.listdir(banks_dir)) == ["bank_120.bin", "bank_30.bin", "bank_60.bin"]
+        capsys.readouterr()
+        rc = run_cli(
+            "fit", "--series", series_csv, "--banks-dir", banks_dir,
+            "--out-dir", tmp_path / "refit", "--c-grid", "1",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: missing input file: no bank_*.json files in {banks_dir}\n"
 
     def test_non_finite_series_fails_with_diagnostic(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"

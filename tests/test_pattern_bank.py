@@ -1,6 +1,5 @@
 import json
 import os
-import struct
 import tempfile
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from lstrader.latent_source import LabelDist, LatentSourceSpec, generate_labeled
 from lstrader.pattern_bank import (
-    BankPattern,
     PatternBank,
     build_banks,
     extract_windows,
@@ -219,12 +217,12 @@ class TestSelectEffective:
     def test_all_clusters_ordered_by_score(self):
         clusters = cluster_set_from_stats([1.0, 4.0, 2.0], [1.0, 1.0, 1.0], [5, 5, 5])
         selected = select_effective(clusters, m=3)
-        assert [p.label for p in selected] == [4.0, 2.0, 1.0]
+        assert selected.labels.tolist() == [4.0, 2.0, 1.0]
 
     def test_high_mean_low_std_ranks_first(self):
         clusters = cluster_set_from_stats([5.0, 0.0, 0.0], [0.1, 1.0, 1.0], [5, 5, 5])
         selected = select_effective(clusters, m=1)
-        assert selected[0].label == 5.0
+        assert selected.labels[0] == 5.0
 
     def test_planted_signal_cluster_survives_selection(self):
         rng = np.random.default_rng(4)
@@ -236,13 +234,13 @@ class TestSelectEffective:
         selected = select_effective(clusters, m=3)
         # independent recomputation of the ranking score
         scores = np.abs(means) / (stds + 1e-9)
-        assert selected[0].label == pytest.approx(means[6])
-        assert {p.label for p in selected} <= set(means[np.argsort(-scores)[:3]])
+        assert selected.labels[0] == pytest.approx(means[6])
+        assert set(selected.labels.tolist()) <= set(means[np.argsort(-scores)[:3]])
 
     def test_population_breaks_ties(self):
         clusters = cluster_set_from_stats([1.0, 1.0], [1.0, 1.0], [2, 9])
         selected = select_effective(clusters, m=1)
-        assert selected[0].population == 9
+        assert selected.populations[0] == 9
 
     def test_m_larger_than_k_rejected(self):
         clusters = cluster_set_from_stats([1.0], [1.0], [5])
@@ -260,42 +258,35 @@ class TestSelectEffective:
         for m in (1, 3, 8):
             selected = select_effective(clusters, m=m)
             assert len(selected) == min(m, clusters.k)
-            assert [p.label for p in selected] == clusters.member_label_mean[order[:m]].tolist()
+            assert selected.labels.tolist() == clusters.member_label_mean[order[:m]].tolist()
             ranked = np.sort(scores)[::-1]
             assert min(ranked[:m]) >= (max(ranked[m:]) if m < clusters.k else -np.inf)
 
     def test_representatives_are_normalized(self):
         rng = np.random.default_rng(2)
         clusters = cluster_set_from_stats(rng.normal(size=4), rng.uniform(0.5, 1.0, 4), [3] * 4)
-        for pattern in select_effective(clusters, m=4):
-            assert abs(pattern.vector.mean()) < 1e-9
-            assert abs(np.sqrt((pattern.vector**2).mean()) - 1.0) < 1e-9
+        for vector in select_effective(clusters, m=4).vectors:
+            assert abs(vector.mean()) < 1e-9
+            assert abs(np.sqrt((vector**2).mean()) - 1.0) < 1e-9
+
+
+POPULATION = r"bank JSON pattern 1 needs an integer 'population' in \[0, 2\^63\)"
 
 
 class TestPatternBank:
     def make_bank(self, n=4, dim=6):
         rng = np.random.default_rng(31)
-        selected = [
-            BankPattern(vector=normalize(rng.normal(size=dim)), label=float(rng.normal()), population=i + 1)
-            for i in range(n)
-        ]
-        return PatternBank.from_patterns(dim, selected)
+        vectors, labels = [], []
+        for _ in range(n):
+            vectors.append(normalize(rng.normal(size=dim)))
+            labels.append(float(rng.normal()))
+        return PatternBank(dim, np.stack(vectors), np.array(labels), np.arange(1, n + 1))
 
     def test_json_round_trip(self, tmp_path):
         bank = self.make_bank()
         path = tmp_path / "bank.json"
         bank.save_json(path)
         assert sorted(json.loads(path.read_text())) == ["patterns", "window_length"]
-        loaded = PatternBank.load(path)
-        assert loaded.window_length == bank.window_length
-        assert np.array_equal(loaded.vectors, bank.vectors)
-        assert np.array_equal(loaded.labels, bank.labels)
-        assert np.array_equal(loaded.populations, bank.populations)
-
-    def test_binary_round_trip(self, tmp_path):
-        bank = self.make_bank(n=7, dim=11)
-        path = tmp_path / "bank.bin"
-        bank.save_binary(path)
         loaded = PatternBank.load(path)
         assert loaded.window_length == bank.window_length
         assert np.array_equal(loaded.vectors, bank.vectors)
@@ -335,11 +326,32 @@ class TestPatternBank:
             (lambda d: d["patterns"][3].update(vector=7.0), "bank JSON pattern 3 needs a 'vector' of window_length 6"),
             (lambda d: d["patterns"][1].update(label="up"), "bank JSON pattern values must be numbers"),
             (lambda d: d["patterns"][1].update(label=None), "bank labels must be finite"),
+            (lambda d: d["patterns"][1].update(population=2**64), POPULATION),
+            (lambda d: d["patterns"][1].update(population=2**63), POPULATION),
+            (lambda d: d["patterns"][1].update(population=1e300), POPULATION),
+            (lambda d: d["patterns"][1].update(population=1.5), POPULATION),
+            (lambda d: d["patterns"][1].update(population="3"), POPULATION),
+            (lambda d: d["patterns"][1].update(population=True), POPULATION),
+            (lambda d: d["patterns"][1].update(population=-1), POPULATION),
+            (lambda d: d["patterns"][1].update(label="0.5"),
+             "bank JSON pattern values must be numbers: pattern 1 'label' holds a str"),
+            (lambda d: d["patterns"][1].update(label=True),
+             "bank JSON pattern values must be numbers: pattern 1 'label' holds a bool"),
+            (lambda d: d["patterns"][1].update(label=10**400),
+             "bank JSON pattern values must be numbers: pattern 1 'label' holds an integer past float64's range"),
+            (lambda d: d["patterns"][2]["vector"].__setitem__(4, repr(d["patterns"][2]["vector"][4])),
+             "bank JSON pattern values must be numbers: pattern 2 'vector' holds a str"),
+            (lambda d: d["patterns"][2]["vector"].__setitem__(4, False),
+             "bank JSON pattern values must be numbers: pattern 2 'vector' holds a bool"),
         ],
         ids=[
             "no_patterns", "patterns_not_list", "no_window_length", "window_length_str",
             "no_vector", "no_label", "no_population",
             "pattern_not_dict", "short_vector", "vector_not_list", "label_str", "label_null",
+            "population_2**64", "population_2**63", "population_1e300", "population_1.5",
+            "population_str", "population_bool", "population_negative",
+            "label_number_str", "label_bool", "label_past_float64", "vector_value_str",
+            "vector_value_bool",
         ],
     )
     def test_malformed_json_bank_names_file_and_field(self, tmp_path, edit, message):
@@ -362,76 +374,19 @@ class TestPatternBank:
         with pytest.raises(ValueError, match=r"bank.json: malformed JSON at line 2 column 15"):
             PatternBank.load(path)
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTABANK" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="not a pattern bank"):
-            PatternBank.load_binary(path)
-
-    @staticmethod
-    def struct_bank_bytes(bank, reserved=1.0):
-        """The binary layout written field by field with struct."""
-        out = [b"LSTBANK1", struct.pack("<QQd", len(bank), bank.window_length, reserved)]
-        for i in range(len(bank)):
-            out.append(struct.pack("<Q", bank.window_length))
-            out.append(bank.vectors[i].astype("<f8").tobytes())
-            out.append(struct.pack("<dQ", float(bank.labels[i]), int(bank.populations[i])))
-        return b"".join(out)
-
-    def test_binary_layout_and_byte_exact_round_trip(self, tmp_path):
-        bank = self.make_bank(n=5, dim=9)
-        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
-        bank.save_binary(first)
-        assert first.read_bytes() == self.struct_bank_bytes(bank)
-        PatternBank.load(first).save_binary(second)
-        assert second.read_bytes() == first.read_bytes()
-
     def test_old_files_with_a_kernel_c_load_the_same_bank(self, tmp_path):
-        """A bank JSON with a "kernel_c" key and an LSTBANK1 header whose reserved
-        slot holds 3.25, as older versions wrote them, load to the same bank, and
-        it saves to the new forms byte for byte."""
+        """A bank JSON with a "kernel_c" key, as older versions wrote it, loads
+        to the same bank, and it saves to the new form byte for byte."""
         bank = self.make_bank(n=5, dim=9)
-        old_json, old_bin = tmp_path / "old.json", tmp_path / "old.bin"
+        old_json = tmp_path / "old.json"
         old_json.write_text(json.dumps({**bank.to_json_dict(), "kernel_c": 2.5}))
-        old_bin.write_bytes(self.struct_bank_bytes(bank, reserved=3.25))
-        for path in (old_json, old_bin):
-            loaded = PatternBank.load(path)
-            assert loaded.window_length == bank.window_length
-            for name in ("vectors", "labels", "populations"):
-                assert getattr(loaded, name).tobytes() == getattr(bank, name).tobytes()
-        PatternBank.load(old_bin).save_binary(tmp_path / "new.bin")
-        assert (tmp_path / "new.bin").read_bytes() == self.struct_bank_bytes(bank)
+        loaded = PatternBank.load(old_json)
+        assert loaded.window_length == bank.window_length
+        for name in ("vectors", "labels", "populations"):
+            assert getattr(loaded, name).tobytes() == getattr(bank, name).tobytes()
         PatternBank.load(old_json).save_json(tmp_path / "new.json")
         bank.save_json(tmp_path / "want.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "want.json").read_bytes()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        rows=st.lists(
-            st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=5, max_size=5),
-            min_size=1,
-            max_size=4,
-        ),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_binary_round_trip_is_byte_exact_property(self, rows, seed):
-        rng = np.random.default_rng(seed)
-        bank = PatternBank(
-            window_length=5,
-            vectors=np.stack([normalize(r) for r in rows]),
-            labels=rng.normal(scale=1e3, size=len(rows)),
-            populations=rng.integers(0, 2**62, size=len(rows)),
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
-            bank.save_binary(first)
-            loaded = PatternBank.load(first)
-            loaded.save_binary(second)
-            with open(first, "rb") as fa, open(second, "rb") as fb:
-                assert fa.read() == fb.read() == self.struct_bank_bytes(bank)
-        assert np.array_equal(loaded.vectors, bank.vectors)
-        assert np.array_equal(loaded.labels, bank.labels)
-        assert np.array_equal(loaded.populations, bank.populations)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -464,21 +419,6 @@ class TestPatternBank:
         assert loaded.labels.tobytes() == bank.labels.tobytes()
         assert loaded.populations.tobytes() == bank.populations.tobytes()
         assert loaded.window_length == bank.window_length
-
-    @pytest.mark.parametrize("cut", [1, 8, 40, 9 * 8 + 24, 300])
-    def test_truncated_binary_rejected_naming_file(self, tmp_path, cut):
-        path = tmp_path / "bank_9.bin"
-        self.make_bank(n=3, dim=9).save_binary(path)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ValueError, match="bank_9.bin"):
-            PatternBank.load(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "bank.bin"
-        self.make_bank(n=2, dim=6).save_binary(path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(ValueError, match="expected"):
-            PatternBank.load_binary(path)
 
     def test_negative_population_rejected(self):
         with pytest.raises(ValueError, match="populations"):

@@ -1,6 +1,5 @@
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -513,24 +512,18 @@ class TestPredictorModel:
             assert np.array_equal(a.vectors, b.vectors)
 
     def test_old_bank_files_predict_the_same(self, rng, tmp_path):
-        """JSON banks carrying "kernel_c" 1.0 and an LSTBANK1 bank whose header
-        slot holds 3.25, as older versions wrote them, beside a model c of 4.0,
-        predict bit for bit as the same banks written in the new form."""
+        """JSON banks carrying "kernel_c" 1.0, as older versions wrote them,
+        beside a model c of 4.0, predict bit for bit as the same banks written
+        in the new form."""
         model = self.make_model(rng, c=4.0)
         old, new = tmp_path / "old", tmp_path / "new"
-        names = ["bank_4.json", "bank_6.json", "bank_8.bin"]
+        names = ["bank_4.json", "bank_6.json", "bank_8.json"]
         for folder in (old, new):
             folder.mkdir()
             model.save_json(folder / "model.json", names)
         for bank, name in zip(model.banks, names):
-            if name.endswith(".bin"):
-                bank.save_binary(new / name)
-                blob = bytearray((new / name).read_bytes())
-                blob[24:32] = struct.pack("<d", 3.25)  # magic, count, window_length, slot
-                (old / name).write_bytes(bytes(blob))
-            else:
-                bank.save_json(new / name)
-                (old / name).write_text(json.dumps({**bank.to_json_dict(), "kernel_c": 1.0}))
+            bank.save_json(new / name)
+            (old / name).write_text(json.dumps({**bank.to_json_dict(), "kernel_c": 1.0}))
         series = series_from_prices(
             100 + np.cumsum(rng.normal(size=40)), imbalances=rng.uniform(-1, 1, 40)
         )
