@@ -8,7 +8,7 @@ predictions with the order-book imbalance through a fitted affine layer of
 N + 2 weights, and trade a +1/0/-1 position on a threshold rule.
 """
 
-from .evaluator import BacktestReport, SweepRow, emit_report, sharpe, sweep_thresholds
+from .evaluator import BacktestReport, emit_report, sharpe, sweep_thresholds
 from .latent_source import (
     LabelDist,
     LabeledSet,

@@ -33,7 +33,6 @@ refers to the files it read, so it writes no bank.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -41,7 +40,8 @@ import numpy as np
 
 from . import evaluator, trader
 from .latent_source import LatentSourceSpec, generate_price_series
-from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, open_text, parse_ticks
+from .market_data import (DEFAULT_INTERVAL, PriceSeries, coarsen, open_text, parse_ticks,
+                          write_json)
 from .pattern_bank import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_NUM_SELECTED,
@@ -107,16 +107,9 @@ def cmd_gen(args) -> int:
     result = _generate(args, args.seed)
     result.series.to_csv(args.out)
     if args.placements:
-        with open(args.placements, "w", encoding="utf-8") as fh:
-            json.dump(
-                [
-                    {"start": p.start, "source": p.source, "length": p.length}
-                    for p in result.placements
-                ],
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(args.placements, [
+            {"start": p.start, "source": p.source, "length": p.length} for p in result.placements
+        ])
     print(f"wrote {len(result.series)} buckets to {args.out}")
     return 0
 
@@ -226,7 +219,7 @@ def _evaluate(model, series, args, out_dir, extra_summary=None):
     rows = evaluator.sweep_thresholds(
         model, series, thresholds, args.sharpe_variant, dp_stream=(ts, dp)
     )
-    report = min(rows, key=lambda r: (-r.total_profit, r.threshold)).report
+    report = min(rows, key=lambda r: (-r.total_profit, r.threshold))
     os.makedirs(out_dir, exist_ok=True)
     trader.write_ledger_csv(report.trades, os.path.join(out_dir, "trades.csv"))
     extra = {"kernel_c": model.kernel.c, "used_ridge": model.weights.used_ridge}
@@ -282,14 +275,9 @@ def cmd_pipeline(args) -> int:
                              f"for windows of length {longest}")
     os.makedirs(out, exist_ok=True)
     series.to_csv(os.path.join(out, "series.csv"))
-    with open(os.path.join(out, "periods.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"n_buckets": n, "interval": series.interval, **{k: list(v) for k, v in bounds.items()}},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    periods = {k: list(v) for k, v in bounds.items()}
+    periods.update(n_buckets=n, interval=series.interval)
+    write_json(os.path.join(out, "periods.json"), periods)
     print(f"periods: train={bounds['train']} fit={bounds['fit']} eval={bounds['eval']}")
 
     train = series.slice(*bounds["train"])

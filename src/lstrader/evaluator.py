@@ -19,15 +19,14 @@ Report bundle written by emit_report:
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .market_data import PriceSeries, write_float_rows
+from .market_data import PriceSeries, open_for_write, write_float_rows, write_json
 from .pattern_bank import PatternBank
 from .regression import PredictorModel
 
@@ -37,8 +36,6 @@ if TYPE_CHECKING:
 SHARPE_SQRT = "sqrt"
 SHARPE_PAPER_LITERAL = "paper-literal"
 SHARPE_VARIANTS = (SHARPE_SQRT, SHARPE_PAPER_LITERAL)
-
-LEDGER_TOLERANCE = 1e-9
 
 
 def sharpe(profits: Sequence[float], price_move: float, variant: str = SHARPE_SQRT) -> float:
@@ -63,60 +60,43 @@ def sharpe(profits: Sequence[float], price_move: float, variant: str = SHARPE_SQ
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Full outcome of one backtest: ledger plus derived metrics."""
+    """Full outcome of one backtest: what run_backtest measured, from which
+    the counts, the total and the mean profit per round trip follow."""
 
     threshold: float
     trades: tuple["Trade", ...]
     round_trip_profits: tuple[float, ...]
     cumulative_profit_series: np.ndarray
-    total_profit: float
-    num_trades: int
-    num_round_trips: int
     avg_holding_time: float  # seconds
     avg_investment: float
     benchmark_move: float  # |end price - start price| over the test interval
     sharpe: float
-    sharpe_defined: bool
 
     def __post_init__(self) -> None:
-        if self.num_trades != len(self.trades):
-            raise ValueError("num_trades must equal ledger length")
-        if self.num_round_trips != len(self.round_trip_profits):
-            raise ValueError("num_round_trips must match profits")
-        if abs(self.total_profit - math.fsum(self.round_trip_profits)) > LEDGER_TOLERANCE:
-            raise ValueError("total_profit must equal the sum of round-trip profits")
         series = np.ascontiguousarray(self.cumulative_profit_series, dtype=np.float64)
         series.setflags(write=False)
         object.__setattr__(self, "cumulative_profit_series", series)
 
+    @property
+    def total_profit(self) -> float:
+        return math.fsum(self.round_trip_profits)
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One threshold's performance summary, with the backtest it came from."""
+    @property
+    def num_trades(self) -> int:
+        return len(self.trades)
 
-    threshold: float
-    num_trades: int
-    avg_holding_time: float
-    avg_profit_per_trade: float
-    total_profit: float
-    sharpe: float
-    report: BacktestReport = field(repr=False, compare=False)
+    @property
+    def num_round_trips(self) -> int:
+        return len(self.round_trip_profits)
 
+    @property
+    def sharpe_defined(self) -> bool:
+        return not math.isnan(self.sharpe)
 
-def row_from_report(report: BacktestReport) -> SweepRow:
-    if report.num_round_trips:
-        avg_profit = report.total_profit / report.num_round_trips
-    else:
-        avg_profit = 0.0
-    return SweepRow(
-        threshold=report.threshold,
-        num_trades=report.num_trades,
-        avg_holding_time=report.avg_holding_time,
-        avg_profit_per_trade=avg_profit,
-        total_profit=report.total_profit,
-        sharpe=report.sharpe,
-        report=report,
-    )
+    @property
+    def avg_profit_per_trade(self) -> float:
+        """Mean profit per round trip; 0 with none."""
+        return self.total_profit / self.num_round_trips if self.num_round_trips else 0.0
 
 
 def sweep_thresholds(
@@ -125,8 +105,8 @@ def sweep_thresholds(
     thresholds: Sequence[float],
     sharpe_variant: str = SHARPE_SQRT,
     dp_stream: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[SweepRow]:
-    """Backtest each threshold; rows come back in threshold order.
+) -> list[BacktestReport]:
+    """Backtest each threshold; the reports come back in threshold order.
 
     The predicted-change stream does not depend on the threshold, so it is
     computed once (or taken from dp_stream, as in run_backtest) and shared
@@ -142,22 +122,13 @@ def sweep_thresholds(
     if dp_stream is None:
         dp_stream = model.dp_stream(series)
     return [
-        row_from_report(
-            run_backtest(model, series, t, dp_stream=dp_stream, sharpe_variant=sharpe_variant)
-        )
+        run_backtest(model, series, t, dp_stream=dp_stream, sharpe_variant=sharpe_variant)
         for t in thresholds
     ]
 
 
-def _open_for_write(path: str):
-    try:
-        return open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"failed opening {path} for writing: {exc}") from exc
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with _open_for_write(os.fspath(path)) as fh:
+def write_sweep_csv(rows: Sequence[BacktestReport], path) -> None:
+    with open_for_write(path) as fh:
         fh.write("threshold,num_trades,avg_holding_s,avg_profit,total_profit,sharpe\r\n")
         for row in rows:
             values = (row.avg_holding_time, row.avg_profit_per_trade, row.total_profit, row.sharpe)
@@ -204,7 +175,7 @@ def summary_dict(
 
 def emit_report(
     report: BacktestReport,
-    sweep: Sequence[SweepRow],
+    sweep: Sequence[BacktestReport],
     banks: Sequence[PatternBank],
     out_dir,
     series: PriceSeries | None = None,
@@ -219,19 +190,11 @@ def emit_report(
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    files = ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv")
+    paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name) for name in files}
+    write_json(paths["summary"], summary_dict(report, sharpe_variant, extra_summary))
+    write_sweep_csv(sweep, paths["sweep"])
 
-    summary_path = os.path.join(out_dir, "summary.json")
-    with _open_for_write(summary_path) as fh:
-        json.dump(summary_dict(report, sharpe_variant, extra_summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["summary"] = summary_path
-
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    write_sweep_csv(sweep, sweep_path)
-    paths["sweep"] = sweep_path
-
-    curve_path = os.path.join(out_dir, "equity_curve.csv")
     cum = report.cumulative_profit_series
     if series is not None and len(series) == len(cum):
         times = series.bucket_times
@@ -239,14 +202,9 @@ def emit_report(
     else:
         times = np.arange(len(cum), dtype=np.float64)
         prices = np.full(len(cum), np.nan)
-    with _open_for_write(curve_path) as fh:
+    with open_for_write(paths["equity_curve"]) as fh:
         write_float_rows(fh, (times, prices, cum), ("bucket_time", "price", "cum_profit"))
-    paths["equity_curve"] = curve_path
-
-    centers_path = os.path.join(out_dir, "cluster_centers.csv")
-    with _open_for_write(centers_path) as fh:
+    with open_for_write(paths["cluster_centers"]) as fh:
         for bank in banks:
             write_float_rows(fh, (bank.labels, bank.vectors), lead=f"{bank.window_length},")
-    paths["cluster_centers"] = centers_path
-
     return paths

@@ -12,14 +12,13 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .market_data import DEFAULT_INTERVAL, MAX_BUCKETS, PriceSeries
-from .pattern_bank import read_json, require_fields
+from .market_data import (DEFAULT_INTERVAL, MAX_BUCKETS, PriceSeries, json_floats, read_json,
+                          require_fields, write_json)
 
 MIX_TOLERANCE = 1e-12
 
@@ -98,8 +97,8 @@ class LatentSourceSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "sources": [[float(v) for v in row] for row in self.sources],
-            "mix": [float(p) for p in self.mix],
+            "sources": self.sources.tolist(),
+            "mix": self.mix.tolist(),
             "label_dists": [
                 {"kind": d.kind, "mean": d.mean, "variance": d.variance}
                 for d in self.label_dists
@@ -118,27 +117,21 @@ class LatentSourceSpec:
         for i, d in enumerate(data["label_dists"]):
             require_fields(d, (("kind", str, "a string"), ("mean", number, "a number")),
                            f"spec JSON label_dists[{i}]")
-        try:
-            sources, mix = (np.array(data[key], dtype=np.float64) for key in ("sources", "mix"))
-            variances = [float(d.get("variance", 0.0)) for d in data["label_dists"]]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"spec JSON values must be numbers ({exc})") from None
-        label_dists = tuple(LabelDist(d["kind"], float(d["mean"]), v)
+        values = "spec JSON values"
+        variances = json_floats([d.get("variance", 0.0) for d in data["label_dists"]], values,
+                                "'variance'").tolist()
+        label_dists = tuple(LabelDist(d["kind"], d["mean"], v)
                             for d, v in zip(data["label_dists"], variances))
-        return cls(sources, mix, label_dists, float(data["noise_sigma"]), data["seed"])
+        return cls(json_floats(data["sources"], values, "'sources'"),
+                   json_floats(data["mix"], values, "'mix'"), label_dists, data["noise_sigma"],
+                   data["seed"])
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load_json(cls, path) -> "LatentSourceSpec":
-        data = read_json(path)
-        try:
-            return cls.from_json_dict(data)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_json_dict)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ and the memory bound are set out once, in README.md ("How it works", step
 (``_value_blocks``): np.loadtxt parses a plain block (``_plain_block``) in
 one call; from the first other block on, csv.reader and float() read on,
 so accepted values and fault messages stay the same.
+
+Every module opens its files through ``open_text`` and ``open_for_write``,
+and reads and writes JSON through ``read_json`` and ``write_json``, whose
+value rules are ``require_fields`` and ``json_floats``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import csv
 import functools
 import io
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -112,12 +117,8 @@ class PriceSeries:
         )
 
     def to_csv(self, path) -> None:
-        columns = (self.bucket_times, self.prices, self.imbalances)
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                write_float_rows(fh, columns, _SERIES_HEADER)
-        except OSError as exc:
-            raise OSError(f"failed writing price series to {path}: {exc}") from exc
+        with open_for_write(path) as fh:
+            write_float_rows(fh, (self.bucket_times, self.prices, self.imbalances), _SERIES_HEADER)
 
     @classmethod
     def from_csv(cls, path, default_interval: float = DEFAULT_INTERVAL) -> "PriceSeries":
@@ -157,6 +158,69 @@ def open_text(path, newline=None):
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextlib.contextmanager
+def open_for_write(path):
+    """path opened to write UTF-8 text as given (no newline translation); an
+    OSError from opening, writing or closing it raises OSError naming it."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+
+
+def read_json(path, parse):
+    """parse(the JSON value of the file at path). Malformed JSON (with its line and
+    column), text that is not UTF-8 or a ValueError from parse raises ValueError naming the file."""
+    with open_text(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path, data) -> None:
+    """data as a JSON file: indent 2, sorted keys and a closing newline."""
+    with open_for_write(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def require_fields(data, fields, what: str) -> None:
+    """Raise ValueError unless data is a dict holding each (key, type,
+    description) of fields, naming the first field missing or mistyped. A
+    boolean is taken only where the type asked for is bool, so it is not a number."""
+    for key, kind, name in fields:
+        value = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{what} needs {name} {key!r}")
+
+
+_JSON_NUMBER = frozenset((int, float, type(None)))  # the types json.load gives a number or null
+
+
+def json_floats(values, what: str, field: str) -> np.ndarray:
+    """A JSON list of numbers, or a list of equal-length such lists, as
+    float64 (null reads as NaN, for the caller's finite check). A string, a
+    boolean, a ragged list or an integer past float64's range raises
+    ValueError "<what> must be numbers: <field> holds ..."."""
+    cells = np.array(values, dtype=object).ravel()
+    try:
+        if set(map(type, cells)) <= _JSON_NUMBER:
+            return np.array(values, dtype=np.float64)
+    except OverflowError:
+        pass
+    kind = next((f"a {type(v).__name__}" for v in cells if type(v) not in _JSON_NUMBER),
+                "an integer past float64's range")
+    raise ValueError(f"{what} must be numbers: {field} holds {kind}")
 
 
 def write_float_rows(fh, columns, header: Iterable[str] = (), lead: str = "") -> None:

@@ -38,7 +38,6 @@ designs, and a grid calibration for the kernel sharpness constant c.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,9 +45,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .market_data import PriceSeries
-from .pattern_bank import (PatternBank, anchored_moments, anchored_rows, normalize_rows,
-                           read_json, require_fields, row_blocks)
+from .market_data import PriceSeries, read_json, require_fields, write_json
+from .pattern_bank import PatternBank, anchored_moments, anchored_rows, normalize_rows, row_blocks
 
 KERNEL_GAUSSIAN_L2 = "gaussian_l2"
 KERNEL_EXP_SIMILARITY = "exp_similarity"
@@ -462,29 +460,37 @@ class PredictorModel:
         }
 
     def save_json(self, path, bank_paths: Sequence[str]) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(bank_paths), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(bank_paths))
 
     @classmethod
     def load_json(cls, path) -> "PredictorModel":
-        data = read_json(path)
-        require_fields(data, (("kernel", dict, "a dict"), ("weights", dict, "a dict"),
-                              ("banks", list, "a list")), f"{path}: model JSON")
-        try:
-            kernel = KernelChoice(variant=data["kernel"]["variant"], c=float(data["kernel"]["c"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad model kernel ({type(exc).__name__}: {exc})") from None
-        w = data["weights"]
-        names = [f"w{i}" for i in range(len(data["banks"]) + 2)]
-        found = sorted(k for k in w if k != "used_ridge")
-        if found != sorted(names):
-            raise ValueError(
-                f"{path}: {len(data['banks'])} banks need weights w0..{names[-1]}, found {found}"
-            )
-        weights = CombinerWeights(
-            tuple(float(w[k]) for k in names), used_ridge=bool(w.get("used_ridge", False))
-        )
+        """A model and its banks, whose paths are relative to the model file;
+        a fault raises ValueError naming the file that holds it."""
+        kernel, weights, refs = read_json(path, _parse_model)
         base = os.path.dirname(os.fspath(path))
-        banks = tuple(PatternBank.load(os.path.join(base, ref)) for ref in data["banks"])
+        banks = tuple(PatternBank.load(os.path.join(base, ref)) for ref in refs)
         return cls(banks=banks, kernel=kernel, weights=weights)
+
+
+def _parse_model(data) -> tuple[KernelChoice, CombinerWeights, list[str]]:
+    """(kernel, weights, bank paths) of a model's JSON form: c and the weights
+    JSON numbers, used_ridge a boolean, the banks a list of path strings."""
+    require_fields(data, (("kernel", dict, "a dict"), ("weights", dict, "a dict"),
+                          ("banks", list, "a list")), "model JSON")
+    refs, w = data["banks"], data["weights"]
+    if not all(isinstance(ref, str) for ref in refs):
+        raise ValueError("model JSON needs a list of path strings 'banks'")
+    try:
+        c = data["kernel"]["c"]
+        if type(c) not in (int, float):
+            raise TypeError(f"c must be a JSON number, got {c!r}")
+        kernel = KernelChoice(variant=data["kernel"]["variant"], c=float(c))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad model kernel ({type(exc).__name__}: {exc})") from None
+    names = [f"w{i}" for i in range(len(refs) + 2)]
+    found = sorted(k for k in w if k != "used_ridge")
+    if found != sorted(names):
+        raise ValueError(f"{len(refs)} banks need weights w0..{names[-1]}, found {found}")
+    require_fields(w, [(k, (int, float), "a number") for k in names]
+                   + [("used_ridge", bool, "a boolean")], "model JSON weights")
+    return kernel, CombinerWeights(tuple(w[k] for k in names), w["used_ridge"]), refs

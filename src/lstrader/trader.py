@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evaluator import SHARPE_SQRT, BacktestReport, sharpe
-from .market_data import PriceSeries
+from .market_data import PriceSeries, open_for_write
 from .regression import PredictorModel, fit_points
 
 SIDE_BUY = "buy"
@@ -77,7 +77,7 @@ def step(
 
 
 def write_ledger_csv(trades, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_for_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(LEDGER_HEADER)
         for trade in trades:
@@ -158,20 +158,15 @@ def run_backtest(
     cumulative[-1] = total_profit  # flat after liquidation: final mark is realized P&L
 
     benchmark_move = abs(float(prices[-1] - prices[0]))
-    sharpe_value = sharpe(profits, benchmark_move, sharpe_variant)
     return BacktestReport(
         threshold=float(threshold),
         trades=tuple(fills),
         round_trip_profits=tuple(profits),
         cumulative_profit_series=cumulative,
-        total_profit=total_profit,
-        num_trades=len(fills),
-        num_round_trips=len(profits),
         avg_holding_time=(
             float(np.mean(holding_buckets) * series.interval) if holding_buckets else 0.0
         ),
         avg_investment=float(np.mean(entry_prices)) if entry_prices else 0.0,
         benchmark_move=benchmark_move,
-        sharpe=sharpe_value,
-        sharpe_defined=not math.isnan(sharpe_value),
+        sharpe=sharpe(profits, benchmark_move, sharpe_variant),
     )

@@ -155,6 +155,17 @@ class TestGen:
         data = json.loads(placements.read_text())
         assert all({"start", "source", "length"} <= set(p) for p in data)
 
+    def test_gen_placements_in_a_missing_directory_is_a_write_error(self, spec_path, tmp_path, capsys):
+        placements = tmp_path / "nodir" / "p.json"
+        rc = run_cli(
+            "gen", "--spec", spec_path, "--out", tmp_path / "series.csv", "--duration", 7200,
+            "--placements", placements,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: failed writing {placements}: ")
+        assert "missing input file" not in err
+
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_gen_refuses_non_finite_duration(self, spec_path, tmp_path, capsys, duration):
         out = tmp_path / "series.csv"
@@ -418,8 +429,12 @@ class TestStagedCommands:
             ("bank_60.json", '{"window_length": 60, "kernel_c": 1.0, "patterns": [{"vector": [0.0]}]}',
              "bank_60.json: bank JSON pattern 0 needs a 'label'"),
             ("bank_120.json", '{"patterns": [\n  {"vector": ', "bank_120.json: malformed JSON at line 2 column 14"),
+            ("model.json", json.dumps({"kernel": {"variant": "exp_similarity", "c": 1.0}, "banks": [5],
+                                       "weights": {"w0": 0.0, "w1": 1.0, "w2": 0.0, "used_ridge": False}}),
+             "model.json: model JSON needs a list of path strings 'banks'"),
         ],
-        ids=["truncated_model", "bank_without_patterns", "bank_pattern_without_label", "truncated_bank"],
+        ids=["truncated_model", "bank_without_patterns", "bank_pattern_without_label", "truncated_bank",
+             "model_bank_not_str"],
     )
     def test_malformed_json_fails_naming_file(self, spec_path, tmp_path, capsys, target, text, message):
         series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
@@ -522,6 +537,18 @@ class TestPipeline:
         assert periods["train"][1] == periods["fit"][0]
         assert periods["fit"][1] == periods["eval"][0]
         assert periods["eval"][1] == n
+
+    def test_pipeline_json_files_share_one_format(self, spec_path, tmp_path):
+        """Every JSON file a pipeline writes is indented by 2, with sorted keys
+        and a closing newline."""
+        out = tmp_path / "run"
+        assert run_cli(*small_pipeline_args(spec_path, out)) == 0
+        paths = [out / "periods.json", out / "model.json", out / "summary.json"]
+        paths += sorted((out / "banks").glob("*.json"))
+        assert len(paths) == 6
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
     def test_pipeline_deterministic(self, spec_path, tmp_path):
         out_a = tmp_path / "a"

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lstrader import market_data
-from lstrader.evaluator import BacktestReport, emit_report, row_from_report
+from lstrader.evaluator import BacktestReport, emit_report
 from lstrader.market_data import BLOCK_ROWS, WRITE_ROWS, PriceSeries
 from lstrader.pattern_bank import PatternBank, normalize
 
@@ -53,8 +53,7 @@ def awkward_series(n, rng):
 def flat_report(cumulative):
     return BacktestReport(
         threshold=0.5, trades=(), round_trip_profits=(), cumulative_profit_series=cumulative,
-        total_profit=0.0, num_trades=0, num_round_trips=0, avg_holding_time=0.0,
-        avg_investment=0.0, benchmark_move=0.0, sharpe=math.nan, sharpe_defined=False,
+        avg_holding_time=0.0, avg_investment=0.0, benchmark_move=0.0, sharpe=math.nan,
     )
 
 
@@ -99,7 +98,7 @@ def test_report_csvs_match_csv_writer(tmp_path, rng, n, with_series):
     series = awkward_series(n, rng)
     report = flat_report(awkward_column(n, rng))
     banks = awkward_banks(rng)
-    paths = emit_report(report, [row_from_report(report)], banks, tmp_path / "new",
+    paths = emit_report(report, [report], banks, tmp_path / "new",
                         series=series if with_series else None)
 
     if with_series:

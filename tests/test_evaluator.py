@@ -9,7 +9,6 @@ from lstrader.evaluator import (
     SHARPE_PAPER_LITERAL,
     SHARPE_SQRT,
     emit_report,
-    row_from_report,
     sharpe,
     summary_dict,
     sweep_thresholds,
@@ -28,6 +27,12 @@ def oracle_sharpe(profits, price_move):
     if sigma == 0:
         return math.nan
     return (math.fsum(profits) - price_move) / (count * sigma)
+
+
+def sweep_fields(report):
+    """What a sweep row shows of a backtest, plus its trades."""
+    return (report.threshold, report.num_trades, report.avg_holding_time,
+            report.avg_profit_per_trade, report.total_profit, report.sharpe, report.trades)
 
 
 class TestSharpe:
@@ -76,8 +81,8 @@ class TestSweepThresholds:
         model = make_model(rng)
         series = random_series(rng, n=90)
         rows = sweep_thresholds(model, series, [0.2])
-        standalone = row_from_report(run_backtest(model, series, 0.2))
-        assert rows[0] == standalone
+        standalone = run_backtest(model, series, 0.2)
+        assert sweep_fields(rows[0]) == sweep_fields(standalone)
 
     def test_threshold_above_max_dp_trades_nothing(self, rng):
         model = make_model(rng)
@@ -108,9 +113,8 @@ class TestSweepThresholds:
         series = random_series(rng, n=120)
         for threshold in (0.05, 0.2):
             report = run_backtest(model, series, threshold)
-            row = row_from_report(report)
-            assert row.avg_profit_per_trade * report.num_round_trips == pytest.approx(
-                row.total_profit, abs=1e-6
+            assert report.avg_profit_per_trade * report.num_round_trips == pytest.approx(
+                report.total_profit, abs=1e-6
             )
 
     def test_given_dp_stream_is_reused(self, rng):
@@ -119,7 +123,8 @@ class TestSweepThresholds:
         thresholds = [0.05, 0.1, 0.2]
         ts, dp = model.dp_stream(series)
         rows = sweep_thresholds(model, series, thresholds, dp_stream=(ts, dp))
-        assert rows == sweep_thresholds(model, series, thresholds)
+        fresh = sweep_thresholds(model, series, thresholds)
+        assert list(map(sweep_fields, rows)) == list(map(sweep_fields, fresh))
         # a stream far above every threshold buys once and is liquidated at the end
         shifted = sweep_thresholds(model, series, thresholds, dp_stream=(ts, dp * 0 + 10.0))
         assert [row.num_trades for row in shifted] == [2, 2, 2]
@@ -129,9 +134,9 @@ class TestSweepThresholds:
         series = random_series(rng, n=90)
         for row in sweep_thresholds(model, series, [0.05, 0.2]):
             standalone = run_backtest(model, series, row.threshold)
-            assert row.report.threshold == row.threshold
-            assert row.report.trades == standalone.trades
-            assert row.report.total_profit == row.total_profit
+            assert row.threshold == standalone.threshold
+            assert row.trades == standalone.trades
+            assert row.total_profit == standalone.total_profit
 
     def test_unsorted_thresholds_rejected(self, rng):
         model = make_model(rng)

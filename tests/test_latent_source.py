@@ -90,10 +90,14 @@ class TestSpecJsonFaults:
             (lambda d: d["label_dists"][0].update(variance="x"), "spec JSON values must be numbers"),
             (lambda d: d["mix"].append(0.0), "mix must have 2 entries"),
             (lambda d: d["label_dists"][0].update(kind="cauchy"), "unknown label distribution kind"),
+            (lambda d: d.update(mix=[str(p) for p in d["mix"]]), "spec JSON values must be numbers"),
+            (lambda d: d["sources"][1].__setitem__(0, "0.5"), "spec JSON values must be numbers"),
+            (lambda d: d["label_dists"][1].update(kind="gaussian", variance=True),
+             "spec JSON values must be numbers"),
         ],
         ids=["empty", "sources_str", "no_mix", "label_dists_dict", "noise_str", "seed_float",
              "seed_bool", "label_dist_str", "no_mean", "source_str", "ragged", "variance_str",
-             "mix_length", "unknown_kind"],
+             "mix_length", "unknown_kind", "mix_number_strs", "source_number_str", "variance_bool"],
     )
     def test_missing_or_mistyped_field(self, tmp_path, mutate, message):
         data = two_source_spec().to_json_dict()

@@ -587,8 +587,15 @@ class TestPredictorModel:
             (lambda d: d["kernel"].pop("c"), r"bad model kernel \(KeyError: 'c'\)"),
             (lambda d: d["kernel"].update(c=None), "bad model kernel"),
             (lambda d: d["kernel"].update(c=float("inf")), "bad model kernel.*finite c > 0"),
+            (lambda d: d["kernel"].update(c="2"), r"bad model kernel \(TypeError: c must be a JSON number"),
+            (lambda d: d["kernel"].update(c=True), r"bad model kernel \(TypeError: c must be a JSON number"),
+            (lambda d: d["weights"].update(w0="1"), "model JSON weights needs a number 'w0'"),
+            (lambda d: d["weights"].update(w1=True), "model JSON weights needs a number 'w1'"),
+            (lambda d: d["weights"].update(used_ridge="no"), "model JSON weights needs a boolean 'used_ridge'"),
+            (lambda d: d.update(banks=[5]), "model JSON needs a list of path strings 'banks'"),
         ],
-        ids=["no_kernel", "no_weights", "no_banks", "kernel_not_dict", "no_c", "c_null", "c_inf"],
+        ids=["no_kernel", "no_weights", "no_banks", "kernel_not_dict", "no_c", "c_null", "c_inf",
+             "c_str", "c_bool", "w0_str", "w1_bool", "used_ridge_str", "bank_not_str"],
     )
     def test_load_rejects_malformed_model_naming_file(self, rng, tmp_path, edit, message):
         model = self.make_model(rng)
