@@ -79,6 +79,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return _listed(tuple(int(tok) for tok in text.split(",") if tok.strip() != ""), text)
 
 
+def _parse_seed(text: str) -> int:
+    """A --seed: numpy takes non-negative integers only, so argparse names the flag."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
     """Deterministic threshold grid from the |dp| distribution."""
     magnitude = np.abs(dp)
@@ -107,9 +114,13 @@ def cmd_gen(args) -> int:
     result = _generate(args, args.seed)
     result.series.to_csv(args.out)
     if args.placements:
-        write_json(args.placements, [
-            {"start": p.start, "source": p.source, "length": p.length} for p in result.placements
-        ])
+        try:
+            write_json(args.placements, [
+                {"start": p.start, "source": p.source, "length": p.length} for p in result.placements
+            ])
+        except OSError:
+            os.remove(args.out)  # a failed gen leaves no series behind
+            raise
     print(f"wrote {len(result.series)} buckets to {args.out}")
     return 0
 
@@ -329,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", parents=[synthetic], help="generate a synthetic price series")
     gen.add_argument("--spec", required=True, help="latent source spec JSON")
     gen.add_argument("--out", required=True, help="output PriceSeries CSV")
-    gen.add_argument("--seed", type=int, default=None, help="defaults to the spec's seed")
+    gen.add_argument("--seed", type=_parse_seed, default=None, help="defaults to the spec's seed")
     gen.add_argument("--placements", default=None, help="optional placements JSON out")
     gen.set_defaults(func=cmd_gen)
 
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     banks = sub.add_parser("build-banks", parents=[mining], help="build pattern banks from a series")
     banks.add_argument("--series", required=True)
     banks.add_argument("--out-dir", required=True)
-    banks.add_argument("--seed", type=int, default=0)
+    banks.add_argument("--seed", type=_parse_seed, default=0)
     banks.set_defaults(func=cmd_build_banks)
 
     fit = sub.add_parser(
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--ticks", default=None, help="tick CSV input")
     pipeline.add_argument("--out", required=True)
     pipeline.add_argument("--split", type=_parse_floats, default=(1 / 3, 1 / 3, 1 / 3))
-    pipeline.add_argument("--seed", type=int, default=0)
+    pipeline.add_argument("--seed", type=_parse_seed, default=0)
     pipeline.set_defaults(func=cmd_pipeline)
 
     return parser

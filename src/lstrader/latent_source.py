@@ -81,6 +81,8 @@ class LatentSourceSpec:
             raise ValueError(f"need {k} label distributions, got {len(self.label_dists)}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         sources.setflags(write=False)
         mix.setflags(write=False)
         object.__setattr__(self, "sources", sources)

@@ -8,7 +8,9 @@ and the memory bound are set out once, in README.md ("How it works", step
 1, and "File formats"). Both readers take a block of lines at a time
 (``_value_blocks``): np.loadtxt parses a plain block (``_plain_block``) in
 one call; from the first other block on, csv.reader and float() read on,
-so accepted values and fault messages stay the same.
+so accepted values and fault messages stay the same. A file's lines, its
+header first, come through ``_CappedLines``, which refuses an over-long
+field after one piece of the line and an over-long line at a cap.
 
 Every module opens its files through ``open_text`` and ``open_for_write``,
 and reads and writes JSON through ``read_json`` and ``write_json``, whose
@@ -39,6 +41,7 @@ _READ_LINES = 64  # lines of a block's first read, which sizes the next
 WRITE_ROWS = 512  # rows per joined write: 4096 left ~2 MiB of freed floats and strings resident
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
+_MAX_TICK_COLUMNS = 2 + 4 * MAX_BOOK_DEPTH  # the widest tick header: a price and a volume per level
 _SERIES_HEADER = ("bucket_time", "price", "imbalance")
 
 
@@ -124,6 +127,7 @@ class PriceSeries:
     def from_csv(cls, path, default_interval: float = DEFAULT_INTERVAL) -> "PriceSeries":
         """Read a series CSV (see ``_value_blocks``); a fault raises ValueError naming file and line."""
         with open_text(path, newline="") as fh:
+            fh = _CappedLines(fh, len(_SERIES_HEADER))
             reader = csv.reader(fh)
             header = _header(reader, f"{path} ", False)
             if header is None or tuple(h.strip() for h in header) != _SERIES_HEADER:
@@ -471,18 +475,58 @@ def _line_block(fh) -> list[str]:
     return chunk
 
 
-def _capped_lines(fh, width: int) -> Iterator[str]:
-    """The lines of a text stream, each read with a cap: the longest line a row of
-    ``width`` fields within csv's field limit can take (every character a doubled
-    quote). A line that reaches it ends the stream as one field over the limit,
-    which csv.reader refuses at that line, so no line is held whole."""
-    limit = csv.field_size_limit()
-    cap = width * (2 * limit + 3) + 2
-    while line := fh.readline(cap):
-        if len(line) >= cap:
-            yield "x" * (limit + 1)
-            return
-        yield line
+class _CappedLines:
+    """The lines of a text stream, read in pieces of ``2 * limit + 3``
+    characters (limit: csv's field limit); any other iterable of lines passes
+    as it is. A field within the limit takes at most 2 * limit + 2 characters
+    (each a doubled quote, plus two quotes), so:
+
+    - a piece with no comma and no line end lies inside a field over the
+      limit: the line is cut before it and ended by such a field;
+    - a row of ``width`` fields within the limit is shorter than ``width``
+      pieces and 2 characters: a line that long becomes such a field.
+
+    Either way the stream ends there and csv.reader refuses that line, by its
+    number, without it being held whole. ``width`` may change between lines
+    (a reader sets its header's). A \\r ends a line, as in the newline=""
+    streams the readers open; after a full piece ending in \\r one piece is
+    read ahead, which may be that line end's \\n.
+    """
+
+    def __init__(self, fh, width: int):
+        self.width = width
+        self._lines = self._capped(fh) if hasattr(fh, "readline") else iter(fh)
+
+    def __iter__(self) -> Iterator[str]:
+        return self._lines
+
+    def _capped(self, fh) -> Iterator[str]:
+        limit = csv.field_size_limit()
+        size, over = 2 * limit + 3, "x" * (limit + 1)
+        readline = fh.readline
+        piece = readline(size)
+        while piece:
+            if len(piece) < size:  # the whole line, as nearly every line is
+                yield piece
+                piece = readline(size)
+                continue
+            parts, chars, carry = [piece], size, None
+            cap = self.width * size + 2
+            while chars < cap and len(piece) == size and not piece.endswith("\n"):
+                if not any(map(piece.__contains__, ",\r\n")):
+                    yield "".join(parts[:-1]) + over  # the piece lies inside one field
+                    return
+                piece = readline(size)
+                if parts[-1].endswith("\r") and piece != "\n":
+                    carry = piece  # that \r ended the line: piece begins the next
+                    break
+                parts.append(piece)
+                chars += len(piece)
+            if chars >= cap:
+                yield over
+                return
+            yield "".join(parts)
+            piece = readline(size) if carry is None else carry
 
 
 def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool, line_num: int):
@@ -491,9 +535,7 @@ def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool,
     then, from the first other block on, csv.reader's rows by ``_row_blocks`` and
     ``_convert``, whose fault raises once its block's earlier rows are checked.
     A block is let go of before the next is read; a caller that keeps no view of
-    it holds one block at a time. A file stream's lines are ``_capped_lines``."""
-    if hasattr(fh, "readline"):
-        fh = _capped_lines(fh, len(names))
+    it holds one block at a time. ``fh`` is the reader's ``_CappedLines``."""
     while chunk := _line_block(fh):
         plain = _plain_block(chunk, optional)
         if plain is None:
@@ -521,13 +563,14 @@ def parse_ticks(stream) -> TickTable:
     with the ticks only by those columns. A malformed row, a non-finite value
     or a decreasing timestamp raises ValueError naming the line.
     """
-    lines = _as_lines(stream)
+    lines = _CappedLines(_as_lines(stream), _MAX_TICK_COLUMNS)
     reader = csv.reader(lines)
     header = _header(reader, "", True)
     if header is None:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     names = tuple(c.strip() for c in header)
     optional, sides = _layout(names)
+    lines.width = len(names)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for values, blank, line_nums, rows in _value_blocks(lines, names, optional, "", True, reader.line_num):
         previous_ts = float(parts[-1][0][-1]) if parts else -math.inf

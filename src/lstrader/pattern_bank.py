@@ -29,7 +29,10 @@ every point-to-centroid distance in every iteration, with less work:
 - an empty cluster is reseeded to the point farthest from its centroid,
   after which every row gets exact distances again;
 - the objective is sum ||x||^2 - 2 sum_j s_j.c_j + sum_j n_j ||c_j||^2 over
-  the cluster sums s_j and sizes n_j, so it needs no pass over the points.
+  the cluster sums s_j and sizes n_j, so it needs no pass over the points;
+- rows go in two groupings: distances are scored ``_SCORE_ROWS`` (256) rows
+  at a time, and cluster sums updated ``_SUM_ROWS`` (1024) moved rows at a
+  time; each constant says why it has its size.
 
 Scoring rows: ``anchored_rows`` and ``anchored_moments`` are the row rule
 of the similarity score (see ``regression``, which anchors one block of
@@ -58,9 +61,14 @@ DEFAULT_NUM_CLUSTERS = 100
 DEFAULT_NUM_SELECTED = 20
 EFFECTIVENESS_EPS = 1e-9
 
-# Rows per gathered block in k-means: bounds its temporaries to this many
-# rows of the point matrix, whatever the number of points.
-_BLOCK_ROWS = 1024
+# Rows per k-means distance block: bounds the gathered rows and their
+# distances to this many, whatever the number of points. 128-row blocks
+# change the banks of one-day markets.
+_SCORE_ROWS = 256
+# Moved rows per cluster-sum update. They are the inner dimension of
+# ``delta @ points[block]``, so this grouping fixes how the sums round, and
+# with them every bank file.
+_SUM_ROWS = 1024
 
 
 def normalize(x) -> np.ndarray:
@@ -252,7 +260,7 @@ def _nearest_two(
     best = np.empty(rows.size)
     second = np.full(rows.size, np.inf)
     every_row = rows.size == points.shape[0]  # rows are distinct and ascending, so 0..n-1
-    for out, block in row_blocks(rows, _BLOCK_ROWS):
+    for out, block in row_blocks(rows, _SCORE_ROWS):
         take = out if every_row else block  # a slice is a view, not a gathered copy
         cross = points[take] @ centroids.T
         cross *= 2.0
@@ -370,7 +378,7 @@ def kmeans(
         set_bounds(rows, best, second)
         changed = nearest != assignments[rows]
         moved, to_cluster = rows[changed], nearest[changed]
-        for out, block in row_blocks(moved, _BLOCK_ROWS):
+        for out, block in row_blocks(moved, _SUM_ROWS):
             delta = np.zeros((k, block.size))
             cols = np.arange(block.size)
             delta[to_cluster[out], cols] = 1.0

@@ -165,6 +165,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith(f"error: failed writing {placements}: ")
         assert "missing input file" not in err
+        assert not (tmp_path / "series.csv").exists()  # a failed gen leaves nothing behind
+
+    @pytest.mark.parametrize("command", ["gen", "pipeline"])
+    def test_negative_seed_is_a_usage_error_naming_it(self, spec_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--spec", spec_path, "--out", out, "--seed", -1) == 2
+        assert "error: argument --seed: expected a non-negative integer, got '-1'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_gen_refuses_non_finite_duration(self, spec_path, tmp_path, capsys, duration):
@@ -225,8 +234,9 @@ class TestBadInputFiles:
     @pytest.mark.parametrize(
         "mutate, message",
         [(lambda d: d["mix"].__setitem__(0, None), "spec.json: mix must be finite"),
-         (lambda d: d.update(noise_sigma=float("nan")), "spec.json: noise_sigma must be finite")],
-        ids=["mix_null", "noise_nan"],
+         (lambda d: d.update(noise_sigma=float("nan")), "spec.json: noise_sigma must be finite"),
+         (lambda d: d.update(seed=-1), "spec.json: seed must be >= 0")],
+        ids=["mix_null", "noise_nan", "seed_negative"],
     )
     @pytest.mark.parametrize("command", ["gen", "pipeline"])
     def test_non_finite_spec_names_file(self, tmp_path, capsys, command, mutate, message):

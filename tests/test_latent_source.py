@@ -82,6 +82,7 @@ class TestSpecJsonFaults:
             (lambda d: d.update(noise_sigma="0.1"), "spec JSON needs a number 'noise_sigma'"),
             (lambda d: d.update(seed=1.5), "spec JSON needs an integer 'seed'"),
             (lambda d: d.update(seed=True), "spec JSON needs an integer 'seed'"),
+            (lambda d: d.update(seed=-1), "seed must be >= 0"),
             (lambda d: d["label_dists"].__setitem__(0, "point"),
              r"spec JSON label_dists\[0\] needs a string 'kind'"),
             (lambda d: d["label_dists"][1].pop("mean"), r"spec JSON label_dists\[1\] needs a number 'mean'"),
@@ -96,7 +97,7 @@ class TestSpecJsonFaults:
              "spec JSON values must be numbers"),
         ],
         ids=["empty", "sources_str", "no_mix", "label_dists_dict", "noise_str", "seed_float",
-             "seed_bool", "label_dist_str", "no_mean", "source_str", "ragged", "variance_str",
+             "seed_bool", "seed_negative", "label_dist_str", "no_mean", "source_str", "ragged", "variance_str",
              "mix_length", "unknown_kind", "mix_number_strs", "source_number_str", "variance_bool"],
     )
     def test_missing_or_mistyped_field(self, tmp_path, mutate, message):

@@ -209,6 +209,36 @@ class TestOverLongLine:
         assert message == f"line 3: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("mode", ["r", "rb"])
+    def test_wide_tick_field_refused_within_one_piece(self, tmp_path, mode):
+        """At 60 levels a side a line may run to 242 pieces before the line cap;
+        a piece with no delimiter is refused at once. Reading the line whole
+        peaked at 80.3 MiB."""
+        header = ["timestamp", "price"] + [f"{side}_{k}_{i}" for side in ("bid", "ask")
+                                           for i in range(1, 61) for k in ("price", "vol")]
+        levels = ",".join([f"{900 - i},1" for i in range(60)] + [f"{1100 + i},1" for i in range(60)])
+        path = tmp_path / "ticks.csv"
+        path.write_text(f"{','.join(header)}\n1,1000,{levels}\n2,{'1' * (40 * 2**20)},{levels}\n")
+        message, peak = _read_peak(parse_ticks, path, mode)
+        assert message == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("mode", ["r", "rb"])
+    def test_header_field_refused_within_a_bounded_peak(self, tmp_path, mode):
+        """The header is read through the same pieces: it peaked at 16.1 MiB."""
+        path = tmp_path / "ticks.csv"
+        path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total{self.TOKEN}\n1,100,1,1\n")
+        message, peak = _read_peak(parse_ticks, path, mode)
+        assert message == f"line 1: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_series_header_field_refused_within_a_bounded_peak(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(f"bucket_time,price,imbalance{self.TOKEN}\n0.0,100.0,0.0\n")
+        message, peak = _read_peak(lambda fh: PriceSeries.from_csv(path), path, "r")
+        assert message == f"{path} line 1: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_series_line_refused_within_a_bounded_peak(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,{self.TOKEN},0.0\n")
@@ -238,6 +268,34 @@ class TestOverLongLine:
                         + ",".join(['"' + '""' * limit + '"'] * 4) + "\n")
         message, _ = _read_peak(parse_ticks, path, "r")
         assert message.startswith("line 2: non-numeric timestamp: '\"\"\"")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_end_at_a_piece_boundary(self, tmp_path, end):
+        """Lines whose \\r is the last character of a piece (at a field limit of
+        14, pieces of 31 characters) read as they do with \\n line ends, and a
+        later fault names the same line."""
+        def row(values, widths):  # quoted, space-padded fields
+            return ",".join(f'"{v.rjust(w)}"' for v, w in zip(values, widths))
+
+        rows = [row(("1", "100", "1", "1"), (5, 5, 5, 4)),  # 30 characters, then the \r
+                row(("2", "101", "3", "1"), (14, 14, 14, 8)),  # 61
+                "3,102,1,3"]
+        assert [len(r) for r in rows[:2]] == [30, 61]
+        text = "timestamp,price,bid_vol_total,ask_vol_total\n" + "\n".join(rows) + "\n"
+        old = csv.field_size_limit(14)
+        try:
+            want = parse_ticks(io.StringIO(text))
+            path = tmp_path / "ticks.csv"
+            path.write_bytes(text.replace("\n", end).encode())
+            got, _ = _read_peak(parse_ticks, path, "r")
+            path.write_bytes((text + "4,0,1,1\n").replace("\n", end).encode())
+            message, _ = _read_peak(parse_ticks, path, "r")
+        finally:
+            csv.field_size_limit(old)
+        assert list(want.prices) == [100.0, 101.0, 102.0]
+        for name in ("timestamps", "prices", "imbalances"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert message == "line 5: tick price must be > 0, got 0.0"
 
 
 class TestParseTicksFuzz:
