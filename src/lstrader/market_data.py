@@ -5,12 +5,10 @@ columnar ``TickTable`` and mapped onto a gapless fixed-interval grid, a
 ``PriceSeries``, which is written and read back bit for bit as CSV. The
 tick and series CSV formats, the checks a tick must pass, the grid mapping
 and the memory bound are set out once, in README.md ("How it works", step
-1, and "File formats"). Both readers take a block of lines at a time
-(``_value_blocks``): np.loadtxt parses a plain block (``_plain_block``) in
-one call; from the first other block on, csv.reader and float() read on,
-so accepted values and fault messages stay the same. A file's lines, its
-header first, come through ``_CappedLines``, which refuses an over-long
-field after one piece of the line and an over-long line at a cap.
+1, and "File formats"), which also gives the rule by which both readers
+read each block of lines (``_value_blocks``). A file's lines, its header
+first, come through ``_CappedLines``, which refuses an over-long field
+after one piece of the line and an over-long line at a cap.
 
 Every module opens its files through ``open_text`` and ``open_for_write``,
 and reads and writes JSON through ``read_json`` and ``write_json``, whose
@@ -124,7 +122,7 @@ class PriceSeries:
             write_float_rows(fh, (self.bucket_times, self.prices, self.imbalances), _SERIES_HEADER)
 
     @classmethod
-    def from_csv(cls, path, default_interval: float = DEFAULT_INTERVAL) -> "PriceSeries":
+    def from_csv(cls, path) -> "PriceSeries":
         """Read a series CSV (see ``_value_blocks``); a fault raises ValueError naming file and line."""
         with open_text(path, newline="") as fh:
             fh = _CappedLines(fh, len(_SERIES_HEADER))
@@ -150,7 +148,7 @@ class PriceSeries:
             if not interval > 0:
                 raise ValueError(f"{path}: bucket times must increase, got a step of {interval!r}")
         else:
-            interval = default_interval
+            interval = DEFAULT_INTERVAL
         return cls(float(times[0]), interval, prices, imbalances)
 
 
@@ -400,48 +398,15 @@ def _reduce_block(values, blank, lines, rows, names, sides, previous_ts: float):
     return ts.copy(), price.copy(), imbalance(bid, ask)  # owned: the block's values can go
 
 
-def _row_blocks(reader, width: int, where: str, skip_blank: bool, line_num: int):
-    """(rows, line numbers) blocks of up to BLOCK_ROWS ``width``-token rows,
-    ending early once their tokens hold BLOCK_CHARS characters, of a csv reader
-    of the lines after ``line_num``, skipping empty rows and, with skip_blank,
-    all-whitespace rows. A row of another width or a csv error raises
-    ValueError naming its line after ``where``, once the rows before it are
-    yielded: an earlier fault is reported first."""
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    chars = 0
-    fault = None
-    try:
-        for row in reader:
-            if not row or (skip_blank and all(tok.strip() == "" for tok in row)):
-                continue
-            if len(row) != width:
-                fault = f"expected {width} columns, got {len(row)}"
-                break
-            rows.append(row)
-            lines.append(line_num + reader.line_num)
-            chars += sum(map(len, row))
-            if len(rows) == BLOCK_ROWS or chars >= BLOCK_CHARS:
-                yield rows, lines
-                rows.clear()  # in place: the caller's name for the block lets go of it too
-                lines.clear()
-                chars = 0
-    except csv.Error as exc:
-        fault = str(exc)
-    if rows:
-        yield rows, lines
-    if fault is not None:
-        raise ValueError(f"{where}line {line_num + reader.line_num}: {fault}")
-
-
 def _plain_block(chunk: list[str], optional: np.ndarray):
     """(values, blank) of lines csv.reader splits at every comma, or None. Lines fit
-    csv's field limit and hold a comma, no n or N (a NaN is an optional blank) and no
-    \\x1c-\\x1f, which loadtxt strips and float() refuses; loadtxt refuses what else it
-    and float() read apart: a quote, 1_0, a non-ASCII digit, a \\r inside a line."""
+    csv's field limit and hold a comma, no n or N (a NaN is an optional blank), no
+    \\x1c-\\x1f, which loadtxt strips and float() refuses, and no quote, which loadtxt
+    would refuse only after parsing the lines before it; loadtxt refuses what else it
+    and float() read apart: 1_0, a non-ASCII digit, a \\r inside a line."""
     if (max(map(len, chunk)) > csv.field_size_limit()
             or not all(map(operator.contains, chunk, itertools.repeat(",")))  # a row, not an empty line
-            or any(any(map(operator.contains, chunk, itertools.repeat(c))) for c in "nN\x1c\x1d\x1e\x1f")):
+            or any(any(map(operator.contains, chunk, itertools.repeat(c))) for c in '"nN\x1c\x1d\x1e\x1f')):
         return None
     if optional.any():  # a leading blank is in the required first column: loadtxt refuses it
         chunk = [line.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
@@ -529,28 +494,60 @@ class _CappedLines:
             piece = readline(size) if carry is None else carry
 
 
+def _csv_block(chunk: list[str], fh, names, optional: np.ndarray, where: str, skip_blank: bool,
+               line_num: int):
+    """(lines read, fault, block) of csv.reader over the lines of ``chunk``, numbered
+    from ``line_num + 1``, read on from ``fh`` only to end a row a quote carries past
+    them. block is (values, blank, line numbers, rows) by ``_convert``, empty and (with
+    skip_blank) all-whitespace rows skipped, or None if no row is left. fault is None
+    or the ValueError of the block's first fault, naming its line after ``where``."""
+    reader = csv.reader(itertools.chain(chunk, fh))
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    fault = None
+    try:
+        for row in reader:
+            if row and not (skip_blank and all(tok.strip() == "" for tok in row)):
+                if len(row) != len(names):
+                    fault = f"expected {len(names)} columns, got {len(row)}"
+                    break
+                rows.append(row)
+                lines.append(line_num + reader.line_num)
+            if reader.line_num >= len(chunk):
+                break
+    except csv.Error as exc:
+        fault = str(exc)
+    if fault is not None:
+        fault = ValueError(f"{where}line {line_num + reader.line_num}: {fault}")
+    if not rows:
+        return reader.line_num, fault, None
+    values, blank, error = _convert(rows, lines, names, optional, where)
+    return reader.line_num, error or fault, (values, blank, lines, rows)  # error's row comes first
+
+
 def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool, line_num: int):
     """(values, blank, line numbers, rows) blocks of the lines of ``fh`` after its
-    line ``line_num``, blanks NaN: ``_plain_block``s of ``_line_block``s (rows None),
-    then, from the first other block on, csv.reader's rows by ``_row_blocks`` and
-    ``_convert``, whose fault raises once its block's earlier rows are checked.
-    A block is let go of before the next is read; a caller that keeps no view of
-    it holds one block at a time. ``fh`` is the reader's ``_CappedLines``."""
+    line ``line_num``, blanks NaN, one per ``_line_block`` by the rule of README
+    step 1: a ``_plain_block`` (rows None) or else a ``_csv_block``, whose fault
+    raises once its block's earlier rows are checked. A block is let go of
+    before the next is read; a caller that keeps no view of it holds one block
+    at a time. ``fh`` is the reader's ``_CappedLines``."""
     while chunk := _line_block(fh):
         plain = _plain_block(chunk, optional)
-        if plain is None:
-            break
-        n, chunk = len(chunk), None  # let the lines go before the next block is read
-        yield *plain, range(line_num + 1, line_num + n + 1), None
-        del plain  # nor hold this block's values while the next is parsed
+        if plain is not None:
+            n, chunk = len(chunk), None  # let the lines go before the next block is read
+            yield *plain, range(line_num + 1, line_num + n + 1), None
+            del plain  # nor hold this block's values while the next is parsed
+        else:
+            n, fault, block = _csv_block(chunk, fh, names, optional, where, skip_blank, line_num)
+            chunk = None
+            if block is not None:
+                yield block
+                block[3].clear()  # in place: the caller's name for the rows lets go of them too
+                del block
+            if fault is not None:
+                raise fault
         line_num += n
-    for rows, lines in _row_blocks(csv.reader(itertools.chain(chunk, fh)), len(names), where,
-                                   skip_blank, line_num):
-        values, blank, error = _convert(rows, lines, names, optional, where)
-        yield values, blank, lines, rows
-        if error is not None:
-            raise error
-        del values, blank
 
 
 def parse_ticks(stream) -> TickTable:

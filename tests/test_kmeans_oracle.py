@@ -142,6 +142,23 @@ def test_iteration_cap():
     assert len(ref["history"]) == 4
 
 
+@pytest.mark.parametrize("k, seed, max_iters, values", [
+    (3, 96109690, 5, [-3, 0, 0, 3, -1, 3, -3, 3, 3, -3, 1, 3, -3, -1, 2, 3, 1, -1, 0, 3]),
+    (6, 2074383350, 4, [-3, 3, 5, 7, 1, 3, -3, -3, 7, 3, 5, -3, 4, 2, -1, -7, 4, -5, 7, 5,
+                        -2, -1, -2, 7, -4, 6, -1, 0, 3, 7]),
+    (10, 1818771577, 1, [48, 0, -4, 38, 31, -37, -37, -26, 50, 1, -30, 12, -7, 16, 26, 34, 43,
+                         38, -46, 4, -12, 37, -11, -7, -11]),
+    (4, 1065989243, 8, [20, -28, -50, -13, -38, -25, 36, -48, 22, 2, -43, -50, 32, -9, 42, 37,
+                        -5, 28, 31, 21]),
+])
+def test_exact_ties_need_the_rounding_allowance(k, seed, max_iters, values):
+    """1-D integer points with exact distance ties, on which the bounds need their
+    rounding allowance: with it set to 0, each case gets other assignments (and
+    the first and last other iteration counts)."""
+    points = np.array(values, dtype=np.float64)[:, None]
+    assert_matches_reference(points, np.zeros(len(values)), k, seed, max_iters)
+
+
 @st.composite
 def small_problems(draw):
     n = draw(st.integers(min_value=1, max_value=30))

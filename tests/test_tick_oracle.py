@@ -494,6 +494,49 @@ def test_plain_file_never_reaches_the_csv_path(monkeypatch):
     assert [parse_outcome(text, "lines") for text in texts] == wants
 
 
+@pytest.mark.parametrize("odd", ["blank_line", "quoted_token"])
+def test_one_odd_line_sends_only_its_block_to_the_csv_path(monkeypatch, odd):
+    """A blank line or a quoted token on line 4 of a file of four blocks sends
+    that line's block to csv.reader; the blocks after it go to np.loadtxt."""
+    header, rows, _ = make_csv(17, 200, max_depth=4)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if odd == "blank_line":
+        lines.insert(3, "")
+    else:
+        lines[3] = '"{}",{}'.format(*lines[3].split(",", 1))
+    text = "\n".join(lines) + "\n"
+    monkeypatch.setattr(market_data, "BLOCK_ROWS", 64)
+    want = parse_outcome(text, "lines")
+    converted = []
+    convert = market_data._convert
+
+    def counted(rows, *args):
+        converted.append(len(rows))
+        return convert(rows, *args)
+
+    monkeypatch.setattr(market_data, "_convert", counted)
+    assert parse_outcome(text, "lines") == want
+    assert 0 < sum(converted) <= 64, converted
+
+
+@pytest.mark.parametrize("short_row", [False, True], ids=["read_on", "short_row_next"])
+def test_quoted_line_end_across_a_block_boundary(monkeypatch, tmp_path, short_row):
+    """A quoted volume holding a line end, on lines 5-6 where a block of 4 lines
+    ends at line 5: the block reads on to end that row, and the next block starts
+    at line 7 with the line numbers one csv.reader over the whole text gives."""
+    header, rows, interval = make_csv(23, 12, extended=False)
+    rows[3][2] = f'"{rows[3][2]}\n"'
+    if short_row:
+        rows.insert(4, rows[4][:-1])
+    text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    monkeypatch.setattr(market_data, "BLOCK_ROWS", 4)
+    if short_row:
+        assert raised(parse_ticks, text) == raised(reference_parse_ticks, text) == (
+            "line 7: expected 4 columns, got 3")
+    else:
+        assert_same_ticks(text, interval, tmp_path)
+
+
 def write_wide_ticks(path, n, levels, quoted=False):
     """n ticks of ``levels`` levels a side, every tenth with its last five ask
     levels blank; quoted puts every timestamp in quotes, which sends the file
