@@ -10,24 +10,12 @@ Subcommands:
   report       backtest + sweep + full report bundle in one go
   pipeline     gen/ingest, three-way temporal split, banks, fit, evaluation
 
-The pipeline splits the series into three consecutive periods (train / fit
-/ evaluate, exact fractions by bucket count with the remainder on the last
-period), builds banks on the first, calibrates on the second, and reports
-on the third. All randomness derives from one --seed. --windows takes any
-strictly increasing list of window lengths, one bank per length.
-
-The parsed command line is the pipeline's only config. A flag that a staged
-command shares with the pipeline is declared once, in a parent parser, and
-the pipeline generates, ingests and builds banks through the same helper as
-gen, ingest and build-banks. A bad --split, mining flag (--windows, --k,
---m, --stride, --max-iters) or --c-grid, or a period too short for the
-longest window, fails before anything is written; a list flag with no value
-fails as argparse's usage error naming the flag.
-
-Each bank is written once, as bank_<window>.json, by build-banks or by the
-pipeline (into the run directory's banks/). The kernel constant c lives
-only in model.json, whose bank paths are relative to its own directory: fit
-refers to the files it read, so it writes no bank.
+The flags, the pipeline's three periods and what each command writes are
+set out once, in README.md ("CLI"). The parsed command line is the
+pipeline's only config. A flag that a staged command shares with the
+pipeline is declared once, in a parent parser, and the pipeline generates,
+ingests and builds banks through the same helper as gen, ingest and
+build-banks.
 """
 
 from __future__ import annotations
@@ -40,8 +28,7 @@ import numpy as np
 
 from . import evaluator, trader
 from .latent_source import LatentSourceSpec, generate_price_series
-from .market_data import (DEFAULT_INTERVAL, PriceSeries, coarsen, open_text, parse_ticks,
-                          write_json)
+from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, parse_ticks, write_json
 from .pattern_bank import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_NUM_SELECTED,
@@ -127,9 +114,7 @@ def cmd_gen(args) -> int:
 
 def _ingest(args) -> PriceSeries:
     """The --ticks file coarsened onto the --interval grid."""
-    with open_text(args.ticks, newline="") as fh:
-        ticks = parse_ticks(fh)
-    return coarsen(ticks, interval=args.interval)
+    return coarsen(parse_ticks(args.ticks), interval=args.interval)
 
 
 def cmd_ingest(args) -> int:

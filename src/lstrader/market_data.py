@@ -3,16 +3,16 @@
 Raw ticks (a trade price and an order-book snapshot each) are parsed into a
 columnar ``TickTable`` and mapped onto a gapless fixed-interval grid, a
 ``PriceSeries``, which is written and read back bit for bit as CSV. The
-tick and series CSV formats, the checks a tick must pass, the grid mapping
-and the memory bound are set out once, in README.md ("How it works", step
-1, and "File formats"), which also gives the rule by which both readers
-read each block of lines (``_value_blocks``). A file's lines, its header
-first, come through ``_CappedLines``, which refuses an over-long field
-after one piece of the line and an over-long line at a cap.
+formats, the checks a tick must pass, the grid mapping, the memory bound
+and the rule by which both readers read each block of lines
+(``_value_blocks``) are set out once, in README.md ("How it works", step
+1, and "File formats"). Both readers take a path and open it through
+``_csv_file``.
 
 Every module opens its files through ``open_text`` and ``open_for_write``,
 and reads and writes JSON through ``read_json`` and ``write_json``, whose
-value rules are ``require_fields`` and ``json_floats``.
+value rules are ``require_fields`` and ``json_floats``. A ValueError raised
+while ``open_text`` holds a file open names that file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -90,6 +89,9 @@ class PriceSeries:
             raise ValueError("PriceSeries cannot be empty")
         if not self.interval > 0:
             raise ValueError("interval must be > 0")
+        start, step = float(self.start_time), float(self.interval)
+        if not all(map(math.isfinite, (start, step, start + step * (len(prices) - 1)))):  # the last bucket time
+            raise ValueError(f"bucket times must be finite: {start!r} + {step!r} * i")
         for name, values in (("price", prices), ("imbalance", imbalances)):
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
@@ -124,42 +126,38 @@ class PriceSeries:
     @classmethod
     def from_csv(cls, path) -> "PriceSeries":
         """Read a series CSV (see ``_value_blocks``); a fault raises ValueError naming file and line."""
-        with open_text(path, newline="") as fh:
-            fh = _CappedLines(fh, len(_SERIES_HEADER))
-            reader = csv.reader(fh)
-            header = _header(reader, f"{path} ", False)
+        with _csv_file(path, len(_SERIES_HEADER), False) as (header, blocks):
             if header is None or tuple(h.strip() for h in header) != _SERIES_HEADER:
-                raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
-            blocks = []
-            for values, _, lines, rows in _value_blocks(fh, _SERIES_HEADER, np.zeros(3, dtype=bool),
-                                                         f"{path} ", False, reader.line_num):
+                raise ValueError(f"expected header {','.join(_SERIES_HEADER)}")
+            parts = []
+            for values, _, lines, rows in blocks(_SERIES_HEADER, np.zeros(3, dtype=bool)):
                 bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
                 if bad.size:
-                    raise ValueError(f"{path} line {lines[bad[0]]}: non-finite value in {rows[bad[0]]}")
-                blocks.append(values)
-        if not blocks:
-            raise ValueError(f"{path}: empty price series")
-        times, prices, imbalances = np.concatenate(blocks).T
-        if len(times) > 1:
-            steps = np.diff(times)
-            interval = float(steps[0])
-            if not np.allclose(steps, interval, rtol=0, atol=1e-9):
-                raise ValueError(f"{path}: bucket times are not uniformly spaced")
+                    raise ValueError(f"line {lines[bad[0]]}: non-finite value in {rows[bad[0]]}")
+                parts.append(values)
+            if not parts:
+                raise ValueError("empty price series")
+            times, prices, imbalances = np.concatenate(parts).T
+            interval = float(times[1] - times[0]) if len(times) > 1 else DEFAULT_INTERVAL
+            if not np.allclose(np.diff(times), interval, rtol=0, atol=1e-9):
+                raise ValueError("bucket times are not uniformly spaced")
             if not interval > 0:
-                raise ValueError(f"{path}: bucket times must increase, got a step of {interval!r}")
-        else:
-            interval = DEFAULT_INTERVAL
-        return cls(float(times[0]), interval, prices, imbalances)
+                raise ValueError(f"bucket times must increase, got a step of {interval!r}")
+            return cls(float(times[0]), interval, prices, imbalances)
 
 
 @contextlib.contextmanager
 def open_text(path, newline=None):
-    """path opened to read UTF-8 text; a byte that is not UTF-8 raises ValueError naming it."""
+    """path opened to read UTF-8 text. A ValueError raised while it is open is
+    raised again as "<path>: <message>"; a byte that is not UTF-8 reads
+    "<path>: not UTF-8 text (<reason>)"."""
     with open(path, "r", newline=newline, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -180,13 +178,8 @@ def read_json(path, parse):
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-    try:
+            raise ValueError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         return parse(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(path, data) -> None:
@@ -251,28 +244,22 @@ def imbalance(bid_total, ask_total) -> np.ndarray:
     return np.divide(bid - ask, total, out=np.zeros(total.shape), where=total != 0)
 
 
-def _as_lines(stream) -> Iterator[str]:
-    if isinstance(stream, (bytes, bytearray)):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        return iter(io.StringIO(stream, newline="").readlines())  # a lone \r ends a line too
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(stream, encoding="utf-8")
-    return iter(stream)  # text file object or any iterable of lines
+def _layout(cols: tuple[str, ...]):
+    """(optional, sides) of a stripped tick header: per column whether a blank
+    token means an absent level, and per book side (side, price columns, volume
+    columns), the columns as slices, so that selecting them from a block makes
+    no copy. A header of neither form raises ValueError naming line 1.
 
-
-def _header(reader, where: str, skip_blank: bool):
-    """The first row of a csv reader (with skip_blank, the first holding a non-blank
-    token), or None; a csv error raises ValueError naming its line after ``where``."""
-    try:
-        return next((row for row in reader if not skip_blank or any(tok.strip() for tok in row)), None)
-    except csv.Error as exc:
-        raise ValueError(f"{where}line {reader.line_num}: {exc}") from None
-
-
-def _split_extended_header(header: list[str]) -> tuple[int, int]:
-    """Validate the extended header and return (bid levels, ask levels)."""
-    cols, idx, levels = [c.strip() for c in header], 2, []
+    The basic form is a one-level book per side priced at the trade price.
+    """
+    if cols[:2] != ("timestamp", "price"):
+        raise ValueError("line 1: missing tick CSV header (must start with timestamp,price)")
+    if len(cols) == 2 or cols[2] == "bid_vol_total":
+        if cols != _BASIC_HEADER:
+            raise ValueError(f"line 1: expected header {','.join(_BASIC_HEADER)}")
+        price = slice(1, 2)
+        return np.zeros(4, dtype=bool), (("bid", price, slice(2, 3)), ("ask", price, slice(3, 4)))
+    idx, levels = 2, []
     for side in ("bid", "ask"):
         n = 0
         while idx + 1 < len(cols) and cols[idx] == f"{side}_price_{n + 1}":
@@ -280,39 +267,20 @@ def _split_extended_header(header: list[str]) -> tuple[int, int]:
                 raise ValueError(f"line 1: expected {side}_vol_{n + 1}, got {cols[idx + 1]!r}")
             n, idx = n + 1, idx + 2
         levels.append(n)
-    n_bid, n_ask = levels
     if idx != len(cols):
         raise ValueError(f"line 1: unrecognized tick CSV column {cols[idx]!r}")
-    if n_bid == 0 and n_ask == 0:
+    if levels == [0, 0]:
         raise ValueError("line 1: extended tick CSV header has no book levels")
-    if n_bid > MAX_BOOK_DEPTH or n_ask > MAX_BOOK_DEPTH:
+    if max(levels) > MAX_BOOK_DEPTH:
         raise ValueError(f"line 1: book depth exceeds {MAX_BOOK_DEPTH}")
-    return n_bid, n_ask
+    ask = 2 + 2 * levels[0]
+    return np.arange(len(cols)) >= 2, (
+        ("bid", slice(2, ask, 2), slice(3, ask, 2)),
+        ("ask", slice(ask, len(cols), 2), slice(ask + 1, len(cols), 2)),
+    )
 
 
-def _layout(cols: tuple[str, ...]):
-    """(optional, sides) of a header: per column whether a blank token means an
-    absent level, and per book side (side, price columns, volume columns), the
-    columns as slices, so that selecting them from a block makes no copy.
-
-    The basic form is a one-level book per side priced at the trade price.
-    """
-    if cols[:2] != ("timestamp", "price"):
-        raise ValueError("line 1: missing tick CSV header (must start with timestamp,price)")
-    if len(cols) > 2 and cols[2] != "bid_vol_total":
-        n_bid, n_ask = _split_extended_header(list(cols))
-        ask = 2 + 2 * n_bid
-        return np.arange(len(cols)) >= 2, (
-            ("bid", slice(2, ask, 2), slice(3, ask, 2)),
-            ("ask", slice(ask, len(cols), 2), slice(ask + 1, len(cols), 2)),
-        )
-    if cols != _BASIC_HEADER:
-        raise ValueError(f"line 1: expected header {','.join(_BASIC_HEADER)}")
-    price = slice(1, 2)
-    return np.zeros(4, dtype=bool), (("bid", price, slice(2, 3)), ("ask", price, slice(3, 4)))
-
-
-def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarray, where: str):
+def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarray):
     """(values, blank, error) of a block of rows; blank tokens are NaN.
 
     One bulk conversion does the work. A block it refuses is converted token
@@ -338,7 +306,7 @@ def _convert(rows: list[list[str]], lines: list[int], names, optional: np.ndarra
             try:
                 values[i, j] = np.nan if blank[i, j] else float(tok)
             except ValueError:
-                error = ValueError(f"{where}line {lines[i]}: non-numeric {names[j]}: {shown!r}")
+                error = ValueError(f"line {lines[i]}: non-numeric {names[j]}: {shown!r}")
                 return values[:i], blank[:i], error
     return values, blank, None
 
@@ -441,26 +409,21 @@ def _line_block(fh) -> list[str]:
 
 
 class _CappedLines:
-    """The lines of a text stream, read in pieces of ``2 * limit + 3``
-    characters (limit: csv's field limit); any other iterable of lines passes
-    as it is. A field within the limit takes at most 2 * limit + 2 characters
-    (each a doubled quote, plus two quotes), so:
-
-    - a piece with no comma and no line end lies inside a field over the
-      limit: the line is cut before it and ended by such a field;
-    - a row of ``width`` fields within the limit is shorter than ``width``
-      pieces and 2 characters: a line that long becomes such a field.
-
-    Either way the stream ends there and csv.reader refuses that line, by its
-    number, without it being held whole. ``width`` may change between lines
-    (a reader sets its header's). A \\r ends a line, as in the newline=""
-    streams the readers open; after a full piece ending in \\r one piece is
-    read ahead, which may be that line end's \\n.
+    """The lines of a text file, read in pieces of ``2 * limit + 3``
+    characters (limit: csv's field limit) and cut as README step 1 sets out:
+    a piece with no comma and no line end, or a line of ``width`` pieces and
+    2 characters, ends the stream with a field over the limit, which
+    csv.reader refuses at that line without it being held whole. A field
+    within the limit takes at most 2 * limit + 2 characters (each a doubled
+    quote, plus two quotes). ``width`` may change between lines (a reader
+    sets its header's). A \\r ends a line, as in the newline="" file
+    ``_csv_file`` opens; after a full piece ending in \\r one piece is read
+    ahead, which may be that line end's \\n.
     """
 
     def __init__(self, fh, width: int):
         self.width = width
-        self._lines = self._capped(fh) if hasattr(fh, "readline") else iter(fh)
+        self._lines = self._capped(fh)
 
     def __iter__(self) -> Iterator[str]:
         return self._lines
@@ -494,13 +457,12 @@ class _CappedLines:
             piece = readline(size) if carry is None else carry
 
 
-def _csv_block(chunk: list[str], fh, names, optional: np.ndarray, where: str, skip_blank: bool,
-               line_num: int):
+def _csv_block(chunk: list[str], fh, names, optional: np.ndarray, skip_blank: bool, line_num: int):
     """(lines read, fault, block) of csv.reader over the lines of ``chunk``, numbered
     from ``line_num + 1``, read on from ``fh`` only to end a row a quote carries past
     them. block is (values, blank, line numbers, rows) by ``_convert``, empty and (with
     skip_blank) all-whitespace rows skipped, or None if no row is left. fault is None
-    or the ValueError of the block's first fault, naming its line after ``where``."""
+    or the ValueError of the block's first fault, naming its line."""
     reader = csv.reader(itertools.chain(chunk, fh))
     rows: list[list[str]] = []
     lines: list[int] = []
@@ -518,14 +480,14 @@ def _csv_block(chunk: list[str], fh, names, optional: np.ndarray, where: str, sk
     except csv.Error as exc:
         fault = str(exc)
     if fault is not None:
-        fault = ValueError(f"{where}line {line_num + reader.line_num}: {fault}")
+        fault = ValueError(f"line {line_num + reader.line_num}: {fault}")
     if not rows:
         return reader.line_num, fault, None
-    values, blank, error = _convert(rows, lines, names, optional, where)
+    values, blank, error = _convert(rows, lines, names, optional)
     return reader.line_num, error or fault, (values, blank, lines, rows)  # error's row comes first
 
 
-def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool, line_num: int):
+def _value_blocks(fh, names, optional: np.ndarray, skip_blank: bool, line_num: int):
     """(values, blank, line numbers, rows) blocks of the lines of ``fh`` after its
     line ``line_num``, blanks NaN, one per ``_line_block`` by the rule of README
     step 1: a ``_plain_block`` (rows None) or else a ``_csv_block``, whose fault
@@ -539,7 +501,7 @@ def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool,
             yield *plain, range(line_num + 1, line_num + n + 1), None
             del plain  # nor hold this block's values while the next is parsed
         else:
-            n, fault, block = _csv_block(chunk, fh, names, optional, where, skip_blank, line_num)
+            n, fault, block = _csv_block(chunk, fh, names, optional, skip_blank, line_num)
             chunk = None
             if block is not None:
                 yield block
@@ -550,29 +512,45 @@ def _value_blocks(fh, names, optional: np.ndarray, where: str, skip_blank: bool,
         line_num += n
 
 
-def parse_ticks(stream) -> TickTable:
-    """Parse a tick CSV stream into a TickTable, in file order.
+@contextlib.contextmanager
+def _csv_file(path, width: int, skip_blank: bool):
+    """(header, blocks) of the CSV file at path, open while the with block runs,
+    so that a ValueError raised in it names the file (``open_text``). header is
+    the first row (with skip_blank, the first holding a non-blank token) or None;
+    blocks(names, optional) gives the ``_value_blocks`` of the lines after it.
+    Lines come through ``_CappedLines``, ``width`` fields wide for the header
+    and ``len(names)`` after it."""
+    with open_text(path, newline="") as fh:
+        lines = _CappedLines(fh, width)
+        reader = csv.reader(lines)
+        try:
+            header = next((row for row in reader if not skip_blank or any(tok.strip() for tok in row)), None)
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
 
-    Accepts a text or binary file object, a str/bytes blob, or any iterable
-    of lines. An empty or header-only stream yields a table of length 0.
-    Rows are converted and checked a block at a time, each block reduced
-    to three owned columns before the next is read, so the memory held grows
-    with the ticks only by those columns. A malformed row, a non-finite value
-    or a decreasing timestamp raises ValueError naming the line.
+        def blocks(names, optional):
+            lines.width = len(names)
+            return _value_blocks(lines, names, optional, skip_blank, reader.line_num)
+
+        yield header, blocks
+
+
+def parse_ticks(path) -> TickTable:
+    """The ticks of the tick CSV file at path as a TickTable, in file order.
+
+    An empty or header-only file yields a table of length 0. Each block is
+    reduced to three owned columns before the next is read (README step 1).
+    A fault raises ValueError naming the file and line.
     """
-    lines = _CappedLines(_as_lines(stream), _MAX_TICK_COLUMNS)
-    reader = csv.reader(lines)
-    header = _header(reader, "", True)
-    if header is None:
-        return TickTable(np.empty(0), np.empty(0), np.empty(0))
-    names = tuple(c.strip() for c in header)
-    optional, sides = _layout(names)
-    lines.width = len(names)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for values, blank, line_nums, rows in _value_blocks(lines, names, optional, "", True, reader.line_num):
-        previous_ts = float(parts[-1][0][-1]) if parts else -math.inf
-        parts.append(_reduce_block(values, blank, line_nums, rows, names, sides, previous_ts))
-        del values, blank  # the loop holds no block while the next is read
+    with _csv_file(path, _MAX_TICK_COLUMNS, True) as (header, blocks):
+        if header is not None:
+            names = tuple(c.strip() for c in header)
+            optional, sides = _layout(names)
+            for values, blank, line_nums, rows in blocks(names, optional):
+                previous_ts = float(parts[-1][0][-1]) if parts else -math.inf
+                parts.append(_reduce_block(values, blank, line_nums, rows, names, sides, previous_ts))
+                del values, blank  # the loop holds no block while the next is read
     if not parts:
         return TickTable(np.empty(0), np.empty(0), np.empty(0))
     return TickTable(*(np.concatenate(column) for column in zip(*parts)))

@@ -12,27 +12,8 @@ labels), cluster the normalized windows with k-means, rank clusters by
 effectiveness |mean label| / (label std + eps), and keep the re-normalized
 centroids of the top clusters with their mean labels.
 
-k-means is Lloyd's algorithm with k-means++ seeding, deterministic given the
-seed. It reaches the same assignments as the textbook loop that computes
-every point-to-centroid distance in every iteration, with less work:
-
-- squared norms of the points are computed once; k-means++ scores each new
-  center with one matrix-vector product;
-- cluster sums come from one one-hot matrix product, after which only the
-  rows that change cluster are subtracted and added;
-- Hamerly's bounds ("Making k-means even faster", SDM 2010) keep, per point,
-  an upper bound on the distance to its centroid and a lower bound on the
-  distance to every other centroid. Rows whose bounds prove the assignment
-  cannot change are skipped; only the others get a row of distances. The
-  bounds carry slack for floating-point rounding, so rounding can only add
-  rows to recompute, never skip one whose nearest centroid might change;
-- an empty cluster is reseeded to the point farthest from its centroid,
-  after which every row gets exact distances again;
-- the objective is sum ||x||^2 - 2 sum_j s_j.c_j + sum_j n_j ||c_j||^2 over
-  the cluster sums s_j and sizes n_j, so it needs no pass over the points;
-- rows go in two groupings: distances are scored ``_SCORE_ROWS`` (256) rows
-  at a time, and cluster sums updated ``_SUM_ROWS`` (1024) moved rows at a
-  time; each constant says why it has its size.
+k-means (``kmeans``) is set out once, in README.md ("How it works", step
+2); ``_SCORE_ROWS`` and ``_SUM_ROWS`` each say why they have their size.
 
 Scoring rows: ``anchored_rows`` and ``anchored_moments`` are the row rule
 of the similarity score (see ``regression``, which anchors one block of
@@ -323,7 +304,7 @@ def kmeans(
         upper[rows] = np.sqrt(best + err) * (1.0 + tol)
         lower[rows] = np.sqrt(np.maximum(second - err, 0.0)) * (1.0 - tol)
 
-    def objective():
+    def objective():  # sum ||x||^2 - 2 sum_j s_j.c_j + sum_j n_j ||c_j||^2: no pass over the points
         cross = np.einsum("ij,ij->", sums, centroids)
         return float(sq_norms.sum() - 2.0 * cross + counts @ sq_centroids)
 

@@ -1,4 +1,6 @@
-import io
+import contextlib
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,8 +22,24 @@ def series_from_prices(prices, interval: float = 10.0, imbalances=None) -> Price
     return PriceSeries(start_time=0.0, interval=interval, prices=prices, imbalances=imbalances)
 
 
-def tick_csv(rows: str) -> io.StringIO:
-    return io.StringIO("timestamp,price,bid_vol_total,ask_vol_total\n" + rows)
+def write_csv(directory, text: str, name: str = "ticks.csv") -> pathlib.Path:
+    """The path of a file ``name`` in directory, holding text as given (no newline translation)."""
+    path = pathlib.Path(directory) / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+def tick_csv(directory, rows: str) -> pathlib.Path:
+    """The path of a basic-form tick CSV of the given rows, written in directory."""
+    return write_csv(directory, "timestamp,price,bid_vol_total,ask_vol_total\n" + rows)
+
+
+@contextlib.contextmanager
+def temp_csv(text: str):
+    """The path of a temporary file holding text as given, removed on exit. For
+    Hypothesis tests: a function-scoped tmp_path fails its health check."""
+    with tempfile.TemporaryDirectory() as directory:
+        yield write_csv(directory, text)
 
 
 @pytest.fixture

@@ -210,7 +210,7 @@ class TestBadInputFiles:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "bad.csv line 3: non-numeric price: 'abc'" in err
+        assert f"{series}: line 3: non-numeric price: 'abc'" in err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -264,8 +264,7 @@ class TestBadInputFiles:
                          "--out-dir", tmp_path / "rep")
         assert rc == 1
         err = capsys.readouterr().err
-        prefix = "error: line 1: " if command == "ingest" else f"error: {bad} line 1: "
-        assert err.startswith(prefix + "field larger than field limit")
+        assert err.startswith(f"error: {bad}: line 1: field larger than field limit")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("reader", ["spec", "ticks", "series", "model", "bank"])
@@ -332,14 +331,37 @@ class TestIngest:
         ticks.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n{row}\n")
         rc = run_cli("ingest", "--ticks", ticks, "--out", tmp_path / "o.csv")
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: line 3: non-finite ")
+        assert capsys.readouterr().err.startswith(f"error: {ticks}: line 3: non-finite ")
 
     def test_ingest_malformed_row_fails(self, tmp_path, capsys):
         ticks = tmp_path / "bad.csv"
         ticks.write_text("timestamp,price,bid_vol_total,ask_vol_total\n1,oops,1,1\n")
         rc = run_cli("ingest", "--ticks", ticks, "--out", tmp_path / "o.csv")
         assert rc != 0
-        assert "line 2" in capsys.readouterr().err
+        assert f"{ticks}: line 2" in capsys.readouterr().err
+
+    def test_ingest_bad_token_names_file_and_line(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n2,abc,1,1\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("ingest", "--ticks", ticks, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {ticks}: line 3: non-numeric price: 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, interval",
+        [("1,100,1,1\n2,101,1,1\n", "inf"), ("1e308,100,1,1\n1.7e308,101,1,1\n", "1e308")],
+        ids=["inf_interval", "overflowing_bucket_time"],
+    )
+    def test_ingest_refuses_non_finite_bucket_times(self, tmp_path, capsys, rows, interval):
+        """A grid whose bucket times are not all finite is refused before anything
+        is written: build-banks would refuse the series file it made."""
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("timestamp,price,bid_vol_total,ask_vol_total\n" + rows)
+        out = tmp_path / "o.csv"
+        assert run_cli("ingest", "--ticks", ticks, "--out", out, "--interval", interval) == 1
+        assert capsys.readouterr().err.startswith("error: bucket times must be finite: ")
+        assert not out.exists()
 
 
 class TestStagedCommands:
@@ -514,7 +536,7 @@ class TestStagedCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "series.csv line 252" in err
+        assert f"{series_csv}: line 252" in err
 
 
 class TestPipeline:
@@ -760,7 +782,7 @@ class TestPipeline:
         ticks.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n10,101,{bad},1\n")
         rc = run_cli("pipeline", "--ticks", ticks, "--out", tmp_path / "run")
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: line 3: non-finite bid_vol_total: ")
+        assert capsys.readouterr().err.startswith(f"error: {ticks}: line 3: non-finite bid_vol_total: ")
 
     def test_pipeline_from_ticks(self, tmp_path, rng):
         # a long enough tick tape for 30/60/120 windows across three periods

@@ -172,32 +172,32 @@ class TestSeriesReaderFaults:
 
     def test_bad_token_names_file_line_and_column(self, tmp_path):
         path = self.write(tmp_path / "bad.csv", [None, "10.0,abc,0.0", None])
-        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-numeric price: 'abc'$"):
+        with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-numeric price: 'abc'$"):
             PriceSeries.from_csv(path)
 
     def test_bad_token_past_a_block_boundary(self, tmp_path):
         rows = [None] * (BLOCK_ROWS + 10)
         rows[BLOCK_ROWS + 4] = f"{10.0 * (BLOCK_ROWS + 4)},100.0,x1"
         path = self.write(tmp_path / "bad.csv", rows)
-        with pytest.raises(ValueError, match=rf"bad\.csv line {BLOCK_ROWS + 6}: non-numeric imbalance: 'x1'"):
+        with pytest.raises(ValueError, match=rf"bad\.csv: line {BLOCK_ROWS + 6}: non-numeric imbalance: 'x1'"):
             PriceSeries.from_csv(path)
 
     def test_empty_token_is_named(self, tmp_path):
         path = self.write(tmp_path / "bad.csv", [None, ",100.0,0.0"])
-        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-numeric bucket_time: ''"):
+        with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-numeric bucket_time: ''"):
             PriceSeries.from_csv(path)
 
     def test_earlier_fault_is_reported_first(self, tmp_path):
         path = self.write(tmp_path / "bad.csv", [None, "10.0,inf,0.0", "20.0,abc,0.0", "30.0,1.0"])
-        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-finite value in \['10.0', 'inf', '0.0'\]"):
+        with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite value in \['10.0', 'inf', '0.0'\]"):
             PriceSeries.from_csv(path)
         path = self.write(tmp_path / "bad.csv", [None, "10.0,abc,0.0", "20.0,1.0"])
-        with pytest.raises(ValueError, match=r"bad\.csv line 3: non-numeric price"):
+        with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-numeric price"):
             PriceSeries.from_csv(path)
 
     def test_column_count_names_the_line(self, tmp_path):
         path = self.write(tmp_path / "bad.csv", [None, None, "20.0,1.0"])
-        with pytest.raises(ValueError, match=r"bad\.csv line 4: expected 3 columns"):
+        with pytest.raises(ValueError, match=r"bad\.csv: line 4: expected 3 columns"):
             PriceSeries.from_csv(path)
 
     def test_uneven_spacing_still_rejected(self, tmp_path):
@@ -220,20 +220,20 @@ def oracle_from_csv(path):
                 if not row:
                     continue
                 if len(row) != 3:
-                    raise ValueError(f"{path} line {reader.line_num}: expected 3 columns, got {len(row)}")
+                    raise ValueError(f"{path}: line {reader.line_num}: expected 3 columns, got {len(row)}")
                 parsed = []
                 for name, token in zip(HEADER, row):
                     try:
                         parsed.append(float(token))
                     except ValueError:
                         raise ValueError(
-                            f"{path} line {reader.line_num}: non-numeric {name}: {token!r}"
+                            f"{path}: line {reader.line_num}: non-numeric {name}: {token!r}"
                         ) from None
                 if not all(map(math.isfinite, parsed)):
-                    raise ValueError(f"{path} line {reader.line_num}: non-finite value in {row}")
+                    raise ValueError(f"{path}: line {reader.line_num}: non-finite value in {row}")
                 values.append(parsed)
         except csv.Error as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not values:
         raise ValueError(f"{path}: empty price series")
     values = np.array(values)

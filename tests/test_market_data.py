@@ -1,5 +1,5 @@
 import csv
-import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,93 +18,93 @@ from lstrader.market_data import (
     parse_ticks,
 )
 
-from conftest import make_ticks, series_from_prices, tick_csv
+from conftest import make_ticks, series_from_prices, temp_csv, tick_csv, write_csv
 
 EXTENDED_HEADER = "timestamp,price,bid_price_1,bid_vol_1,bid_price_2,bid_vol_2,ask_price_1,ask_vol_1\n"
 
 
 class TestParseTicks:
-    def test_empty_stream_yields_empty_sequence(self):
-        ticks = parse_ticks(io.StringIO(""))
+    def test_empty_stream_yields_empty_sequence(self, tmp_path):
+        ticks = parse_ticks(write_csv(tmp_path, ""))
         assert isinstance(ticks, TickTable)
         assert len(ticks) == 0
 
-    def test_header_only_yields_empty_sequence(self):
-        assert len(parse_ticks(tick_csv(""))) == 0
+    def test_header_only_yields_empty_sequence(self, tmp_path):
+        assert len(parse_ticks(tick_csv(tmp_path, ""))) == 0
 
-    def test_single_basic_row(self):
-        ticks = parse_ticks(tick_csv("12.5,101.25,30,10\n"))
+    def test_single_basic_row(self, tmp_path):
+        ticks = parse_ticks(tick_csv(tmp_path, "12.5,101.25,30,10\n"))
         assert len(ticks) == 1
         assert ticks.timestamps[0] == 12.5
         assert ticks.prices[0] == 101.25
         assert ticks.imbalances[0] == (30.0 - 10.0) / (30.0 + 10.0)
 
-    def test_columns_are_read_only(self):
-        ticks = parse_ticks(tick_csv("1,100,1,1\n"))
+    def test_columns_are_read_only(self, tmp_path):
+        ticks = parse_ticks(tick_csv(tmp_path, "1,100,1,1\n"))
         for column in (ticks.timestamps, ticks.prices, ticks.imbalances):
             assert column.dtype == np.float64
             with pytest.raises(ValueError):
                 column[0] = 0.0
 
-    def test_non_numeric_price_names_line(self):
-        with pytest.raises(ValueError, match="line 3"):
-            parse_ticks(tick_csv("1,100,1,1\nbad_time_ok,oops,1,1\n".replace("bad_time_ok", "2")))
+    def test_non_numeric_price_names_line(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 3"):
+            parse_ticks(tick_csv(tmp_path, "1,100,1,1\nbad_time_ok,oops,1,1\n".replace("bad_time_ok", "2")))
 
-    def test_decreasing_timestamp_rejected(self):
-        with pytest.raises(ValueError, match="line 3.*decreased"):
-            parse_ticks(tick_csv("5,100,1,1\n4,100,1,1\n"))
+    def test_decreasing_timestamp_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 3.*decreased"):
+            parse_ticks(tick_csv(tmp_path, "5,100,1,1\n4,100,1,1\n"))
 
-    def test_equal_timestamps_allowed(self):
-        assert len(parse_ticks(tick_csv("5,100,1,1\n5,101,1,1\n"))) == 2
+    def test_equal_timestamps_allowed(self, tmp_path):
+        assert len(parse_ticks(tick_csv(tmp_path, "5,100,1,1\n5,101,1,1\n"))) == 2
 
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_ticks(io.StringIO("1,100,1,1\n"))
+    def test_missing_header_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 1"):
+            parse_ticks(write_csv(tmp_path, "1,100,1,1\n"))
 
-    def test_wrong_column_count_names_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_ticks(tick_csv("1,100,1\n"))
+    def test_wrong_column_count_names_line(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 2"):
+            parse_ticks(tick_csv(tmp_path, "1,100,1\n"))
 
-    def test_nonpositive_price_rejected(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_ticks(tick_csv("1,0,1,1\n"))
+    def test_nonpositive_price_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 2"):
+            parse_ticks(tick_csv(tmp_path, "1,0,1,1\n"))
 
-    def test_extended_form(self):
+    def test_extended_form(self, tmp_path):
         row = "3.0,100.5,100.4,7,100.3,2,100.6,4\n"
-        ticks = parse_ticks(io.StringIO(EXTENDED_HEADER + row))
+        ticks = parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + row))
         assert ticks.imbalances[0] == ((7.0 + 2.0) - 4.0) / ((7.0 + 2.0) + 4.0)
 
-    def test_extended_form_blank_level(self):
+    def test_extended_form_blank_level(self, tmp_path):
         row = "3.0,100.5,100.4,7,,,100.6,4\n"
-        ticks = parse_ticks(io.StringIO(EXTENDED_HEADER + row))
+        ticks = parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + row))
         assert ticks.imbalances[0] == (7.0 - 4.0) / (7.0 + 4.0)
 
-    def test_extended_gap_level_allowed(self):
+    def test_extended_gap_level_allowed(self, tmp_path):
         row = "3.0,100.5,,,100.3,2,100.6,4\n"
-        ticks = parse_ticks(io.StringIO(EXTENDED_HEADER + row))
+        ticks = parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + row))
         assert ticks.imbalances[0] == (2.0 - 4.0) / (2.0 + 4.0)
 
-    def test_extended_half_empty_level_rejected(self):
-        with pytest.raises(ValueError, match="line 2: half-empty bid level 2"):
-            parse_ticks(io.StringIO(EXTENDED_HEADER + "3.0,100.5,100.4,7,100.3,,100.6,4\n"))
+    def test_extended_half_empty_level_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 2: half-empty bid level 2"):
+            parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + "3.0,100.5,100.4,7,100.3,,100.6,4\n"))
 
-    def test_extended_unsorted_bids_rejected(self):
+    def test_extended_unsorted_bids_rejected(self, tmp_path):
         row = "3.0,100.5,100.3,7,100.4,2,100.6,4\n"
-        with pytest.raises(ValueError, match="line 2.*descending"):
-            parse_ticks(io.StringIO(EXTENDED_HEADER + row))
+        with pytest.raises(ValueError, match="ticks.csv: line 2.*descending"):
+            parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + row))
 
-    def test_extended_unsorted_bids_across_gap_rejected(self):
+    def test_extended_unsorted_bids_across_gap_rejected(self, tmp_path):
         header = "timestamp,price,bid_price_1,bid_vol_1,bid_price_2,bid_vol_2,bid_price_3,bid_vol_3,ask_price_1,ask_vol_1\n"
         row = "3.0,100.5,100.3,7,,,100.4,2,100.6,4\n"
-        with pytest.raises(ValueError, match="line 2: bid prices must be strictly descending"):
-            parse_ticks(io.StringIO(header + row))
+        with pytest.raises(ValueError, match="ticks.csv: line 2: bid prices must be strictly descending"):
+            parse_ticks(write_csv(tmp_path, header + row))
 
-    def test_negative_volume_rejected(self):
-        with pytest.raises(ValueError, match=r"line 3: ask volume must be >= 0, got -2\.0"):
-            parse_ticks(tick_csv("1,100,1,1\n2,100,1,-2\n"))
+    def test_negative_volume_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"ticks\.csv: line 3: ask volume must be >= 0, got -2\.0"):
+            parse_ticks(tick_csv(tmp_path, "1,100,1,1\n2,100,1,-2\n"))
         row = "3.0,100.5,100.4,-1e308,100.3,-1e308,100.6,1e308\n"  # totals of opposite sign overflow
-        with pytest.raises(ValueError, match=r"line 2: bid volume must be >= 0, got -1e\+308"):
-            parse_ticks(io.StringIO(EXTENDED_HEADER + row))
+        with pytest.raises(ValueError, match=r"ticks\.csv: line 2: bid volume must be >= 0, got -1e\+308"):
+            parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + row))
 
     @pytest.mark.parametrize(
         "row, column",
@@ -118,59 +118,57 @@ class TestParseTicks:
             ("2,100,inf,-inf", "bid_vol_total"),
         ],
     )
-    def test_non_finite_value_names_line(self, row, column):
-        with pytest.raises(ValueError, match=f"line 3: non-finite {column}: "):
-            parse_ticks(tick_csv(f"1,100,1,1\n{row}\n"))
+    def test_non_finite_value_names_line(self, tmp_path, row, column):
+        with pytest.raises(ValueError, match=f"ticks.csv: line 3: non-finite {column}: "):
+            parse_ticks(tick_csv(tmp_path, f"1,100,1,1\n{row}\n"))
 
     @pytest.mark.parametrize(
         "row",
         ["3.0,100.5,100.4,nan,,,100.6,4", "3.0,100.5,100.4,7,,,inf,4", "3.0,100.5,100.4,inf,100.3,-inf,100.6,4"],
     )
-    def test_extended_non_finite_level_names_line(self, row):
-        with pytest.raises(ValueError, match="line 2: non-finite (bid_vol_1|ask_price_1): "):
-            parse_ticks(io.StringIO(EXTENDED_HEADER + row + "\n"))
+    def test_extended_non_finite_level_names_line(self, tmp_path, row):
+        with pytest.raises(ValueError, match="ticks.csv: line 2: non-finite (bid_vol_1|ask_price_1): "):
+            parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + row + "\n"))
 
-    def test_overflowing_volume_total_rejected(self):
-        with pytest.raises(ValueError, match="line 2: non-finite book volume total"):
-            parse_ticks(tick_csv("1,100,1e308,1e308\n"))
-        with pytest.raises(ValueError, match="line 2: non-finite book volume total: bid inf"):
-            parse_ticks(io.StringIO(EXTENDED_HEADER + "3.0,100.5,100.4,1e308,100.3,1e308,100.6,4\n"))
+    def test_overflowing_volume_total_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 2: non-finite book volume total"):
+            parse_ticks(tick_csv(tmp_path, "1,100,1e308,1e308\n"))
+        with pytest.raises(ValueError, match="ticks.csv: line 2: non-finite book volume total: bid inf"):
+            parse_ticks(write_csv(tmp_path, EXTENDED_HEADER + "3.0,100.5,100.4,1e308,100.3,1e308,100.6,4\n"))
 
     @pytest.mark.parametrize(
         "row, side",
         [("3.0,100.5,100.4,7,100.4,2,100.6,4", "bid"), ("3.0,100.5,100.4,7,,,100.6,4,100.6,1", "ask")],
     )
-    def test_equal_level_prices_rejected(self, row, side):
+    def test_equal_level_prices_rejected(self, tmp_path, row, side):
         header = EXTENDED_HEADER.strip() + ("\n" if side == "bid" else ",ask_price_2,ask_vol_2\n")
-        with pytest.raises(ValueError, match=f"line 2: {side} prices must be strictly"):
-            parse_ticks(io.StringIO(header + row + "\n"))
+        with pytest.raises(ValueError, match=f"ticks.csv: line 2: {side} prices must be strictly"):
+            parse_ticks(write_csv(tmp_path, header + row + "\n"))
 
-    def test_csv_reader_error_names_line(self):
+    def test_csv_reader_error_names_line(self, tmp_path):
         huge = "1" * 200_000  # beyond the csv module's field size limit
-        with pytest.raises(ValueError, match="line 3: field larger than field limit"):
-            parse_ticks(tick_csv(f"1,100,1,1\n2,{huge},1,1\n"))
+        with pytest.raises(ValueError, match="ticks.csv: line 3: field larger than field limit"):
+            parse_ticks(tick_csv(tmp_path, f"1,100,1,1\n2,{huge},1,1\n"))
 
-    def test_header_csv_error_names_line(self):
-        with pytest.raises(ValueError, match="^line 1: field larger than field limit"):
-            parse_ticks(f"timestamp,price,{'x' * 131073}\n1,100\n")
+    def test_header_csv_error_names_line(self, tmp_path):
+        path = write_csv(tmp_path, f"timestamp,price,{'x' * 131073}\n1,100\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: field larger than field limit"):
+            parse_ticks(path)
 
-    def test_lone_cr_str_equals_newline_str(self):
+    def test_lone_cr_str_equals_newline_str(self, tmp_path):
         text = EXTENDED_HEADER + "1,100,99.5,2,,,100.5,1\n2,100,99.5,2,99,1,,\n3,101,,,,,,\n"
-        want, got = parse_ticks(text), parse_ticks(text.replace("\n", "\r"))
+        want = parse_ticks(write_csv(tmp_path, text, "lf.csv"))
+        got = parse_ticks(write_csv(tmp_path, text.replace("\n", "\r"), "cr.csv"))
         for name in ("timestamps", "prices", "imbalances"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
-    def test_blank_timestamp_is_non_numeric(self):
-        with pytest.raises(ValueError, match="line 2: non-numeric timestamp: ''"):
-            parse_ticks(tick_csv(",100,1,1\n"))
+    def test_blank_timestamp_is_non_numeric(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 2: non-numeric timestamp: ''"):
+            parse_ticks(tick_csv(tmp_path, ",100,1,1\n"))
 
-    def test_earlier_fault_reported_before_column_count(self):
-        with pytest.raises(ValueError, match="line 3: tick price must be > 0"):
-            parse_ticks(tick_csv("1,100,1,1\n2,0,1,1\n3,100,1\n"))
-
-    def test_accepts_bytes(self):
-        blob = b"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n"
-        assert len(parse_ticks(blob)) == 1
+    def test_earlier_fault_reported_before_column_count(self, tmp_path):
+        with pytest.raises(ValueError, match="ticks.csv: line 3: tick price must be > 0"):
+            parse_ticks(tick_csv(tmp_path, "1,100,1,1\n2,0,1,1\n3,100,1\n"))
 
 
 _FUZZ_HEADERS = [
@@ -180,17 +178,16 @@ _FUZZ_HEADERS = [
 ]
 
 
-def _read_peak(read, path, mode):
-    """(result or ValueError message, tracemalloc peak in bytes) of read on the file at path."""
-    with open(path, mode, **({} if "b" in mode else {"newline": "", "encoding": "utf-8"})) as fh:
-        tracemalloc.start()
-        try:
-            result = read(fh)
-        except ValueError as exc:
-            result = str(exc)
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+def _read_peak(read, path):
+    """(result or ValueError message, tracemalloc peak in bytes) of read(path)."""
+    tracemalloc.start()
+    try:
+        result = read(path)
+    except ValueError as exc:
+        result = str(exc)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     return result, peak
 
 
@@ -201,16 +198,14 @@ class TestOverLongLine:
 
     TOKEN = "1" * (8 * 2**20)
 
-    @pytest.mark.parametrize("mode", ["r", "rb"])
-    def test_tick_line_refused_within_a_bounded_peak(self, tmp_path, mode):
+    def test_tick_line_refused_within_a_bounded_peak(self, tmp_path):
         path = tmp_path / "ticks.csv"
         path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n2,{self.TOKEN},1,1\n3,100,1,1\n")
-        message, peak = _read_peak(parse_ticks, path, mode)
-        assert message == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        message, peak = _read_peak(parse_ticks, path)
+        assert message == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("mode", ["r", "rb"])
-    def test_wide_tick_field_refused_within_one_piece(self, tmp_path, mode):
+    def test_wide_tick_field_refused_within_one_piece(self, tmp_path):
         """At 60 levels a side a line may run to 242 pieces before the line cap;
         a piece with no delimiter is refused at once. Reading the line whole
         peaked at 80.3 MiB."""
@@ -219,38 +214,37 @@ class TestOverLongLine:
         levels = ",".join([f"{900 - i},1" for i in range(60)] + [f"{1100 + i},1" for i in range(60)])
         path = tmp_path / "ticks.csv"
         path.write_text(f"{','.join(header)}\n1,1000,{levels}\n2,{'1' * (40 * 2**20)},{levels}\n")
-        message, peak = _read_peak(parse_ticks, path, mode)
-        assert message == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        message, peak = _read_peak(parse_ticks, path)
+        assert message == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("mode", ["r", "rb"])
-    def test_header_field_refused_within_a_bounded_peak(self, tmp_path, mode):
+    def test_header_field_refused_within_a_bounded_peak(self, tmp_path):
         """The header is read through the same pieces: it peaked at 16.1 MiB."""
         path = tmp_path / "ticks.csv"
         path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total{self.TOKEN}\n1,100,1,1\n")
-        message, peak = _read_peak(parse_ticks, path, mode)
-        assert message == f"line 1: field larger than field limit ({csv.field_size_limit()})"
+        message, peak = _read_peak(parse_ticks, path)
+        assert message == f"{path}: line 1: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_series_header_field_refused_within_a_bounded_peak(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(f"bucket_time,price,imbalance{self.TOKEN}\n0.0,100.0,0.0\n")
-        message, peak = _read_peak(lambda fh: PriceSeries.from_csv(path), path, "r")
-        assert message == f"{path} line 1: field larger than field limit ({csv.field_size_limit()})"
+        message, peak = _read_peak(PriceSeries.from_csv, path)
+        assert message == f"{path}: line 1: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_series_line_refused_within_a_bounded_peak(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,{self.TOKEN},0.0\n")
-        message, peak = _read_peak(lambda fh: PriceSeries.from_csv(path), path, "r")
-        assert message == f"{path} line 3: field larger than field limit ({csv.field_size_limit()})"
+        message, peak = _read_peak(PriceSeries.from_csv, path)
+        assert message == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_earlier_fault_still_reported_first(self, tmp_path):
         path = tmp_path / "ticks.csv"
         path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,0,1,1\n2,{self.TOKEN},1,1\n")
-        message, _ = _read_peak(parse_ticks, path, "r")
-        assert message == "line 2: tick price must be > 0, got 0.0"
+        message, _ = _read_peak(parse_ticks, path)
+        assert message == f"{path}: line 2: tick price must be > 0, got 0.0"
 
     def test_fields_at_the_limit_still_parse(self, tmp_path):
         """Four fields of exactly the limit (whitespace-padded numbers), quoted,
@@ -259,15 +253,15 @@ class TestOverLongLine:
         cells = [f'"{tok.rjust(limit)}"' for tok in ("1", "100", "3", "1")]
         path = tmp_path / "ticks.csv"
         path.write_text("timestamp,price,bid_vol_total,ask_vol_total\n" + ",".join(cells) + "\n2,101,1,1\n")
-        ticks, _ = _read_peak(parse_ticks, path, "r")
+        ticks, _ = _read_peak(parse_ticks, path)
         assert list(ticks.prices) == [100.0, 101.0]
         assert list(ticks.imbalances) == [0.5, 0.0]
         # the longest line a row of four fields within the limit can take: each
         # field is `limit` doubled quotes; csv splits it, the converter names it
         path.write_text("timestamp,price,bid_vol_total,ask_vol_total\n"
                         + ",".join(['"' + '""' * limit + '"'] * 4) + "\n")
-        message, _ = _read_peak(parse_ticks, path, "r")
-        assert message.startswith("line 2: non-numeric timestamp: '\"\"\"")
+        message, _ = _read_peak(parse_ticks, path)
+        assert message.startswith(f"{path}: line 2: non-numeric timestamp: '\"\"\"")
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_end_at_a_piece_boundary(self, tmp_path, end):
@@ -284,18 +278,18 @@ class TestOverLongLine:
         text = "timestamp,price,bid_vol_total,ask_vol_total\n" + "\n".join(rows) + "\n"
         old = csv.field_size_limit(14)
         try:
-            want = parse_ticks(io.StringIO(text))
+            want = parse_ticks(write_csv(tmp_path, text, "lf.csv"))
             path = tmp_path / "ticks.csv"
             path.write_bytes(text.replace("\n", end).encode())
-            got, _ = _read_peak(parse_ticks, path, "r")
+            got, _ = _read_peak(parse_ticks, path)
             path.write_bytes((text + "4,0,1,1\n").replace("\n", end).encode())
-            message, _ = _read_peak(parse_ticks, path, "r")
+            message, _ = _read_peak(parse_ticks, path)
         finally:
             csv.field_size_limit(old)
         assert list(want.prices) == [100.0, 101.0, 102.0]
         for name in ("timestamps", "prices", "imbalances"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert message == "line 5: tick price must be > 0, got 0.0"
+        assert message == f"{path}: line 5: tick price must be > 0, got 0.0"
 
 
 class TestParseTicksFuzz:
@@ -306,7 +300,8 @@ class TestParseTicksFuzz:
     )
     def test_any_text_gives_table_or_value_error(self, header, body):
         try:
-            ticks = parse_ticks(header + "\n" + body)
+            with temp_csv(header + "\n" + body) as path:
+                ticks = parse_ticks(path)
         except ValueError:
             return
         assert isinstance(ticks, TickTable)
@@ -326,7 +321,8 @@ class TestParseTicksFuzz:
         rows = [values[i : i + width] for i in range(0, len(values), width)]
         body = "\n".join(",".join(repr(v) for v in row) for row in rows)
         try:
-            parse_ticks(header + "\n" + body + "\n")
+            with temp_csv(header + "\n" + body + "\n") as path:
+                parse_ticks(path)
         except ValueError:
             pass
 
@@ -498,7 +494,7 @@ class TestPriceSeries:
     def test_header_csv_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"bucket_time,{'x' * 131073}\n0.0,100.0,0.0\n")
-        with pytest.raises(ValueError, match="bad.csv line 1: field larger than field limit"):
+        with pytest.raises(ValueError, match="bad.csv: line 1: field larger than field limit"):
             PriceSeries.from_csv(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -509,9 +505,14 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match=f"non-finite {field} .* bucket 1"):
             PriceSeries(0.0, 10.0, prices, imbalances)
 
+    @pytest.mark.parametrize("start, interval, n", [(np.nan, 10.0, 1), (0.0, np.inf, 1), (1e308, 1e308, 2)])
+    def test_non_finite_bucket_times_rejected(self, start, interval, n):
+        with pytest.raises(ValueError, match="bucket times must be finite"):
+            PriceSeries(start, interval, np.ones(n), np.zeros(n))
+
     @pytest.mark.parametrize("row", ["20.0,nan,0.0", "20.0,100.0,inf", "20.0,100.0,-inf", "nan,100.0,0.0"])
     def test_csv_non_finite_value_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "series.csv"
         path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,100.5,0.1\n{row}\n")
-        with pytest.raises(ValueError, match=r"series\.csv line 4: non-finite"):
+        with pytest.raises(ValueError, match=r"series\.csv: line 4: non-finite"):
             PriceSeries.from_csv(path)

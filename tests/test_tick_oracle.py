@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from lstrader import market_data
 from lstrader.market_data import BLOCK_ROWS, PriceSeries, coarsen, parse_ticks
 
+from conftest import temp_csv, write_csv
+
 # -- reference ---------------------------------------------------------------
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
@@ -84,8 +86,18 @@ def _parse_levels(row, offset, count, side, line_num):
     return tuple(levels)
 
 
-def reference_parse_ticks(text):
-    """(timestamp, price, bids, asks) per tick, as the row-by-row reader built them."""
+def reference_parse_ticks(path):
+    """(timestamp, price, bids, asks) per tick of the file at path, as the row-by-row
+    reader built them; a fault is raised as "<path>: <message>", as parse_ticks does."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _reference_ticks(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _reference_ticks(text):
     reader = csv.reader(io.StringIO(text).readlines())
     header = next(reader, None)
     while header is not None and all(tok.strip() == "" for tok in header):
@@ -220,8 +232,9 @@ def render(header, rows, seed=0):
 
 
 def assert_same_ticks(text, interval, tmp_path):
-    expected = reference_parse_ticks(text)
-    table = parse_ticks(text)
+    path = write_csv(tmp_path, text)
+    expected = reference_parse_ticks(path)
+    table = parse_ticks(path)
     assert len(table) == len(expected)
     columns = (
         [t for t, _, _, _ in expected],
@@ -236,14 +249,14 @@ def assert_same_ticks(text, interval, tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def raised(parse, text):
+def raised(parse, path):
     with pytest.raises(ValueError) as info:
-        parse(text)
+        parse(path)
     return str(info.value)
 
 
 def line_of(message):
-    return int(re.match(r"line (\d+):", message).group(1))
+    return int(re.search(r": line (\d+):", message).group(1))
 
 
 # -- equal results on valid input --------------------------------------------
@@ -321,7 +334,7 @@ KINDS = ["non_numeric", "columns", "decrease", "price", "volume", "half_empty", 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("extended", [True, False])
-def test_single_fault_same_line_and_message(kind, extended):
+def test_single_fault_same_line_and_message(kind, extended, tmp_path):
     header, rows, _ = make_csv(7, 600, extended=extended)
     rng = np.random.default_rng(len(kind))
     checked = 0
@@ -329,38 +342,38 @@ def test_single_fault_same_line_and_message(kind, extended):
         faulty = _inject(rows, header, kind, int(at), rng)
         if faulty is None:
             continue
-        text = render(header, faulty, 7)
-        want = raised(reference_parse_ticks, text)
-        assert raised(parse_ticks, text) == want
+        path = write_csv(tmp_path, render(header, faulty, 7))
+        want = raised(reference_parse_ticks, path)
+        assert raised(parse_ticks, path) == want
         checked += 1
     assert checked > 0 or (kind in ("half_empty", "order", "equal_prices") and not extended)
 
 
 @pytest.mark.parametrize("at", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS])
-def test_decrease_at_block_boundary(at):
+def test_decrease_at_block_boundary(at, tmp_path):
     header, rows, _ = make_csv(3, 2 * BLOCK_ROWS + 50, max_depth=2)
     rows[at][0] = repr(float(rows[at - 1][0]) - 1.0)
-    text = render(header, rows, 3)
-    message = raised(parse_ticks, text)
-    assert message == raised(reference_parse_ticks, text)
+    path = write_csv(tmp_path, render(header, rows, 3))
+    message = raised(parse_ticks, path)
+    assert message == raised(reference_parse_ticks, path)
     assert "decreased" in message
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_two_faults_first_line_wins(seed):
+def test_two_faults_first_line_wins(seed, tmp_path):
     header, rows, _ = make_csv(seed, 5000, max_depth=2)
     rng = np.random.default_rng(seed)
     first, second = sorted(rng.choice(np.arange(1, len(rows)), 2, replace=False))
     kinds = rng.choice(KINDS, 2)
     faulty = _inject(rows, header, kinds[1], int(second), rng) or rows
     faulty = _inject(faulty, header, kinds[0], int(first), rng) or faulty
-    text = render(header, faulty, seed)
+    path = write_csv(tmp_path, render(header, faulty, seed))
     try:
-        reference_parse_ticks(text)
+        reference_parse_ticks(path)
     except ValueError as exc:
-        assert line_of(raised(parse_ticks, text)) == line_of(str(exc))
+        assert line_of(raised(parse_ticks, path)) == line_of(str(exc))
     else:
-        assert len(parse_ticks(text)) == len(rows)
+        assert len(parse_ticks(path)) == len(rows)
 
 
 _TOKENS = st.sampled_from(["", " ", "0", "1", "2.5", "-1", "100", "99.5", "1e3", "x", "3 "])
@@ -378,12 +391,13 @@ def test_random_tokens_agree(extended, cells):
         else ",".join(_BASIC_HEADER)
     )
     text = header + "\n" + "\n".join(",".join(row) for row in cells) + "\n"
-    try:
-        expected = reference_parse_ticks(text)
-    except ValueError as exc:
-        assert line_of(raised(parse_ticks, text)) == line_of(str(exc))
-        return
-    table = parse_ticks(text)
+    with temp_csv(text) as path:
+        try:
+            expected = reference_parse_ticks(path)
+        except ValueError as exc:
+            assert line_of(raised(parse_ticks, path)) == line_of(str(exc))
+            return
+        table = parse_ticks(path)
     assert table.timestamps.tobytes() == np.array([t[0] for t in expected], dtype=np.float64).tobytes()
     assert table.imbalances.tobytes() == np.array(
         [reference_imbalance(bids, asks) for _, _, bids, asks in expected], dtype=np.float64
@@ -429,39 +443,37 @@ def tick_texts(draw):
     return text[:-1] if draw(st.integers(0, 4)) == 0 else text  # at times no final newline
 
 
-def parse_outcome(text, form):
+def parse_outcome(path):
     """The TickTable columns' bytes, or the error (a header line csv refuses
     raises csv.Error, on either path)."""
-    stream = {"str": text, "lines": io.StringIO(text, newline=""),  # newline="" as the CLI opens
-              "bytes": io.BytesIO(text.encode("utf-8"))}[form]
     try:
-        table = parse_ticks(stream)
+        table = parse_ticks(path)
     except (ValueError, csv.Error) as exc:
         return f"{type(exc).__name__}: {exc}"
     return table.timestamps.tobytes(), table.prices.tobytes(), table.imbalances.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
-@given(tick_texts(), st.sampled_from([1, 2, 3, BLOCK_ROWS]), st.sampled_from(["str", "lines", "bytes"]))
-@example(_EXTENDED_HEADER + "\n1.0,100.0,99.5,2.0,,,100.5,1.0\n2.0,100.0,99.5,2.0,99.0,1.0,,\n", BLOCK_ROWS, "str")
-@example(_EXTENDED_HEADER + "\r\n1.0,100.0,,,,,100.5,1.0\r\n2.0,100.0,99.5,2.0,,,,\r\n", 1, "lines")
-@example(_EXTENDED_HEADER + "\n1.0,100.0,99.5,2.0,,,100.5,nan\n", BLOCK_ROWS, "str")  # a nan is no blank
-@example(_EXTENDED_HEADER + "\n1.0,1e999,99.5,2.0,,,100.5,1.0\n", BLOCK_ROWS, "str")
-@example(_EXTENDED_HEADER + "\n1.0,,99.5,2.0,,,100.5,1.0\n", BLOCK_ROWS, "str")  # a blank price
-@example("timestamp,price,bid_vol_total,ask_vol_total\r1.0,100.0,2.0,1.0\r\r\n\r\r\n", 1, "lines")  # empty lines
-@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,100.0,\x1c2,1.0\n", BLOCK_ROWS, "str")
-@example("timestamp,price,bid_vol_total,ask_vol_total\r1.0,100.0,2.0,1.0\r2.0,100.0,2.0,1.0\r", 2, "str")
-@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,100.0,2.0,1.0\n2.0,100.0,2.0,1.0", 2, "bytes")
-@example(f"timestamp,price,bid_vol_total,ask_vol_total\n1.0,{'0' * 131072}1,2.0,1.0\n", BLOCK_ROWS, "str")
-@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,1_0,2.0,1.0\n2.0,١,2.0,1.0\n", BLOCK_ROWS, "str")
-def test_plain_reader_matches_csv_path(text, block_rows, form):
+@given(tick_texts(), st.sampled_from([1, 2, 3, BLOCK_ROWS]))
+@example(_EXTENDED_HEADER + "\n1.0,100.0,99.5,2.0,,,100.5,1.0\n2.0,100.0,99.5,2.0,99.0,1.0,,\n", BLOCK_ROWS)
+@example(_EXTENDED_HEADER + "\r\n1.0,100.0,,,,,100.5,1.0\r\n2.0,100.0,99.5,2.0,,,,\r\n", 1)
+@example(_EXTENDED_HEADER + "\n1.0,100.0,99.5,2.0,,,100.5,nan\n", BLOCK_ROWS)  # a nan is no blank
+@example(_EXTENDED_HEADER + "\n1.0,1e999,99.5,2.0,,,100.5,1.0\n", BLOCK_ROWS)
+@example(_EXTENDED_HEADER + "\n1.0,,99.5,2.0,,,100.5,1.0\n", BLOCK_ROWS)  # a blank price
+@example("timestamp,price,bid_vol_total,ask_vol_total\r1.0,100.0,2.0,1.0\r\r\n\r\r\n", 1)  # empty lines
+@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,100.0,\x1c2,1.0\n", BLOCK_ROWS)
+@example("timestamp,price,bid_vol_total,ask_vol_total\r1.0,100.0,2.0,1.0\r2.0,100.0,2.0,1.0\r", 2)
+@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,100.0,2.0,1.0\n2.0,100.0,2.0,1.0", 2)
+@example(f"timestamp,price,bid_vol_total,ask_vol_total\n1.0,{'0' * 131072}1,2.0,1.0\n", BLOCK_ROWS)
+@example("timestamp,price,bid_vol_total,ask_vol_total\n1.0,1_0,2.0,1.0\n2.0,١,2.0,1.0\n", BLOCK_ROWS)
+def test_plain_reader_matches_csv_path(text, block_rows):
     """Values bit for bit, or the same message, with and without the plain-block reader."""
-    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+    with temp_csv(text) as path, pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error")
         patch.setattr(market_data, "BLOCK_ROWS", block_rows)
-        got = parse_outcome(text, form)
+        got = parse_outcome(path)
         patch.setattr(market_data, "_plain_block", lambda chunk, optional: None)
-        want = parse_outcome(text, form)
+        want = parse_outcome(path)
     assert got == want
 
 
@@ -470,32 +482,32 @@ def test_plain_reader_matches_csv_path(text, block_rows, form):
 def test_text_bounded_blocks_read_the_same(text, block_chars, first_read):
     """Blocks cut short by BLOCK_CHARS, down to one line each, give the same
     columns or the same message as blocks of BLOCK_ROWS lines."""
-    want = parse_outcome(text, "lines")
-    with pytest.MonkeyPatch.context() as patch:
+    with temp_csv(text) as path, pytest.MonkeyPatch.context() as patch:
+        want = parse_outcome(path)
         patch.setattr(market_data, "BLOCK_CHARS", block_chars)
         patch.setattr(market_data, "_READ_LINES", first_read)
-        assert parse_outcome(text, "lines") == want
+        assert parse_outcome(path) == want
 
 
-def test_plain_file_never_reaches_the_csv_path(monkeypatch):
+def test_plain_file_never_reaches_the_csv_path(monkeypatch, tmp_path):
     """Plain rows with blank levels mid-line and at the line end, and \\r\\n or
     lone \\r ends, are read without csv.reader."""
     header, rows, _ = make_csv(13, 2 * BLOCK_ROWS + 5, max_depth=4)
     assert any(row[-1] == "" for row in rows) and any("" in row[2:-1] for row in rows)
-    texts = ["\r\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\r\n"]
-    texts.append(texts[0].replace("\r\n", "\r"))
-    wants = [parse_outcome(text, "lines") for text in texts]
+    text = "\r\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\r\n"
+    paths = [write_csv(tmp_path, text, "crlf.csv"), write_csv(tmp_path, text.replace("\r\n", "\r"), "cr.csv")]
+    wants = [parse_outcome(path) for path in paths]
     assert wants[0] == wants[1]
 
     def no_csv_path(*args):
         raise AssertionError("a plain block fell back to csv.reader")
 
     monkeypatch.setattr(market_data, "_convert", no_csv_path)
-    assert [parse_outcome(text, "lines") for text in texts] == wants
+    assert [parse_outcome(path) for path in paths] == wants
 
 
 @pytest.mark.parametrize("odd", ["blank_line", "quoted_token"])
-def test_one_odd_line_sends_only_its_block_to_the_csv_path(monkeypatch, odd):
+def test_one_odd_line_sends_only_its_block_to_the_csv_path(monkeypatch, tmp_path, odd):
     """A blank line or a quoted token on line 4 of a file of four blocks sends
     that line's block to csv.reader; the blocks after it go to np.loadtxt."""
     header, rows, _ = make_csv(17, 200, max_depth=4)
@@ -504,9 +516,9 @@ def test_one_odd_line_sends_only_its_block_to_the_csv_path(monkeypatch, odd):
         lines.insert(3, "")
     else:
         lines[3] = '"{}",{}'.format(*lines[3].split(",", 1))
-    text = "\n".join(lines) + "\n"
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
     monkeypatch.setattr(market_data, "BLOCK_ROWS", 64)
-    want = parse_outcome(text, "lines")
+    want = parse_outcome(path)
     converted = []
     convert = market_data._convert
 
@@ -515,7 +527,7 @@ def test_one_odd_line_sends_only_its_block_to_the_csv_path(monkeypatch, odd):
         return convert(rows, *args)
 
     monkeypatch.setattr(market_data, "_convert", counted)
-    assert parse_outcome(text, "lines") == want
+    assert parse_outcome(path) == want
     assert 0 < sum(converted) <= 64, converted
 
 
@@ -531,8 +543,9 @@ def test_quoted_line_end_across_a_block_boundary(monkeypatch, tmp_path, short_ro
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
     monkeypatch.setattr(market_data, "BLOCK_ROWS", 4)
     if short_row:
-        assert raised(parse_ticks, text) == raised(reference_parse_ticks, text) == (
-            "line 7: expected 4 columns, got 3")
+        path = write_csv(tmp_path, text)
+        assert raised(parse_ticks, path) == raised(reference_parse_ticks, path) == (
+            f"{path}: line 7: expected 4 columns, got 3")
     else:
         assert_same_ticks(text, interval, tmp_path)
 
@@ -565,13 +578,12 @@ def write_wide_ticks(path, n, levels, quoted=False):
 
 def parse_peak(path):
     """(ticks, tracemalloc peak in bytes) of parse_ticks on the file at path."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        tracemalloc.start()
-        try:
-            ticks = parse_ticks(fh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        ticks = parse_ticks(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return ticks, peak
 
 
