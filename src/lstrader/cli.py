@@ -21,12 +21,14 @@ build-banks.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import platform
 import sys
 
 import numpy as np
 
-from . import evaluator, trader
+from . import __version__, evaluator, trader
 from .latent_source import LatentSourceSpec, generate_price_series
 from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, parse_ticks, write_json
 from .pattern_bank import (
@@ -73,6 +75,18 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
+def _parse_interval(text: str) -> float:
+    """An --interval: argparse names the flag unless it is a number > 0. inf
+    passes, and is refused where the bucket times it gives are not finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
     """Deterministic threshold grid from the |dp| distribution."""
     magnitude = np.abs(dp)
@@ -114,7 +128,10 @@ def cmd_gen(args) -> int:
 
 def _ingest(args) -> PriceSeries:
     """The --ticks file coarsened onto the --interval grid."""
-    return coarsen(parse_ticks(args.ticks), interval=args.interval)
+    ticks = parse_ticks(args.ticks)
+    if len(ticks) == 0:
+        raise ValueError(f"{args.ticks}: no ticks after the header")
+    return coarsen(ticks, interval=args.interval)
 
 
 def cmd_ingest(args) -> int:
@@ -241,6 +258,23 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _manifest(args, calibration) -> dict:
+    """The pipeline's config, seed, versions and BLAS threads, and what
+    calibration decided. --out is left out, so that two runs of one config
+    write the same bundle wherever they write it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "args": {key: value for key, value in vars(args).items() if key not in ("func", "out")},
+        "seed": args.seed,
+        "versions": {"lstrader": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "blas": {"name": blas["name"], "version": blas.get("version")},
+        "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "c_grid_mse": calibration.errors,
+        "used_ridge": calibration.weights.used_ridge,
+    }
+
+
 def cmd_pipeline(args) -> int:
     """All stages in order; every setting is a flag of the parsed command line."""
     split, out = args.split, args.out
@@ -283,6 +317,7 @@ def cmd_pipeline(args) -> int:
     banks, names = _build_banks(args, train, bank_seed, os.path.join(out, "banks"))
     refs = [os.path.join("banks", name) for name in names]
     model, model_path, calibration = _fit_model(fit_series, banks, refs, args.c_grid, out)
+    write_json(os.path.join(out, "manifest.json"), _manifest(args, calibration))
     print(f"calibrated c={calibration.c}, weights ridge_fallback={model.weights.used_ridge}")
 
     report = _evaluate(model, eval_series, args, out, extra_summary={"seed": args.seed})
@@ -302,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flags shared by a staged command and the pipeline, each declared once
     interval = argparse.ArgumentParser(add_help=False)
-    interval.add_argument("--interval", type=float, default=DEFAULT_INTERVAL)
+    interval.add_argument("--interval", type=_parse_interval, default=DEFAULT_INTERVAL)
     synthetic = argparse.ArgumentParser(add_help=False, parents=[interval])
     synthetic.add_argument("--duration", type=float, default=259200.0)
     synthetic.add_argument("--start-price", type=float, default=500.0)

@@ -1,9 +1,12 @@
 import json
 import os
+import platform
 import struct
 
+import numpy as np
 import pytest
 
+import lstrader
 from lstrader import latent_source
 from lstrader.cli import build_parser, main
 from lstrader.latent_source import demo_spec
@@ -130,6 +133,18 @@ class TestArgHandling:
         rc = run_cli("ingest", "--ticks", tmp_path / "nope.csv", "--out", tmp_path / "o.csv")
         assert rc != 0
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "ten"])
+    @pytest.mark.parametrize("command", ["ingest", "gen", "pipeline"])
+    def test_bad_interval_is_a_usage_error_naming_it(self, spec_path, tmp_path, capsys, command, interval):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("timestamp,price,bid_vol_total,ask_vol_total\n1,100,1,1\n")
+        source = ("--ticks", ticks) if command == "ingest" else ("--spec", spec_path)
+        out = tmp_path / "out"
+        assert run_cli(command, *source, "--out", out, "--interval", interval) == 2
+        assert f"error: argument --interval: expected a number > 0, got '{interval}'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestGen:
@@ -309,6 +324,17 @@ class TestIngest:
         rc = run_cli("ingest", "--ticks", ticks, "--out", tmp_path / "o.csv")
         assert rc != 0
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    @pytest.mark.parametrize("text", ["timestamp,price,bid_vol_total,ask_vol_total\n", ""],
+                             ids=["header_only", "empty"])
+    def test_no_ticks_fails_naming_the_file(self, tmp_path, capsys, command, text):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(command, "--ticks", ticks, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {ticks}: no ticks after the header\n"
+        assert not out.exists()
 
     def test_ingest_absurd_gap_fails_with_diagnostic(self, tmp_path, capsys, monkeypatch):
         from lstrader import market_data
@@ -550,7 +576,7 @@ class TestPipeline:
         ):
             assert key in summary
         for name in (
-            "series.csv", "periods.json", "model.json", "trades.csv",
+            "series.csv", "periods.json", "manifest.json", "model.json", "trades.csv",
             "sweep.csv", "equity_curve.csv", "cluster_centers.csv", "summary.json",
         ):
             assert (out / name).exists()
@@ -575,9 +601,9 @@ class TestPipeline:
         and a closing newline."""
         out = tmp_path / "run"
         assert run_cli(*small_pipeline_args(spec_path, out)) == 0
-        paths = [out / "periods.json", out / "model.json", out / "summary.json"]
+        paths = [out / "periods.json", out / "manifest.json", out / "model.json", out / "summary.json"]
         paths += sorted((out / "banks").glob("*.json"))
-        assert len(paths) == 6
+        assert len(paths) == 7
         for path in paths:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
@@ -597,6 +623,32 @@ class TestPipeline:
                     assert (pa / inner).read_bytes() == (pb / inner).read_bytes()
             else:
                 assert pa.read_bytes() == pb.read_bytes()
+
+    def test_manifest_is_the_same_wherever_the_run_is_written(self, spec_path, tmp_path):
+        """manifest.json holds the config, the seed, the versions and what
+        calibration decided, and no --out, so runs into two directories write
+        the same bytes."""
+        texts = []
+        for name in ("a", "b"):
+            assert run_cli(*small_pipeline_args(spec_path, tmp_path / name, seed=3)) == 0
+            texts.append((tmp_path / name / "manifest.json").read_bytes())
+        assert texts[0] == texts[1]
+        manifest = json.loads(texts[0])
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        expected = vars(build_parser().parse_args(small_pipeline_args(spec_path, "run", seed=3)))
+        del expected["func"], expected["out"]
+        assert manifest["args"] == json.loads(json.dumps(expected))
+        assert manifest["seed"] == 3
+        assert manifest["versions"] == {
+            "lstrader": lstrader.__version__, "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        assert manifest["blas"]["name"]
+        assert set(manifest["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        grid = [c for c, _ in manifest["c_grid_mse"]]
+        assert grid == [0.5, 1.0, 2.0, 4.0, 8.0]
+        assert min(manifest["c_grid_mse"], key=lambda pair: pair[1])[0] == summary["kernel_c"]
+        assert manifest["used_ridge"] == summary["used_ridge"]
 
     @pytest.mark.parametrize("windows", ["180,360", "60,180,360,720"])
     def test_pipeline_any_bank_count(self, spec_path, tmp_path, windows):

@@ -589,12 +589,16 @@ def parse_peak(path):
 
 def test_parse_ticks_peak_memory(tmp_path):
     """9,000 ticks of 60 levels a side (about 22 MB of text): the blocks, not the
-    file, bound what is held at once. A joined block text or a token list per
-    block shows as a higher peak."""
+    file, bound what is held at once. A block of BLOCK_CHARS (512 KiB) of text
+    costs about 3x its text on the plain path and about 9x on the csv path,
+    where csv.reader makes a str per token; 2 MiB blocks peak at 4.6 and
+    17.6 MiB. A joined block text or a token list per block shows as a higher
+    peak."""
     n = 9000
-    ticks, peak = parse_peak(write_wide_ticks(tmp_path / "ticks.csv", n, levels=60))
-    assert len(ticks) == n
-    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    for quoted, bound in ((False, 2.5 * 2**20), (True, 8 * 2**20)):
+        ticks, peak = parse_peak(write_wide_ticks(tmp_path / f"{quoted}.csv", n, 60, quoted))
+        assert len(ticks) == n
+        assert peak < bound, f"quoted={quoted}: peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv_path"])
@@ -602,7 +606,7 @@ def test_parse_ticks_memory_does_not_grow_with_file_length(tmp_path, quoted):
     """Three times the ticks raise the peak by less than the longer file's three
     output columns and 1 MiB: a block is let go of once it is reduced, so
     neither its values nor a view of them stays behind. At 60 levels a side,
-    1500 ticks are one and a half blocks (about 3 MB of text)."""
+    1500 ticks are about six blocks (about 3 MB of text)."""
     n = 1500
     peaks = []
     for rows in (n, 3 * n):
