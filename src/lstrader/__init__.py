@@ -8,7 +8,7 @@ predictions with the order-book imbalance through a fitted affine layer of
 N + 2 weights, and trade a +1/0/-1 position on a threshold rule.
 """
 
-from .evaluator import BacktestReport, emit_report, sharpe, sweep_thresholds
+from .evaluator import emit_report, sharpe, sweep_thresholds
 from .latent_source import (
     LabelDist,
     LabeledSet,
@@ -47,6 +47,6 @@ from .regression import (
     similarity,
     similarity_many,
 )
-from .trader import Position, Trade, run_backtest, step
+from .trader import BacktestReport, Position, Trade, run_backtest, step
 
 __version__ = "0.1.0"

@@ -75,16 +75,24 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def _parse_interval(text: str) -> float:
-    """An --interval: argparse names the flag unless it is a number > 0. inf
-    passes, and is refused where the bucket times it gives are not finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
-    return value
+def _number(rule: str, accept):
+    """An argparse type for a float flag: argparse names the flag unless
+    accept(value) holds, and text that is not a number fails it as nan."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+    return parse
+
+
+# an --interval of inf passes, and is refused where the bucket times it gives are not finite
+_parse_interval = _number("a number > 0", lambda v: v > 0)
+_parse_start_price = _number("a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+_parse_finite = _number("a finite number", math.isfinite)
 
 
 def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
@@ -205,12 +213,10 @@ def cmd_fit(args) -> int:
 def cmd_backtest(args) -> int:
     series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
-    report = trader.run_backtest(model, series, args.threshold, sharpe_variant=args.sharpe_variant)
+    report = trader.run_backtest(series, model.dp_stream(series), args.threshold)
     os.makedirs(args.out_dir, exist_ok=True)
     trader.write_ledger_csv(report.trades, os.path.join(args.out_dir, "trades.csv"))
-    evaluator.emit_report(
-        report, [], model.banks, args.out_dir, series=series, sharpe_variant=args.sharpe_variant
-    )
+    evaluator.emit_report(report, [], model.banks, args.out_dir, series, args.sharpe_variant)
     print(f"total profit {report.total_profit} over {report.num_trades} trades")
     return 0
 
@@ -218,8 +224,8 @@ def cmd_backtest(args) -> int:
 def cmd_sweep(args) -> int:
     series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
-    rows = evaluator.sweep_thresholds(model, series, args.thresholds, args.sharpe_variant)
-    evaluator.write_sweep_csv(rows, args.out)
+    rows = evaluator.sweep_thresholds(series, model.dp_stream(series), args.thresholds)
+    evaluator.write_sweep_csv(rows, args.out, args.sharpe_variant)
     print(f"wrote {args.out} ({len(rows)} thresholds)")
     return 0
 
@@ -229,9 +235,7 @@ def _evaluate(model, series, args, out_dir, extra_summary=None):
     bundle into out_dir and return the peak-profit threshold's backtest."""
     ts, dp = model.dp_stream(series)
     thresholds = _auto_thresholds(dp) if args.thresholds is None else args.thresholds
-    rows = evaluator.sweep_thresholds(
-        model, series, thresholds, args.sharpe_variant, dp_stream=(ts, dp)
-    )
+    rows = evaluator.sweep_thresholds(series, (ts, dp), thresholds)
     report = min(rows, key=lambda r: (-r.total_profit, r.threshold))
     os.makedirs(out_dir, exist_ok=True)
     trader.write_ledger_csv(report.trades, os.path.join(out_dir, "trades.csv"))
@@ -239,13 +243,7 @@ def _evaluate(model, series, args, out_dir, extra_summary=None):
     if extra_summary:
         extra.update(extra_summary)
     evaluator.emit_report(
-        report,
-        rows,
-        model.banks,
-        out_dir,
-        series=series,
-        sharpe_variant=args.sharpe_variant,
-        extra_summary=extra,
+        report, rows, model.banks, out_dir, series, args.sharpe_variant, extra_summary=extra
     )
     return report
 
@@ -321,9 +319,10 @@ def cmd_pipeline(args) -> int:
     print(f"calibrated c={calibration.c}, weights ridge_fallback={model.weights.used_ridge}")
 
     report = _evaluate(model, eval_series, args, out, extra_summary={"seed": args.seed})
+    ratio = evaluator.sharpe(report.round_trip_profits, report.benchmark_move, args.sharpe_variant)
     print(
         f"eval: threshold={report.threshold} profit={report.total_profit} "
-        f"trades={report.num_trades} sharpe={report.sharpe}"
+        f"trades={report.num_trades} sharpe={ratio}"
     )
     return 0
 
@@ -340,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     interval.add_argument("--interval", type=_parse_interval, default=DEFAULT_INTERVAL)
     synthetic = argparse.ArgumentParser(add_help=False, parents=[interval])
     synthetic.add_argument("--duration", type=float, default=259200.0)
-    synthetic.add_argument("--start-price", type=float, default=500.0)
-    synthetic.add_argument("--imbalance-gain", type=float, default=0.0)
+    synthetic.add_argument("--start-price", type=_parse_start_price, default=500.0)
+    synthetic.add_argument("--imbalance-gain", type=_parse_finite, default=0.0)
     mining = argparse.ArgumentParser(add_help=False)
     mining.add_argument("--windows", type=_parse_ints, default=DEFAULT_WINDOW_LENGTHS)
     mining.add_argument("--k", type=int, default=DEFAULT_NUM_CLUSTERS)

@@ -11,6 +11,9 @@ end of a backtest is force-liquidated at the final bucket price and counted
 as a final round trip. The backtest is event-driven: only a bucket with
 |dp| > threshold can move the position, so ``step`` runs there alone, and
 ``np.repeat`` fills in the per-bucket mark to market between fills.
+
+The backtest trades a given (ts, dp) stream and knows no model. Imports run
+one way, evaluator -> trader -> market_data: the evaluator sweeps and reports.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluator import SHARPE_SQRT, BacktestReport, sharpe
 from .market_data import PriceSeries, open_for_write
-from .regression import PredictorModel, fit_points
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
@@ -53,6 +54,42 @@ class Trade:
     price: float
     position_after: int
     round_trip_profit: float | None = None
+
+
+@dataclass(frozen=True)
+class BacktestReport:
+    """Full outcome of one backtest: what run_backtest measured, from which
+    the counts, the total and the mean profit per round trip follow."""
+
+    threshold: float
+    trades: tuple[Trade, ...]
+    round_trip_profits: tuple[float, ...]
+    cumulative_profit_series: np.ndarray
+    avg_holding_time: float  # seconds
+    avg_investment: float
+    benchmark_move: float  # |end price - start price| over the test interval
+
+    def __post_init__(self) -> None:
+        series = np.ascontiguousarray(self.cumulative_profit_series, dtype=np.float64)
+        series.setflags(write=False)
+        object.__setattr__(self, "cumulative_profit_series", series)
+
+    @property
+    def total_profit(self) -> float:
+        return math.fsum(self.round_trip_profits)
+
+    @property
+    def num_trades(self) -> int:
+        return len(self.trades)
+
+    @property
+    def num_round_trips(self) -> int:
+        return len(self.round_trip_profits)
+
+    @property
+    def avg_profit_per_trade(self) -> float:
+        """Mean profit per round trip; 0 with none."""
+        return self.total_profit / self.num_round_trips if self.num_round_trips else 0.0
 
 
 def step(
@@ -88,38 +125,29 @@ def write_ledger_csv(trades, path) -> None:
 
 
 def run_backtest(
-    model: PredictorModel,
-    series: PriceSeries,
-    threshold: float,
-    dp_stream: tuple[np.ndarray, np.ndarray] | None = None,
-    sharpe_variant: str = SHARPE_SQRT,
+    series: PriceSeries, dp_stream: tuple[np.ndarray, np.ndarray], threshold: float
 ) -> BacktestReport:
     """Simulate the strategy causally over a series at one threshold.
 
-    At each feasible bucket t the predictor sees data up to t, predicts the
-    change into t+1, and the state machine acts at the bucket-t price. An
-    open position at the series end is liquidated at the final price. The
-    cumulative profit series marks each bucket to market as cash + units *
-    price, with the cash and units left by the last fill at or before it.
-
-    A precomputed (ts, dp) stream may be passed to share feature work across
-    thresholds; it must cover exactly the feasible prediction points.
+    dp_stream is (ts, dp), as PredictorModel.dp_stream gives it: the
+    predicted change into t+1 at each consecutive point t up to bucket n - 2,
+    where the state machine acts at the bucket-t price. An open position at
+    the series end is liquidated at the final price. The cumulative profit
+    series marks each bucket to market as cash + units * price, with the
+    cash and units left by the last fill at or before it.
     """
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
-    ts = fit_points(series, model.banks)  # raises when the series is too short
-    if dp_stream is None:
-        ts, dp = model.dp_stream(series, ts)
-    else:
-        given_ts, dp = dp_stream
-        if len(given_ts) != len(ts) or given_ts[0] != ts[0] or given_ts[-1] != ts[-1]:
-            raise ValueError("dp_stream does not cover this series' prediction points")
-        if len(dp) != len(ts):
-            raise ValueError(f"dp_stream has {len(dp)} predictions for {len(ts)} points")
+    ts, dp = dp_stream
+    n = len(series)
+    # a first point below 0 would index prices from the end
+    if len(ts) == 0 or ts[0] < 0 or ts[-1] != n - 2 or len(ts) != ts[-1] - ts[0] + 1:
+        raise ValueError("dp_stream does not cover this series' prediction points")
+    if len(dp) != len(ts):
+        raise ValueError(f"dp_stream has {len(dp)} predictions for {len(ts)} points")
 
     dp = np.asarray(dp, dtype=np.float64)
     prices = series.prices
-    n = len(series)
     first_t = int(ts[0])
     signals = first_t + np.flatnonzero(np.abs(dp) > threshold)  # dp ends at bucket n - 2
 
@@ -157,7 +185,6 @@ def run_backtest(
     cumulative[first_t:] = cash + units * prices[first_t:]
     cumulative[-1] = total_profit  # flat after liquidation: final mark is realized P&L
 
-    benchmark_move = abs(float(prices[-1] - prices[0]))
     return BacktestReport(
         threshold=float(threshold),
         trades=tuple(fills),
@@ -167,6 +194,5 @@ def run_backtest(
             float(np.mean(holding_buckets) * series.interval) if holding_buckets else 0.0
         ),
         avg_investment=float(np.mean(entry_prices)) if entry_prices else 0.0,
-        benchmark_move=benchmark_move,
-        sharpe=sharpe(profits, benchmark_move, sharpe_variant),
+        benchmark_move=abs(float(prices[-1] - prices[0])),
     )

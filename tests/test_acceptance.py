@@ -250,7 +250,7 @@ def test_criterion_7_ledger_conservation(planted_model_series):
         ts, dp = model.dp_stream(eval_series)
         for quantile in (0.5, 0.9):
             threshold = float(np.quantile(np.abs(dp), quantile))
-            report = run_backtest(model, eval_series, threshold, dp_stream=(ts, dp))
+            report = run_backtest(eval_series, (ts, dp), threshold)
             cash = math.fsum(
                 trade.price if trade.side == "sell" else -trade.price
                 for trade in report.trades
@@ -269,7 +269,7 @@ def _sweep_trend(model, eval_series):
     assert all(b <= a for a, b in zip(crossings, crossings[1:])), (
         "signal-crossing counts must be exactly non-increasing"
     )
-    rows = sweep_thresholds(model, eval_series, thresholds)
+    rows = sweep_thresholds(eval_series, (ts, dp), thresholds)
     trades = [row.num_trades for row in rows]
     avg_profit = [row.avg_profit_per_trade for row in rows]
     trades_ok = all(b <= a for a, b in zip(trades, trades[1:]))

@@ -17,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lstrader import market_data
-from lstrader.evaluator import BacktestReport, emit_report
+from lstrader.evaluator import emit_report
 from lstrader.market_data import BLOCK_ROWS, WRITE_ROWS, PriceSeries
 from lstrader.pattern_bank import PatternBank, normalize
+from lstrader.trader import BacktestReport
 
 AWKWARD = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, 1e-310, -1.5e300, 2.0**53 + 2, 1 / 3, 0.0])
 
@@ -53,7 +54,7 @@ def awkward_series(n, rng):
 def flat_report(cumulative):
     return BacktestReport(
         threshold=0.5, trades=(), round_trip_profits=(), cumulative_profit_series=cumulative,
-        avg_holding_time=0.0, avg_investment=0.0, benchmark_move=0.0, sharpe=math.nan,
+        avg_holding_time=0.0, avg_investment=0.0, benchmark_move=0.0,
     )
 
 
@@ -92,21 +93,15 @@ def test_series_csv_round_trip_is_bit_exact(tmp_path, rng, n):
     assert (loaded.start_time, loaded.interval) == (series.start_time, series.interval)
 
 
-@pytest.mark.parametrize("with_series", [True, False], ids=["series", "nan_prices"])
 @pytest.mark.parametrize("n", [1, WRITE_ROWS + 1])
-def test_report_csvs_match_csv_writer(tmp_path, rng, n, with_series):
+def test_report_csvs_match_csv_writer(tmp_path, rng, n):
     series = awkward_series(n, rng)
     report = flat_report(awkward_column(n, rng))
     banks = awkward_banks(rng)
-    paths = emit_report(report, [report], banks, tmp_path / "new",
-                        series=series if with_series else None)
+    paths = emit_report(report, [report], banks, tmp_path / "new", series=series)
 
-    if with_series:
-        times, prices = series.bucket_times, series.prices
-    else:  # no series: bucket indices and a nan price column
-        times, prices = np.arange(n, dtype=np.float64), np.full(n, np.nan)
     oracle_csv(tmp_path / "curve.csv", ("bucket_time", "price", "cum_profit"),
-               float_cells(times, prices, report.cumulative_profit_series))
+               float_cells(series.bucket_times, series.prices, report.cumulative_profit_series))
     oracle_csv(tmp_path / "centers.csv", (), (
         [bank.window_length, repr(float(bank.labels[i]))] + [repr(float(v)) for v in bank.vectors[i]]
         for bank in banks for i in range(len(bank))

@@ -32,7 +32,8 @@ def oracle_sharpe(profits, price_move):
 def sweep_fields(report):
     """What a sweep row shows of a backtest, plus its trades."""
     return (report.threshold, report.num_trades, report.avg_holding_time,
-            report.avg_profit_per_trade, report.total_profit, report.sharpe, report.trades)
+            report.avg_profit_per_trade, report.total_profit,
+            sharpe(report.round_trip_profits, report.benchmark_move), report.trades)
 
 
 class TestSharpe:
@@ -80,16 +81,17 @@ class TestSweepThresholds:
     def test_single_threshold_matches_standalone(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=90)
-        rows = sweep_thresholds(model, series, [0.2])
-        standalone = run_backtest(model, series, 0.2)
+        dp_stream = model.dp_stream(series)
+        rows = sweep_thresholds(series, dp_stream, [0.2])
+        standalone = run_backtest(series, dp_stream, 0.2)
         assert sweep_fields(rows[0]) == sweep_fields(standalone)
 
     def test_threshold_above_max_dp_trades_nothing(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=90)
-        _, dp = model.dp_stream(series)
+        ts, dp = model.dp_stream(series)
         giant = float(np.abs(dp).max()) * 2 + 1
-        rows = sweep_thresholds(model, series, [giant])
+        rows = sweep_thresholds(series, (ts, dp), [giant])
         assert rows[0].num_trades == 0
         assert rows[0].total_profit == 0.0
 
@@ -97,7 +99,7 @@ class TestSweepThresholds:
         model = make_model(rng)
         series = random_series(rng, n=90)
         thresholds = [0.05, 0.1, 0.2, 0.4]
-        rows = sweep_thresholds(model, series, thresholds)
+        rows = sweep_thresholds(series, model.dp_stream(series), thresholds)
         assert [row.threshold for row in rows] == thresholds
 
     def test_signal_crossings_non_increasing(self, rng):
@@ -112,7 +114,7 @@ class TestSweepThresholds:
         model = make_model(rng)
         series = random_series(rng, n=120)
         for threshold in (0.05, 0.2):
-            report = run_backtest(model, series, threshold)
+            report = run_backtest(series, model.dp_stream(series), threshold)
             assert report.avg_profit_per_trade * report.num_round_trips == pytest.approx(
                 report.total_profit, abs=1e-6
             )
@@ -122,18 +124,16 @@ class TestSweepThresholds:
         series = random_series(rng, n=90)
         thresholds = [0.05, 0.1, 0.2]
         ts, dp = model.dp_stream(series)
-        rows = sweep_thresholds(model, series, thresholds, dp_stream=(ts, dp))
-        fresh = sweep_thresholds(model, series, thresholds)
-        assert list(map(sweep_fields, rows)) == list(map(sweep_fields, fresh))
         # a stream far above every threshold buys once and is liquidated at the end
-        shifted = sweep_thresholds(model, series, thresholds, dp_stream=(ts, dp * 0 + 10.0))
+        shifted = sweep_thresholds(series, (ts, dp * 0 + 10.0), thresholds)
         assert [row.num_trades for row in shifted] == [2, 2, 2]
 
     def test_rows_carry_their_backtest(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=90)
-        for row in sweep_thresholds(model, series, [0.05, 0.2]):
-            standalone = run_backtest(model, series, row.threshold)
+        dp_stream = model.dp_stream(series)
+        for row in sweep_thresholds(series, dp_stream, [0.05, 0.2]):
+            standalone = run_backtest(series, dp_stream, row.threshold)
             assert row.threshold == standalone.threshold
             assert row.trades == standalone.trades
             assert row.total_profit == standalone.total_profit
@@ -142,15 +142,16 @@ class TestSweepThresholds:
         model = make_model(rng)
         series = random_series(rng, n=90)
         with pytest.raises(ValueError):
-            sweep_thresholds(model, series, [0.2, 0.1])
+            sweep_thresholds(series, model.dp_stream(series), [0.2, 0.1])
 
 
 class TestEmitReport:
     def run_reportable(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=120)
-        report = run_backtest(model, series, 0.1)
-        rows = sweep_thresholds(model, series, [0.1, 0.3])
+        dp_stream = model.dp_stream(series)
+        report = run_backtest(series, dp_stream, 0.1)
+        rows = sweep_thresholds(series, dp_stream, [0.1, 0.3])
         return model, series, report, rows
 
     def test_bundle_artifacts(self, rng, tmp_path):
@@ -191,7 +192,7 @@ class TestEmitReport:
     def test_empty_ledger_summary(self, rng, tmp_path):
         model = make_model(rng, weights=(0.0, 0.0, 0.0, 0.0, 0.0))
         series = random_series(rng, n=60)
-        report = run_backtest(model, series, 0.5)
+        report = run_backtest(series, model.dp_stream(series), 0.5)
         emit_report(report, [], model.banks, tmp_path, series=series)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["total_profit"] == 0.0
@@ -208,6 +209,25 @@ class TestEmitReport:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "sharpe_sqrt" in summary
         assert "sharpe_paper_literal" in summary
+
+    def test_paper_literal_sharpe_is_the_one_written(self, rng, tmp_path):
+        model, series, report, rows = self.run_reportable(rng)
+        emit_report(
+            report, rows, model.banks, tmp_path, series=series, sharpe_variant=SHARPE_PAPER_LITERAL
+        )
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["sharpe"] is not None
+        assert summary["sharpe"] == summary["sharpe_paper_literal"] != summary["sharpe_sqrt"]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        for row, line in zip(rows, lines, strict=True):
+            value = sharpe(row.round_trip_profits, row.benchmark_move, SHARPE_PAPER_LITERAL)
+            assert line.split(",")[-1] == repr(value)
+
+    def test_series_of_another_length_rejected(self, rng, tmp_path):
+        model, series, report, rows = self.run_reportable(rng)
+        with pytest.raises(ValueError, match="buckets"):
+            emit_report(report, rows, model.banks, tmp_path / "out", series=series.slice(1, len(series)))
+        assert not (tmp_path / "out").exists()
 
     def test_return_pct_definition(self, rng):
         model, series, report, rows = self.run_reportable(rng)

@@ -32,5 +32,70 @@ def test_only_market_data_opens_files(path):
     assert not lines, f"{path.name}: open() on line(s) {lines}"
 
 
+def package_imports(tree):
+    """Names of the lstrader modules a syntax tree imports anywhere: at
+    module level, inside a function or under ``if TYPE_CHECKING``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            found.update(p[1] for p in parts if p[0] == "lstrader" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if module[:1] != ["lstrader"]:
+                    continue
+                module = module[1:]
+            found.update(module[:1] or [alias.name for alias in node.names])
+    return found
+
+
+def import_graph():
+    """Each source module -> the other source modules it imports."""
+    modules = {path.stem for path in SOURCES}
+    return {
+        path.stem: package_imports(ast.parse(path.read_text(encoding="utf-8"))) & modules - {path.stem}
+        for path in SOURCES
+    }
+
+
+def find_cycle(graph):
+    """One cycle of a module -> imported modules graph, its first module
+    repeated at the end; None when there is none."""
+    done = set()
+
+    def visit(module, path):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        for target in sorted(graph[module]):
+            cycle = visit(target, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return None
+
+    return next(filter(None, (visit(module, []) for module in sorted(graph))), None)
+
+
+def test_no_import_cycle():
+    """Layers import one way (evaluator -> trader -> market_data, and so on),
+    whether the import runs at load time, in a function or for type checking."""
+    cycle = find_cycle(import_graph())
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_import_graph_sees_every_import_form():
+    graph = import_graph()
+    assert graph["trader"] == {"market_data"}
+    assert {"evaluator", "trader", "market_data"} <= graph["cli"]  # from . import x; from .x import y
+    tree = ast.parse("import lstrader.trader\nif TYPE_CHECKING:\n    from lstrader import evaluator\n"
+                     "def f():\n    from .regression import x\n")
+    assert package_imports(tree) == {"trader", "evaluator", "regression"}
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
 def test_sources_found():
     assert "market_data.py" in {p.name for p in SOURCES}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lstrader.evaluator import sharpe
 from lstrader.pattern_bank import PatternBank, normalize
 from lstrader.regression import CombinerWeights, KernelChoice, PredictorModel, fit_points
 from lstrader.trader import FLAT, Position, Trade, run_backtest, step, write_ledger_csv
@@ -97,18 +98,19 @@ class TestStep:
 class TestRunBacktest:
     def test_zero_weight_model_never_trades(self, rng):
         model = make_model(rng, weights=(0.0, 0.0, 0.0, 0.0, 0.0))
-        report = run_backtest(model, random_series(rng), 0.1)
+        series = random_series(rng)
+        report = run_backtest(series, model.dp_stream(series), 0.1)
         assert report.num_trades == 0
         assert report.total_profit == 0.0
         assert not report.cumulative_profit_series.any()
-        assert not report.sharpe_defined
+        assert math.isnan(sharpe(report.round_trip_profits, report.benchmark_move))
 
     def test_always_buy_model_single_round_trip(self, rng):
         # huge intercept forces dp far above any threshold at every bucket
         model = make_model(rng, weights=(1e6, 0.0, 0.0, 0.0, 0.0))
         prices = np.linspace(100, 160, 40)  # monotone rising
         series = series_from_prices(prices)
-        report = run_backtest(model, series, 1.0)
+        report = run_backtest(series, model.dp_stream(series), 1.0)
         assert report.num_trades == 2  # entry buy + final liquidation sell
         assert report.trades[0].side == "buy"
         assert report.trades[1].side == "sell"
@@ -121,7 +123,7 @@ class TestRunBacktest:
         series = random_series(rng, n=80)
         threshold = 0.4
         ts, dp = model.dp_stream(series)
-        report = run_backtest(model, series, threshold)
+        report = run_backtest(series, (ts, dp), threshold)
         dp_at = dict(zip((int(t) for t in ts), dp))
         for trade in report.trades:
             if trade.time in dp_at:  # all but the forced liquidation
@@ -132,7 +134,7 @@ class TestRunBacktest:
             local = np.random.default_rng(seed)
             model = make_model(local)
             series = random_series(local, n=100)
-            report = run_backtest(model, series, 0.2)
+            report = run_backtest(series, model.dp_stream(series), 0.2)
             cash = math.fsum(
                 trade.price if trade.side == "sell" else -trade.price
                 for trade in report.trades
@@ -142,15 +144,15 @@ class TestRunBacktest:
     def test_deterministic(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=90)
-        a = run_backtest(model, series, 0.25)
-        b = run_backtest(model, series, 0.25)
+        a = run_backtest(series, model.dp_stream(series), 0.25)
+        b = run_backtest(series, model.dp_stream(series), 0.25)
         assert a.trades == b.trades
         assert np.array_equal(a.cumulative_profit_series, b.cumulative_profit_series)
 
     def test_cumulative_final_equals_total(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=120)
-        report = run_backtest(model, series, 0.15)
+        report = run_backtest(series, model.dp_stream(series), 0.15)
         assert report.cumulative_profit_series[-1] == pytest.approx(report.total_profit, abs=1e-9)
 
     def test_dp_stream_of_wrong_length_rejected(self, rng):
@@ -159,17 +161,37 @@ class TestRunBacktest:
         ts, dp = model.dp_stream(series)
         for wrong in (dp[:-1], np.append(dp, 1e9)):
             with pytest.raises(ValueError, match="predictions"):
-                run_backtest(model, series, 0.1, dp_stream=(ts, wrong))
+                run_backtest(series, (ts, wrong), 0.1)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lambda n: np.arange(0),
+            lambda n: np.arange(-3, n - 1),
+            lambda n: np.arange(5, n - 2),
+            lambda n: np.arange(5, n),
+            lambda n: np.array([5, 7, n - 2]),
+        ],
+        ids=["empty", "starts_below_0", "ends_early", "ends_late", "gapped"],
+    )
+    def test_dp_stream_not_covering_the_series_rejected(self, points):
+        # without a model the stream alone says where it starts: one that
+        # started below 0 would trade prices indexed from the series' end
+        series = series_from_prices(np.linspace(100.0, 110.0, 30))
+        ts = points(len(series))
+        with pytest.raises(ValueError, match="does not cover"):
+            run_backtest(series, (ts, np.full(len(ts), 1e9)), 0.1)
 
     def test_too_short_series_rejected(self, rng):
         model = make_model(rng)
+        series = series_from_prices(np.arange(9.0))
         with pytest.raises(ValueError):
-            run_backtest(model, series_from_prices(np.arange(9.0)), 0.1)
+            run_backtest(series, model.dp_stream(series), 0.1)
 
     def test_open_position_liquidated_at_end(self, rng):
         model = make_model(rng, weights=(1e6, 0.0, 0.0, 0.0, 0.0))
         series = random_series(rng, n=30)
-        report = run_backtest(model, series, 1.0)
+        report = run_backtest(series, model.dp_stream(series), 1.0)
         assert report.trades[-1].time == len(series) - 1
         assert report.trades[-1].position_after == 0
         assert report.trades[-1].round_trip_profit is not None
@@ -178,13 +200,13 @@ class TestRunBacktest:
         model = make_model(rng, weights=(-1e6, 0.0, 0.0, 0.0, 0.0))  # always sell
         prices = np.linspace(100, 90, 30)  # falling market: short wins
         series = series_from_prices(prices)
-        report = run_backtest(model, series, 1.0)
+        report = run_backtest(series, model.dp_stream(series), 1.0)
         assert report.total_profit > 0
 
     def test_ledger_csv_round_trippable(self, rng, tmp_path):
         model = make_model(rng)
         series = random_series(rng, n=80)
-        report = run_backtest(model, series, 0.2)
+        report = run_backtest(series, model.dp_stream(series), 0.2)
         path = tmp_path / "trades.csv"
         write_ledger_csv(report.trades, path)
         lines = path.read_text().strip().splitlines()
@@ -194,7 +216,7 @@ class TestRunBacktest:
     def test_avg_investment_is_mean_entry_price(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=100)
-        report = run_backtest(model, series, 0.2)
+        report = run_backtest(series, model.dp_stream(series), 0.2)
         if report.num_round_trips:
             entries = []
             for trade in report.trades:
@@ -244,7 +266,7 @@ def assert_matches_reference(prices, dp, threshold):
     ts = fit_points(series, ORACLE_MODEL.banks)
     dp = np.asarray(dp, dtype=np.float64)
     assert len(dp) == len(ts)
-    report = run_backtest(ORACLE_MODEL, series, threshold, dp_stream=(ts, dp))
+    report = run_backtest(series, (ts, dp), threshold)
     trades, profits, cumulative = reference_backtest(series.prices, int(ts[0]), dp, threshold)
     assert report.trades == tuple(trades)
     assert report.round_trip_profits == tuple(profits)
