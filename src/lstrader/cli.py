@@ -1,21 +1,11 @@
 """Command-line front door for the full prediction/backtest pipeline.
 
-Subcommands:
-  gen          synthetic price series from a latent source spec JSON
-  ingest       tick CSV -> coarsened PriceSeries CSV
-  build-banks  pattern banks from a (training) series
-  fit          kernel-constant calibration + combiner fit; writes model.json
-  backtest     one threshold run, writing the ledger and report bundle
-  sweep        threshold sweep table
-  report       backtest + sweep + full report bundle in one go
-  pipeline     gen/ingest, three-way temporal split, banks, fit, evaluation
-
-The flags, the pipeline's three periods and what each command writes are
-set out once, in README.md ("CLI"). The parsed command line is the
-pipeline's only config. A flag that a staged command shares with the
-pipeline is declared once, in a parent parser, and the pipeline generates,
-ingests and builds banks through the same helper as gen, ingest and
-build-banks.
+The subcommands (each parser's help says what it does), the flags, the
+pipeline's three periods and what each command writes are set out once, in
+README.md ("CLI"). The parsed command line is the pipeline's only config. A
+flag that a staged command shares with the pipeline is declared once, in a
+parent parser, and the pipeline generates, ingests and builds banks through
+the same helper as gen, ingest and build-banks.
 """
 
 from __future__ import annotations
@@ -95,13 +85,23 @@ _parse_start_price = _number("a finite number > 0", lambda v: math.isfinite(v) a
 _parse_finite = _number("a finite number", math.isfinite)
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """np.quantile(a, q), linear method, bit for bit from ordered = np.sort(a):
+    np.quantile's own partition calls np.unique, which imports numpy.ma."""
+    index = (len(ordered) - 1) * q
+    # at the last value (n = 1 reads it as both ends), gamma is 1 and b is returned
+    lo = min(math.floor(index), len(ordered) - 2)
+    a, b, gamma = ordered[lo], ordered[lo + 1], index - lo
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
 def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
     """Deterministic threshold grid from the |dp| distribution."""
-    magnitude = np.abs(dp)
-    values = [float(np.quantile(magnitude, q)) for q in AUTO_THRESHOLD_QUANTILES]
+    magnitude = np.sort(np.abs(dp))
+    values = [_quantile(magnitude, q) for q in AUTO_THRESHOLD_QUANTILES]
     grid = sorted({v for v in values if v > 0})
     if not grid:
-        peak = float(magnitude.max())
+        peak = float(magnitude[-1])
         grid = [peak / 2 if peak > 0 else 1e-6]
     return tuple(grid)
 
@@ -214,9 +214,8 @@ def cmd_backtest(args) -> int:
     series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
     report = trader.run_backtest(series, model.dp_stream(series), args.threshold)
-    os.makedirs(args.out_dir, exist_ok=True)
-    trader.write_ledger_csv(report.trades, os.path.join(args.out_dir, "trades.csv"))
     evaluator.emit_report(report, [], model.banks, args.out_dir, series, args.sharpe_variant)
+    trader.write_ledger_csv(report.trades, os.path.join(args.out_dir, "trades.csv"))
     print(f"total profit {report.total_profit} over {report.num_trades} trades")
     return 0
 
@@ -237,14 +236,13 @@ def _evaluate(model, series, args, out_dir, extra_summary=None):
     thresholds = _auto_thresholds(dp) if args.thresholds is None else args.thresholds
     rows = evaluator.sweep_thresholds(series, (ts, dp), thresholds)
     report = min(rows, key=lambda r: (-r.total_profit, r.threshold))
-    os.makedirs(out_dir, exist_ok=True)
-    trader.write_ledger_csv(report.trades, os.path.join(out_dir, "trades.csv"))
     extra = {"kernel_c": model.kernel.c, "used_ridge": model.weights.used_ridge}
     if extra_summary:
         extra.update(extra_summary)
     evaluator.emit_report(
         report, rows, model.banks, out_dir, series, args.sharpe_variant, extra_summary=extra
     )
+    trader.write_ledger_csv(report.trades, os.path.join(out_dir, "trades.csv"))
     return report
 
 

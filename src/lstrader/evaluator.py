@@ -126,12 +126,10 @@ def emit_report(
     """Write the report bundle; returns artifact name -> path.
 
     series is the backtested one: the equity curve pairs its bucket times
-    and prices with the report's cumulative profit. Serialization is
-    deterministic: identical inputs produce byte-identical files.
+    and prices with report.equity_curve(series), computed for this report
+    alone. Serialization is deterministic: identical inputs give identical bytes.
     """
-    cum = report.cumulative_profit_series
-    if len(series) != len(cum):
-        raise ValueError(f"series has {len(series)} buckets, the report {len(cum)}")
+    cum = report.equity_curve(series)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     files = ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv")

@@ -6,14 +6,9 @@ unit-std (population convention: std is the square root of the mean squared
 deviation), the form k-means clusters and the gaussian kernel compares.
 Constant windows normalize to the zero vector.
 
-Banks are built per window length: extract all windows as arrays (a
-read-only strided view of the prices, the row-normalized windows and their
-labels), cluster the normalized windows with k-means, rank clusters by
-effectiveness |mean label| / (label std + eps), and keep the re-normalized
-centroids of the top clusters with their mean labels.
-
-k-means (``kmeans``) is set out once, in README.md ("How it works", step
-2); ``_SCORE_ROWS`` and ``_SUM_ROWS`` each say why they have their size.
+How a bank is built per window length, k-means (``kmeans``) included, is
+set out once, in README.md ("How it works", step 2); ``_SCORE_ROWS`` and
+``_SUM_ROWS`` each say why they have their size.
 
 Scoring rows: ``anchored_rows`` and ``anchored_moments`` are the row rule
 of the similarity score (see ``regression``, which anchors one block of

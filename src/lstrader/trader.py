@@ -1,16 +1,17 @@
 """Threshold trading state machine and the causal backtest loop.
 
-Position is held in whole units capped to {-1, 0, +1}. A predicted change
-above the threshold buys one unit when flat or short; below the negative
-threshold sells one unit when flat or long; anything else holds. Fills are
-at the current bucket price with no fees or slippage.
+Position is held in whole units capped to {-1, 0, +1}: a predicted change
+above the threshold buys one unit when flat or short, one below minus the
+threshold sells one unit when flat or long, and anything else holds. Fills
+are at the bucket price with no fees or slippage. A round trip returns the
+position to flat, and its profit attaches to the closing trade; a position
+still open at the end is liquidated at the final price, as a last round trip.
 
-A round trip is a matched entry/exit pair returning the position to flat;
-its profit attaches to the closing trade. Any position still open at the
-end of a backtest is force-liquidated at the final bucket price and counted
-as a final round trip. The backtest is event-driven: only a bucket with
-|dp| > threshold can move the position, so ``step`` runs there alone, and
-``np.repeat`` fills in the per-bucket mark to market between fills.
+Only a bucket with |dp| > threshold can trade, and of a run of such signals
+of one sign only the first two (two fills one way take the position from -1
+to +1), so ``step`` sees those alone. A backtest keeps its fills, not a
+per-bucket curve: ``BacktestReport.equity_curve`` marks them to market for
+the one report that is written.
 
 The backtest trades a given (ts, dp) stream and knows no model. Imports run
 one way, evaluator -> trader -> market_data: the evaluator sweeps and reports.
@@ -41,8 +42,7 @@ class Position:
             raise ValueError(f"position units must be in {{-1, 0, +1}}, got {self.units}")
 
 
-SHORT, FLAT, LONG = Position(-1), Position(0), Position(1)
-_POSITION = {-1: SHORT, 0: FLAT, 1: LONG}  # step moves between these, validated once
+FLAT = Position(0)
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,10 @@ class BacktestReport:
     threshold: float
     trades: tuple[Trade, ...]
     round_trip_profits: tuple[float, ...]
-    cumulative_profit_series: np.ndarray
+    buckets: int  # length of the backtested series
     avg_holding_time: float  # seconds
     avg_investment: float
     benchmark_move: float  # |end price - start price| over the test interval
-
-    def __post_init__(self) -> None:
-        series = np.ascontiguousarray(self.cumulative_profit_series, dtype=np.float64)
-        series.setflags(write=False)
-        object.__setattr__(self, "cumulative_profit_series", series)
 
     @property
     def total_profit(self) -> float:
@@ -91,6 +86,20 @@ class BacktestReport:
         """Mean profit per round trip; 0 with none."""
         return self.total_profit / self.num_round_trips if self.num_round_trips else 0.0
 
+    def equity_curve(self, series: PriceSeries) -> np.ndarray:
+        """Cumulative profit at each bucket of the backtested series: cash +
+        units * price as the last fill at or before the bucket left them, 0.0
+        before the first fill, and the realized total at the last bucket."""
+        if len(series) != self.buckets:
+            raise ValueError(f"series has {len(series)} buckets, the backtest {self.buckets}")
+        signed = [trade.price if trade.side == SIDE_SELL else -trade.price for trade in self.trades]
+        spans = np.diff([0] + [trade.time for trade in self.trades] + [self.buckets])
+        cash = np.repeat(np.cumsum([0.0] + signed), spans)  # cumsum adds in fill order
+        units = np.repeat([0] + [trade.position_after for trade in self.trades], spans)
+        curve = cash + units * series.prices
+        curve[-1] = self.total_profit
+        return curve
+
 
 def step(
     position: Position,
@@ -105,10 +114,10 @@ def step(
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
     if dp > threshold and position.units <= 0:
-        new = _POSITION[position.units + 1]
+        new = Position(position.units + 1)
         return new, Trade(time=time, side=SIDE_BUY, price=price, position_after=new.units)
     if dp < -threshold and position.units >= 0:
-        new = _POSITION[position.units - 1]
+        new = Position(position.units - 1)
         return new, Trade(time=time, side=SIDE_SELL, price=price, position_after=new.units)
     return position, None
 
@@ -132,9 +141,7 @@ def run_backtest(
     dp_stream is (ts, dp), as PredictorModel.dp_stream gives it: the
     predicted change into t+1 at each consecutive point t up to bucket n - 2,
     where the state machine acts at the bucket-t price. An open position at
-    the series end is liquidated at the final price. The cumulative profit
-    series marks each bucket to market as cash + units * price, with the
-    cash and units left by the last fill at or before it.
+    the series end is liquidated at the final price.
     """
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
@@ -149,7 +156,11 @@ def run_backtest(
     dp = np.asarray(dp, dtype=np.float64)
     prices = series.prices
     first_t = int(ts[0])
-    signals = first_t + np.flatnonzero(np.abs(dp) > threshold)  # dp ends at bucket n - 2
+    hits = np.flatnonzero(np.abs(dp) > threshold)  # dp ends at bucket n - 2
+    up = dp[hits] > 0
+    # a run of signals of one sign moves the position at most twice: from its third on, it holds
+    held = 2 + np.flatnonzero((up[2:] == up[1:-1]) & (up[1:-1] == up[:-2]))
+    signals = first_t + np.delete(hits, held)
 
     fills: list[Trade] = []
     position = FLAT
@@ -178,18 +189,11 @@ def run_backtest(
     if abs(total_profit - math.fsum(signed)) > 1e-9:
         raise AssertionError("ledger conservation violated")  # internal sanity check
 
-    spans = np.diff([first_t] + [trade.time for trade in fills] + [n])
-    cash = np.repeat(np.cumsum([0.0] + signed), spans)  # cumsum adds in fill order
-    units = np.repeat([0] + [trade.position_after for trade in fills], spans)
-    cumulative = np.zeros(n)
-    cumulative[first_t:] = cash + units * prices[first_t:]
-    cumulative[-1] = total_profit  # flat after liquidation: final mark is realized P&L
-
     return BacktestReport(
         threshold=float(threshold),
         trades=tuple(fills),
         round_trip_profits=tuple(profits),
-        cumulative_profit_series=cumulative,
+        buckets=n,
         avg_holding_time=(
             float(np.mean(holding_buckets) * series.interval) if holding_buckets else 0.0
         ),

@@ -256,7 +256,7 @@ def test_criterion_7_ledger_conservation(planted_model_series):
                 for trade in report.trades
             )
             assert abs(math.fsum(report.round_trip_profits) - cash) <= 1e-9
-            assert report.cumulative_profit_series[-1] == pytest.approx(
+            assert report.equity_curve(eval_series)[-1] == pytest.approx(
                 report.total_profit, abs=1e-9
             )
 

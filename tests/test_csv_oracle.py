@@ -20,7 +20,7 @@ from lstrader import market_data
 from lstrader.evaluator import emit_report
 from lstrader.market_data import BLOCK_ROWS, WRITE_ROWS, PriceSeries
 from lstrader.pattern_bank import PatternBank, normalize
-from lstrader.trader import BacktestReport
+from lstrader.trader import BacktestReport, Trade
 
 AWKWARD = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, 1e-310, -1.5e300, 2.0**53 + 2, 1 / 3, 0.0])
 
@@ -51,9 +51,14 @@ def awkward_series(n, rng):
     )
 
 
-def flat_report(cumulative):
+def cycling_report(series):
+    """A report whose fills cycle long, flat, short, flat at every bucket, so
+    that its equity curve marks each awkward price."""
+    sides, after = ("buy", "sell", "sell", "buy"), (1, 0, -1, 0)
+    trades = tuple(Trade(t, sides[t % 4], float(price), after[t % 4])
+                   for t, price in enumerate(series.prices))
     return BacktestReport(
-        threshold=0.5, trades=(), round_trip_profits=(), cumulative_profit_series=cumulative,
+        threshold=0.5, trades=trades, round_trip_profits=(), buckets=len(series),
         avg_holding_time=0.0, avg_investment=0.0, benchmark_move=0.0,
     )
 
@@ -96,12 +101,12 @@ def test_series_csv_round_trip_is_bit_exact(tmp_path, rng, n):
 @pytest.mark.parametrize("n", [1, WRITE_ROWS + 1])
 def test_report_csvs_match_csv_writer(tmp_path, rng, n):
     series = awkward_series(n, rng)
-    report = flat_report(awkward_column(n, rng))
+    report = cycling_report(series)
     banks = awkward_banks(rng)
     paths = emit_report(report, [report], banks, tmp_path / "new", series=series)
 
     oracle_csv(tmp_path / "curve.csv", ("bucket_time", "price", "cum_profit"),
-               float_cells(series.bucket_times, series.prices, report.cumulative_profit_series))
+               float_cells(series.bucket_times, series.prices, report.equity_curve(series)))
     oracle_csv(tmp_path / "centers.csv", (), (
         [bank.window_length, repr(float(bank.labels[i]))] + [repr(float(v)) for v in bank.vectors[i]]
         for bank in banks for i in range(len(bank))

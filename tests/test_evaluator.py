@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lstrader.evaluator import (
 )
 from lstrader.trader import run_backtest
 
+from conftest import series_from_prices
 from test_trader import make_model, random_series
 
 
@@ -138,6 +140,24 @@ class TestSweepThresholds:
             assert row.trades == standalone.trades
             assert row.total_profit == standalone.total_profit
 
+    def test_sweep_and_report_keep_one_curve(self, tmp_path):
+        # 40 per-bucket curves of 200k buckets would hold 64 MB: a sweep keeps
+        # the fills, and the report computes the one curve it writes
+        n = 200_000
+        series = series_from_prices(100 + np.random.default_rng(3).normal(scale=0.05, size=n).cumsum())
+        ts = np.arange(10, n - 1)
+        dp_stream = (ts, np.sin(ts / 500.0))  # smooth: long runs of one sign
+        tracemalloc.start()
+        try:
+            rows = sweep_thresholds(series, dp_stream, np.linspace(0.02, 0.98, 40))
+            best = max(rows, key=lambda row: row.total_profit)
+            emit_report(best, rows, [], tmp_path, series=series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best.num_trades > 0
+        assert peak < 10 * 8 * n  # ten float64 arrays of the series' length
+
     def test_unsorted_thresholds_rejected(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=90)
@@ -239,6 +259,6 @@ class TestEmitReport:
 
     def test_cumulative_curve_final_value(self, rng):
         model, series, report, rows = self.run_reportable(rng)
-        assert report.cumulative_profit_series[-1] == pytest.approx(
+        assert report.equity_curve(series)[-1] == pytest.approx(
             report.total_profit, abs=1e-9
         )

@@ -102,7 +102,7 @@ class TestRunBacktest:
         report = run_backtest(series, model.dp_stream(series), 0.1)
         assert report.num_trades == 0
         assert report.total_profit == 0.0
-        assert not report.cumulative_profit_series.any()
+        assert not report.equity_curve(series).any()
         assert math.isnan(sharpe(report.round_trip_profits, report.benchmark_move))
 
     def test_always_buy_model_single_round_trip(self, rng):
@@ -147,13 +147,13 @@ class TestRunBacktest:
         a = run_backtest(series, model.dp_stream(series), 0.25)
         b = run_backtest(series, model.dp_stream(series), 0.25)
         assert a.trades == b.trades
-        assert np.array_equal(a.cumulative_profit_series, b.cumulative_profit_series)
+        assert np.array_equal(a.equity_curve(series), b.equity_curve(series))
 
     def test_cumulative_final_equals_total(self, rng):
         model = make_model(rng)
         series = random_series(rng, n=120)
         report = run_backtest(series, model.dp_stream(series), 0.15)
-        assert report.cumulative_profit_series[-1] == pytest.approx(report.total_profit, abs=1e-9)
+        assert report.equity_curve(series)[-1] == pytest.approx(report.total_profit, abs=1e-9)
 
     def test_dp_stream_of_wrong_length_rejected(self, rng):
         model = make_model(rng)
@@ -270,7 +270,7 @@ def assert_matches_reference(prices, dp, threshold):
     trades, profits, cumulative = reference_backtest(series.prices, int(ts[0]), dp, threshold)
     assert report.trades == tuple(trades)
     assert report.round_trip_profits == tuple(profits)
-    assert np.array_equal(report.cumulative_profit_series, cumulative)
+    assert np.array_equal(report.equity_curve(series), cumulative)
     return report
 
 
@@ -309,9 +309,10 @@ class TestBacktestOracle:
         first_t, ones = self.ones()
         dp = 0.5 * ones
         dp[::2] *= -1
-        report = assert_matches_reference(100 + rng.normal(size=40).cumsum(), dp, 0.5)
+        prices = 100 + rng.normal(size=40).cumsum()
+        report = assert_matches_reference(prices, dp, 0.5)
         assert report.num_trades == 0
-        assert not report.cumulative_profit_series.any()
+        assert not report.equity_curve(series_from_prices(prices)).any()
 
     def test_same_sign_run_holds_at_the_cap(self, rng):
         first_t, ones = self.ones()
@@ -321,6 +322,23 @@ class TestBacktestOracle:
         assert [(t.time, t.side, t.position_after) for t in report.trades] == [
             (first_t, "sell", -1), (first_t + 5, "buy", 0), (first_t + 6, "buy", 1), (39, "sell", 0),
         ]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("length", [1, 2, 3, 50])
+    @pytest.mark.parametrize("start", [-1, 0, 1])
+    def test_same_sign_runs(self, rng, start, length, sign):
+        # from each position, a run of signals of one sign with dp at exactly
+        # +-t and 0 between them, then one signal the other way: the run moves
+        # the position until the cap, and no further
+        t = 0.5
+        lead = [float(start), 0.0] if start else [0.0]
+        run = [v for i in range(length) for v in (sign * (1.0 + i % 3), sign * t, -sign * t, 0.0)]
+        dp = lead + run + [-sign, 0.0]
+        first_t = self.ones()[0]
+        report = assert_matches_reference(100 + rng.normal(size=first_t + 1 + len(dp)).cumsum(), dp, t)
+        lo = first_t + len(lead)
+        in_run = [trade for trade in report.trades if lo <= trade.time < lo + len(run)]
+        assert len(in_run) == min(length, 1 - int(sign) * start)
 
     def test_zero_trades(self, rng):
         first_t, ones = self.ones()
@@ -349,4 +367,4 @@ class TestBacktestOracle:
         (opening, closing) = report.trades
         assert (opening.time, closing.time, closing.side) == (38, 39, closing_side)
         assert closing.round_trip_profit == sign * (prices[39] - prices[38])
-        assert report.cumulative_profit_series[-1] == report.total_profit
+        assert report.equity_curve(series_from_prices(prices))[-1] == report.total_profit
