@@ -27,7 +27,8 @@ s1 = sum(d), mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
 the same row rule, so s(a, b) == s(b, a) bit for bit. ``_similarity`` is
 the one place the formula is computed (``similarity_many`` and its 1x1
 call ``similarity`` wrap it), and ``_score_blocks`` the one block loop,
-shared by ``feature_block`` and ``calibrate_c``.
+shared by ``feature_block`` and ``calibrate_c``. The block size must not
+change a bit of their output, or it would change bundles.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -57,8 +58,10 @@ RIDGE_LAMBDA = 1e-8
 MIN_FIT_SAMPLES = 5
 
 # Query rows per scoring block: every scoring temporary holds at most this
-# many rows of M values, whatever the number of prediction points.
-SCORE_BLOCK_ROWS = 512
+# many rows of M values, whatever the number of prediction points. 256 rows
+# give the bits of 512 at the same speed in half the block (1.4 MiB at
+# M = 720); 64 changed bits (the sweep: ROADMAP.md, "Recent").
+SCORE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)

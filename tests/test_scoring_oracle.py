@@ -21,7 +21,9 @@ from lstrader import regression
 from lstrader.pattern_bank import PatternBank, normalize, normalize_rows
 from lstrader.regression import (
     SCORE_BLOCK_ROWS,
+    CombinerWeights,
     KernelChoice,
+    PredictorModel,
     calibrate_c,
     feature_block,
     fit_points,
@@ -161,14 +163,14 @@ def test_calibrate_c_mse_matches_long_double_reference(name, exponent):
         assert mse / scale**2 == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def test_feature_block_memory_is_bounded():
-    """Scoring 60,000 points against banks of 180, 360 and 720 holds the
-    features (1.8 MiB) and one anchored block of 512 x 720 (2.8 MiB) with
-    its scores, about 5.6 MiB: not a (points, 720) array (345 MB), nor the
-    previous block while the next is made (2.8 MiB more)."""
+@pytest.fixture(scope="module")
+def week():
+    """60,000 prediction points of a random walk against banks of 180, 360
+    and 720 buckets, 20 patterns each (a week of 10-second buckets): the
+    series, the banks and the points."""
     rng = np.random.default_rng(3)
-    n = 60_000 + 720
-    series = series_from_prices(5000 + np.cumsum(rng.normal(size=n)))
+    n = 60_000 + 721
+    series = series_from_prices(5000 + np.cumsum(rng.normal(size=n)), imbalances=rng.uniform(-1, 1, size=n))
     banks = tuple(
         PatternBank(
             window_length=m,
@@ -178,16 +180,50 @@ def test_feature_block_memory_is_bounded():
         )
         for m in (180, 360, 720)
     )
-    ts = np.arange(720, n)
-    for kernel in KERNELS:
+    return series, banks, fit_points(series, banks)
+
+
+def week_model(banks):
+    return PredictorModel(banks, KernelChoice("exp_similarity", c=2.0), CombinerWeights((0.1, 0.5, -0.3, 0.2, 0.05)))
+
+
+SCORING_CALLS = {
+    kernel.variant: (lambda series, banks, ts, kernel=kernel: feature_block(series, banks, kernel, ts))
+    for kernel in KERNELS
+} | {"dp_stream": lambda series, banks, ts: week_model(banks).dp_stream(series, ts)[1]}
+
+
+def test_feature_block_memory_is_bounded(week):
+    """Scoring 60,000 points holds the features (1.8 MiB), dp_stream's dp
+    (0.5 MiB) and one anchored block of 256 x 720 (1.4 MiB) with its scores:
+    a traced peak of 3.9-4.1 MiB. Not a (points, 720) array (345 MB), nor the
+    previous block while the next is made (1.4 MiB more), nor a block of 512
+    rows (5.4-5.7 MiB)."""
+    for call in sorted(SCORING_CALLS):
         tracemalloc.start()
         try:
-            features = feature_block(series, banks, kernel, ts)
+            out = SCORING_CALLS[call](*week)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert features.shape == (ts.size, 4)
-        assert peak < 7 * 2**20, f"{kernel.variant}: peak {peak / 2**20:.1f} MiB"
+        assert out.shape == ((60_000,) if call == "dp_stream" else (60_000, 4))
+        assert peak < 4.75 * 2**20, f"{call}: peak {peak / 2**20:.2f} MiB"
+
+
+def test_block_size_does_not_change_bits(week, monkeypatch):
+    """Blocks of 512 and of SCORE_BLOCK_ROWS rows give the same features, dp
+    and calibration bit for bit, so the block size never changes a bundle
+    (blocks of 64 rows do)."""
+    series, banks, _ = week
+
+    def score():
+        calibration = calibrate_c(GRID, series, banks)
+        outputs = [SCORING_CALLS[call](*week) for call in sorted(SCORING_CALLS)]
+        return [a.tobytes() for a in outputs] + [repr((calibration.c, calibration.weights, calibration.errors))]
+
+    got = score()
+    monkeypatch.setattr(regression, "SCORE_BLOCK_ROWS", 512)
+    assert score() == got
 
 
 def spiky_rows(m):
