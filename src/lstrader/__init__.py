@@ -35,14 +35,12 @@ from .regression import (
     CombinerWeights,
     KernelChoice,
     PredictorModel,
-    assemble_features,
     calibrate_c,
     classify_binary,
     empirical_conditional,
     feature_block,
     fit_weights,
     kernel_weights,
-    predict_dp,
     predict_label,
     similarity,
     similarity_many,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, evaluator, trader
 from .latent_source import LatentSourceSpec, generate_price_series
-from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, parse_ticks, write_json
+from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, open_text, parse_ticks, write_json
 from .pattern_bank import (
     DEFAULT_NUM_CLUSTERS,
     DEFAULT_NUM_SELECTED,
@@ -254,13 +254,26 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _input_entry(path) -> dict:
+    """An input file as the manifest records it: base name and SHA-256 of its bytes."""
+    import hashlib  # its OpenSSL costs 3.6 MiB of RSS, which no other command needs
+
+    digest = hashlib.sha256()
+    with open_text(path, newline="") as fh:
+        for piece in iter(lambda: fh.read(1 << 16), ""):
+            digest.update(piece.encode("utf-8"))
+    return {"name": os.path.basename(path), "sha256": digest.hexdigest()}
+
+
 def _manifest(args, calibration) -> dict:
     """The pipeline's config, seed, versions and BLAS threads, and what
-    calibration decided. --out is left out, so that two runs of one config
-    write the same bundle wherever they write it."""
+    calibration decided. Neither --out nor the input's directory is recorded,
+    so two runs of one config write the same bundle wherever they run."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+    config.update({key: _input_entry(config[key]) for key in ("spec", "ticks") if config[key] is not None})
     return {
-        "args": {key: value for key, value in vars(args).items() if key not in ("func", "out")},
+        "args": config,
         "seed": args.seed,
         "versions": {"lstrader": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
@@ -280,6 +293,8 @@ def cmd_pipeline(args) -> int:
         raise ValueError(f"split fractions sum to {sum(split)!r}, expected 1")
     check_mining(args.windows, args.k, args.m, args.stride, args.max_iters)
     check_c_grid(args.c_grid)
+    if args.thresholds is not None:
+        evaluator.check_thresholds(args.thresholds)
     seed_seq = np.random.SeedSequence(args.seed)
     gen_seed, bank_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
 

@@ -53,16 +53,24 @@ def sharpe(profits: Sequence[float], price_move: float, variant: str = SHARPE_SQ
     return float((profits.sum() - price_move) / (count * sigma))
 
 
+def check_thresholds(thresholds: Sequence[float]) -> list[float]:
+    """thresholds as floats; ValueError unless there is at least one, each is
+    finite and > 0, and they strictly increase."""
+    thresholds = [float(t) for t in thresholds]
+    if not thresholds:
+        raise ValueError("thresholds must be non-empty")
+    if not all(math.isfinite(t) and t > 0 for t in thresholds):
+        raise ValueError("thresholds must be finite and > 0")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be strictly increasing")
+    return thresholds
+
+
 def sweep_thresholds(
     series: PriceSeries, dp_stream: tuple[np.ndarray, np.ndarray], thresholds: Sequence[float]
 ) -> list[trader.BacktestReport]:
     """The backtests of one dp stream at each threshold, in threshold order."""
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
-        raise ValueError("thresholds must be non-empty")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly increasing")
-    return [trader.run_backtest(series, dp_stream, t) for t in thresholds]
+    return [trader.run_backtest(series, dp_stream, t) for t in check_thresholds(thresholds)]
 
 
 def write_sweep_csv(

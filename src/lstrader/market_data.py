@@ -186,9 +186,10 @@ def read_json(path, parse):
 
 
 def write_json(path, data) -> None:
-    """data as a JSON file: indent 2, sorted keys and a closing newline."""
+    """data as a JSON file: indent 2, sorted keys and a closing newline. A
+    non-finite float raises ValueError: strict JSON has no token for it."""
     with open_for_write(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -34,7 +34,9 @@ A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
 weights (intercept, one coefficient per bank, order-book imbalance), fit by
 ordinary least squares with a small-ridge fallback for rank-deficient
-designs, and a grid calibration for the kernel sharpness constant c.
+designs, and a grid calibration for the kernel sharpness constant c. Each
+job has one form, over rows: a point's features are a one-row ``feature_block``,
+and ``CombinerWeights.apply`` and ``fit_weights`` take a feature matrix.
 """
 
 from __future__ import annotations
@@ -156,7 +158,9 @@ def _scores(queries: np.ndarray, bank: PatternBank, variant: str) -> np.ndarray:
 def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:
     """Normalized kernel weights: the row-wise softmax of scale * scores."""
     w = scale * scores
-    w -= w.max(axis=1, keepdims=True)
+    # under a huge scale a shift may overflow to -inf, whose exp is the 0 weight it stands for
+    with np.errstate(over="ignore"):
+        w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -184,17 +188,14 @@ def empirical_conditional(y: float, x, bank: PatternBank, kernel: KernelChoice) 
 def classify_binary(x, bank: PatternBank, kernel: KernelChoice) -> int:
     """Declare 1 iff the class-1 kernel mass strictly exceeds the class-0 mass.
 
-    Bank labels must all be 0 or 1. A single-class bank returns its class
-    (the limit of the mass ratio).
+    Bank labels must all be 0 or 1. A single-class bank is no separate case:
+    the other class has no mass, so the bank's own class is declared, and a
+    query of the wrong length is refused as for any bank.
     """
     labels = bank.labels
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("classify_binary requires bank labels in {0, 1}")
     ones = labels == 1.0
-    if ones.all():
-        return 1
-    if not ones.any():
-        return 0
     w = kernel_weights(x, bank, kernel)
     return int(w[ones].sum() > w[~ones].sum())
 
@@ -206,15 +207,13 @@ def history_required(banks: Sequence[PatternBank]) -> int:
 
 def _window_blocks(series: PriceSeries, m: int, ts: np.ndarray):
     """(slice, rows) of the length-m windows ending at ts, SCORE_BLOCK_ROWS
-    points at a time. A single point (a live decision) or a block of
-    consecutive points (every caller in the pipeline) is a view of the
-    prices; scattered points are gathered one block at a time."""
+    points at a time. A block of consecutive points (every caller in the
+    pipeline, and a single live point) is a view of the prices; scattered
+    points are gathered one block at a time."""
     prices = series.prices
     for out, starts in row_blocks(ts - m + 1, SCORE_BLOCK_ROWS):
         lo = starts[0]
-        if starts.size == 1:
-            yield out, prices[lo : lo + m][None, :]
-        elif (np.diff(starts) == 1).all():
+        if (np.diff(starts) == 1).all():
             yield out, sliding_window_view(prices[lo : lo + starts.size + m - 1], m)
         else:
             yield out, sliding_window_view(prices, m)[starts]
@@ -270,16 +269,6 @@ def feature_block(
     return features
 
 
-def assemble_features(
-    t: int,
-    series: PriceSeries,
-    banks: Sequence[PatternBank],
-    kernel: KernelChoice,
-) -> np.ndarray:
-    """Combiner inputs for a prediction at bucket t: feature_block at one point."""
-    return feature_block(series, banks, kernel, np.array([t]))[0]
-
-
 @dataclass(frozen=True)
 class CombinerWeights:
     """Affine combiner over N bank predictions and the imbalance.
@@ -304,21 +293,21 @@ class CombinerWeights:
     def as_array(self) -> np.ndarray:
         return np.array(self.w)
 
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        """Intercept plus features @ coefficients, over the last axis."""
+    def apply(self, features) -> np.ndarray:
+        """Intercept plus features @ coefficients over the last axis (N bank predictions, imbalance)."""
         w = self.as_array()
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape[-1:] != (w.size - 1,):
+            raise ValueError(f"{w.size} weights take {w.size - 1} features, got {features.shape}")
         return features @ w[1:] + w[0]
 
 
-def predict_dp(features, weights: CombinerWeights) -> float:
-    """The combiner on one feature row (N bank predictions, then imbalance)."""
+def fit_weights(features, targets) -> CombinerWeights:
+    """Ordinary least squares for the combiner on rows of N + 1 features (N
+    bank predictions, then imbalance) and their targets; rank-deficient
+    designs fall back to a small ridge (lambda = 1e-8), flagged in used_ridge."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (len(weights.w) - 1,):
-        raise ValueError(f"{len(weights.w)} weights take {len(weights.w) - 1} features, got {features.shape}")
-    return float(weights.apply(features))
-
-
-def _fit_weights_xy(features: np.ndarray, targets: np.ndarray) -> CombinerWeights:
+    targets = np.asarray(targets, dtype=np.float64)
     n = features.shape[0]
     if n < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples, got {n}")
@@ -330,20 +319,6 @@ def _fit_weights_xy(features: np.ndarray, targets: np.ndarray) -> CombinerWeight
         gram = gram + RIDGE_LAMBDA * np.eye(design.shape[1])
     w = np.linalg.solve(gram, rhs)
     return CombinerWeights(tuple(w.tolist()), used_ridge=used_ridge)
-
-
-def fit_weights(samples: Sequence[tuple]) -> CombinerWeights:
-    """Ordinary least squares for the combiner over (features, target) pairs.
-
-    Every feature row holds the same N + 1 values (N bank predictions, then
-    imbalance). Rank-deficient designs fall back to a small ridge
-    (lambda = 1e-8) and are flagged via used_ridge.
-    """
-    if len(samples) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples, got {len(samples)}")
-    features = np.array([list(f) for f, _ in samples], dtype=np.float64)
-    targets = np.array([t for _, t in samples], dtype=np.float64)
-    return _fit_weights_xy(features, targets)
 
 
 @dataclass(frozen=True)
@@ -407,7 +382,7 @@ def calibrate_c(
     for c in grid:
         columns = [_softmax(s, c) @ bank.labels for s, bank in zip(scores, banks)]
         features = np.column_stack(columns + [imbalances])
-        weights = _fit_weights_xy(features, targets)
+        weights = fit_weights(features, targets)
         residual = weights.apply(features) - targets
         mse = float((residual @ residual) / residual.size)
         errors.append((c, mse))

@@ -143,8 +143,8 @@ def run_backtest(
     where the state machine acts at the bucket-t price. An open position at
     the series end is liquidated at the final price.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be > 0")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError("threshold must be finite and > 0")
     ts, dp = dp_stream
     n = len(series)
     # a first point below 0 would index prices from the end

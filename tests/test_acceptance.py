@@ -189,7 +189,7 @@ def test_criterion_4_weight_recovery():
             rng = np.random.default_rng(1004)
             feats = rng.standard_normal((count, 4))
             targets = true_w[0] + feats @ true_w[1:] + noise * rng.standard_normal(count)
-            fitted = fit_weights([(tuple(f), float(t)) for f, t in zip(feats, targets)])
+            fitted = fit_weights(feats, targets)
             assert np.abs(fitted.as_array() - true_w).max() <= tolerance
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import pathlib
 import platform
 import struct
 
@@ -550,6 +552,26 @@ class TestStagedCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: missing input file: no bank_*.json files in {banks_dir}\n"
 
+    @pytest.mark.parametrize(
+        "command, flag, value, out_flag",
+        [("backtest", "--threshold", "inf", "--out-dir"),
+         ("report", "--thresholds", "0.1,inf", "--out-dir"),
+         ("sweep", "--thresholds", "0.1,inf", "--out")],
+        ids=["backtest", "report", "sweep"],
+    )
+    def test_non_finite_threshold_fails_before_anything_is_written(
+        self, spec_path, tmp_path, capsys, command, flag, value, out_flag
+    ):
+        """An infinite threshold is refused: a summary.json holding it would
+        not be strict JSON, and no |dp| exceeds it."""
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        out = tmp_path / "out"
+        args = ("--series", series_csv, "--model", fit_dir / "model.json", flag, value, out_flag, out)
+        assert run_cli(command, *args) == 1
+        message = "threshold must be" if command == "backtest" else "thresholds must be"
+        assert capsys.readouterr().err == f"error: {message} finite and > 0\n"
+        assert not out.exists()
+
     def test_non_finite_series_fails_with_diagnostic(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
         rows = [f"{10.0 * i},{100.0 + i},0.0" for i in range(400)]
@@ -626,17 +648,25 @@ class TestPipeline:
 
     def test_manifest_is_the_same_wherever_the_run_is_written(self, spec_path, tmp_path):
         """manifest.json holds the config, the seed, the versions and what
-        calibration decided, and no --out, so runs into two directories write
-        the same bytes."""
+        calibration decided, no --out, and the spec by base name and SHA-256,
+        so runs into two directories, reading the spec from two, write the
+        same bytes."""
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        copy = elsewhere / "spec.json"
+        copy.write_bytes(pathlib.Path(spec_path).read_bytes())
         texts = []
-        for name in ("a", "b"):
-            assert run_cli(*small_pipeline_args(spec_path, tmp_path / name, seed=3)) == 0
+        for name, spec in (("a", spec_path), ("b", copy)):
+            assert run_cli(*small_pipeline_args(spec, tmp_path / name, seed=3)) == 0
             texts.append((tmp_path / name / "manifest.json").read_bytes())
         assert texts[0] == texts[1]
         manifest = json.loads(texts[0])
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         expected = vars(build_parser().parse_args(small_pipeline_args(spec_path, "run", seed=3)))
         del expected["func"], expected["out"]
+        expected["spec"] = {
+            "name": "spec.json", "sha256": hashlib.sha256(copy.read_bytes()).hexdigest()
+        }
         assert manifest["args"] == json.loads(json.dumps(expected))
         assert manifest["seed"] == 3
         assert manifest["versions"] == {
@@ -795,9 +825,13 @@ class TestPipeline:
          (("--windows", "0,60"), "window lengths must be >= 1, got 0"),
          (("--windows", "60,30"), "window lengths must be strictly increasing"),
          (("--stride", "0"), "stride must be >= 1"),
-         (("--max-iters", "0"), "max_iters must be >= 1")],
+         (("--max-iters", "0"), "max_iters must be >= 1"),
+         (("--thresholds", "0.2,0.1"), "thresholds must be strictly increasing"),
+         (("--thresholds", "0.1,inf"), "thresholds must be finite and > 0"),
+         (("--thresholds", "0,0.1"), "thresholds must be finite and > 0")],
         ids=["k_0", "k_negative", "m_0", "c_grid_inf", "c_grid_nan", "windows_0",
-             "windows_decreasing", "stride_0", "max_iters_0"],
+             "windows_decreasing", "stride_0", "max_iters_0", "thresholds_decreasing",
+             "thresholds_inf", "thresholds_0"],
     )
     def test_bad_mining_or_grid_flag_fails_with_diagnostic(
         self, spec_path, tmp_path, capsys, flags, message
@@ -852,3 +886,7 @@ class TestPipeline:
         )
         assert rc == 0
         assert (out / "summary.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = hashlib.sha256(ticks.read_bytes()).hexdigest()
+        assert manifest["args"]["ticks"] == {"name": "ticks.csv", "sha256": digest}
+        assert manifest["args"]["spec"] is None

@@ -516,3 +516,10 @@ class TestPriceSeries:
         path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n10.0,100.5,0.1\n{row}\n")
         with pytest.raises(ValueError, match=r"series\.csv: line 4: non-finite"):
             PriceSeries.from_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_non_finite_floats(tmp_path, bad):
+    """Strict JSON has no NaN or Infinity token, so no JSON file holds one."""
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        market_data.write_json(tmp_path / "x.json", {"threshold": bad})

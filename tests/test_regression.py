@@ -11,7 +11,6 @@ from lstrader.regression import (
     CombinerWeights,
     KernelChoice,
     PredictorModel,
-    assemble_features,
     calibrate_c,
     classify_binary,
     empirical_conditional,
@@ -19,7 +18,6 @@ from lstrader.regression import (
     fit_points,
     fit_weights,
     kernel_weights,
-    predict_dp,
     predict_label,
     similarity,
     similarity_many,
@@ -260,6 +258,13 @@ class TestClassifyBinary:
         assert classify_binary(np.zeros(6), bank_from_vectors(vecs, [1.0] * 3), GAUSSIAN) == 1
         assert classify_binary(np.zeros(6), bank_from_vectors(vecs, [0.0] * 3), GAUSSIAN) == 0
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_single_class_bank_refuses_wrong_length_query(self, rng, label):
+        bank = bank_from_vectors([normalize(rng.normal(size=6)) for _ in range(3)], [label] * 3)
+        for kernel in (GAUSSIAN, EXP_SIM):
+            with pytest.raises(ValueError, match=r"query has shape \(5,\), bank expects \(6,\)"):
+                classify_binary(np.zeros(5), bank, kernel)
+
     def test_non_binary_labels_rejected(self, rng):
         bank = random_bank(rng, n=4, dim=6)
         with pytest.raises(ValueError, match="labels"):
@@ -281,6 +286,8 @@ class TestClassifyBinary:
 
 
 class TestAssembleFeatures:
+    """Combiner inputs at one prediction point: a one-row feature_block."""
+
     def make_banks(self, rng, windows=(3, 5, 8)):
         return tuple(random_bank(rng, n=4, dim=w) for w in windows)
 
@@ -289,29 +296,29 @@ class TestAssembleFeatures:
         series = series_from_prices(
             100 + np.cumsum(rng.normal(size=20)), imbalances=rng.uniform(-1, 1, 20)
         )
-        feats = assemble_features(8, series, banks, EXP_SIM)
+        feats = feature_block(series, banks, EXP_SIM, [8])[0]
         assert all(np.isfinite(feats))
         with pytest.raises(ValueError, match="history"):
-            assemble_features(7, series, banks, EXP_SIM)
+            feature_block(series, banks, EXP_SIM, [7])
 
     def test_imbalance_passes_through(self, rng):
         banks = self.make_banks(rng)
         imb = rng.uniform(-1, 1, 20)
         series = series_from_prices(100 + np.cumsum(rng.normal(size=20)), imbalances=imb)
-        feats = assemble_features(11, series, banks, EXP_SIM)
+        feats = feature_block(series, banks, EXP_SIM, [11])[0]
         assert feats[-1] == imb[11]
 
     def test_constant_history_is_finite(self, rng):
         banks = self.make_banks(rng)
         series = series_from_prices(np.full(20, 42.0))
-        feats = assemble_features(10, series, banks, GAUSSIAN)
+        feats = feature_block(series, banks, GAUSSIAN, [10])[0]
         assert all(np.isfinite(feats))
 
     def test_out_of_range_rejected(self, rng):
         banks = self.make_banks(rng)
         series = series_from_prices(np.arange(20.0))
         with pytest.raises(ValueError):
-            assemble_features(20, series, banks, EXP_SIM)
+            feature_block(series, banks, EXP_SIM, [20])
 
     def test_planted_pattern_recovers_label(self, rng):
         # trailing window affinely matches one bank pattern; others are far
@@ -332,7 +339,7 @@ class TestAssembleFeatures:
             bank_from_vectors([normalize(rng.normal(size=16))], [0.0]),
             bank_from_vectors([normalize(rng.normal(size=20))], [0.0]),
         )
-        feats = assemble_features(len(prices) - 1, series, banks, kernel)
+        feats = feature_block(series, banks, kernel, [len(prices) - 1])[0]
         assert abs(feats[0] - 0.7) <= 0.1
 
     def test_batch_path_matches_scalar_path(self, rng):
@@ -346,8 +353,8 @@ class TestAssembleFeatures:
             ts = np.arange(8, n)
             block = feature_block(series, banks, kernel, ts)
             for row, t in zip(block, ts):
-                scalar = assemble_features(int(t), series, banks, kernel)
-                assert np.allclose(row, list(scalar), atol=1e-12)
+                one = feature_block(series, banks, kernel, [t])[0]
+                assert np.allclose(row, one, atol=1e-12)
             # scattered points take copied windows instead of a view
             scattered = ts[[0, 3, 4, 10, 21]]
             rows = feature_block(series, banks, kernel, scattered)
@@ -358,25 +365,22 @@ class TestFitWeights:
     def planted_samples(self, rng, n, true_w, noise=0.0):
         feats = rng.normal(size=(n, 4))
         targets = true_w[0] + feats @ np.asarray(true_w[1:]) + noise * rng.normal(size=n)
-        return [(tuple(f), float(t)) for f, t in zip(feats, targets)]
+        return feats, targets
 
     def test_recovers_planted_weights(self, rng):
-        samples = self.planted_samples(rng, 200, (0.5, 1.0, 0.0, 0.0, 2.0))
-        w = fit_weights(samples)
+        w = fit_weights(*self.planted_samples(rng, 200, (0.5, 1.0, 0.0, 0.0, 2.0)))
         assert np.allclose(w.as_array(), [0.5, 1.0, 0.0, 0.0, 2.0], atol=1e-8)
         assert not w.used_ridge
 
     def test_zero_targets_give_zero_weights(self, rng):
-        samples = self.planted_samples(rng, 50, (0.0, 0.0, 0.0, 0.0, 0.0))
-        w = fit_weights(samples)
+        w = fit_weights(*self.planted_samples(rng, 50, (0.0, 0.0, 0.0, 0.0, 0.0)))
         assert np.allclose(w.as_array(), 0.0, atol=1e-10)
 
     def test_duplicate_columns_trigger_ridge(self, rng):
         feats = rng.normal(size=(60, 4))
         feats[:, 1] = feats[:, 0]  # duplicated feature column
         targets = 1.0 + feats @ np.array([2.0, 0.0, 0.5, -1.0]) + 0.01 * rng.normal(size=60)
-        samples = [(tuple(f), float(t)) for f, t in zip(feats, targets)]
-        w = fit_weights(samples)
+        w = fit_weights(feats, targets)
         assert w.used_ridge
         design = np.column_stack([np.ones(60), feats])
         ridge_residual = design @ w.as_array() - targets
@@ -385,30 +389,36 @@ class TestFitWeights:
 
     def test_too_few_samples_rejected(self, rng):
         with pytest.raises(ValueError, match="at least 5"):
-            fit_weights(self.planted_samples(rng, 4, (0.0, 1.0, 1.0, 1.0, 1.0)))
+            fit_weights(*self.planted_samples(rng, 4, (0.0, 1.0, 1.0, 1.0, 1.0)))
 
     def test_residual_orthogonal_to_design(self, rng):
-        samples = self.planted_samples(rng, 80, (0.3, -1.0, 2.0, 0.7, 0.1), noise=0.5)
-        w = fit_weights(samples)
-        feats = np.array([list(f) for f, _ in samples])
-        targets = np.array([t for _, t in samples])
+        feats, targets = self.planted_samples(rng, 80, (0.3, -1.0, 2.0, 0.7, 0.1), noise=0.5)
+        w = fit_weights(feats, targets)
         design = np.column_stack([np.ones(80), feats])
         residual = design @ w.as_array() - targets
-        assert np.all(np.abs(design.T @ residual) < 1e-8 * len(samples))
+        assert np.all(np.abs(design.T @ residual) < 1e-8 * len(targets))
 
 
 class TestPredictDp:
+    """The combiner on one feature row: CombinerWeights.apply."""
+
     def test_zero_weights(self):
         w = CombinerWeights((0, 0, 0, 0, 0))
-        assert predict_dp((3.0, -1.0, 2.0, 0.5), w) == 0.0
+        assert w.apply((3.0, -1.0, 2.0, 0.5)) == 0.0
 
     def test_intercept_only(self):
         w = CombinerWeights((1, 0, 0, 0, 0))
-        assert predict_dp((9.0, 9.0, 9.0, 9.0), w) == 1.0
+        assert w.apply((9.0, 9.0, 9.0, 9.0)) == 1.0
 
     def test_hand_case(self):
         w = CombinerWeights((0, 1, 1, 1, 1))
-        assert predict_dp((0.1, 0.2, 0.3, -0.1), w) == pytest.approx(0.5, abs=1e-15)
+        assert w.apply((0.1, 0.2, 0.3, -0.1)) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), ()])
+    def test_wrong_width_rejected(self, shape):
+        w = CombinerWeights((0, 1, 1, 1, 1))
+        with pytest.raises(ValueError, match=r"5 weights take 4 features, got \(" + ", ".join(map(str, shape))):
+            w.apply(np.zeros(shape))
 
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -466,7 +476,7 @@ class TestCalibrateC:
         targets = series.prices[ts + 1] - series.prices[ts]
         for c, mse in result.errors:
             feats = feature_block(series, banks, KernelChoice("exp_similarity", c=c), ts)
-            w = fit_weights([(tuple(f), float(t)) for f, t in zip(feats, targets)])
+            w = fit_weights(feats, targets)
             predicted = feats @ w.as_array()[1:] + w.as_array()[0]
             direct = float(((predicted - targets) ** 2).mean())
             assert mse == pytest.approx(direct, rel=1e-9)
@@ -489,6 +499,18 @@ class TestCalibrateC:
 def test_exp_similarity_needs_finite_positive_c(c):
     with pytest.raises(ValueError, match="requires a finite c > 0"):
         KernelChoice("exp_similarity", c=c)
+
+
+def test_huge_c_gives_finite_features_without_a_warning():
+    """Under c = 1e308 the softmax shift overflows for the pattern that is
+    anticorrelated with the window: its weight is 0, and no numpy warning
+    is raised (pytest makes a RuntimeWarning an error)."""
+    shape = np.sin(np.arange(8) * 0.9)
+    bank = bank_from_vectors([normalize(shape), normalize(-shape)], [1.0, -1.0])
+    series = series_from_prices(np.concatenate([np.full(8, 100.0), 100.0 + shape]))
+    feats = feature_block(series, (bank,), KernelChoice("exp_similarity", c=1e308), np.arange(8, 16))
+    assert np.isfinite(feats).all()
+    assert feats[-1, 0] == 1.0
 
 
 class TestPredictorModel:
@@ -548,8 +570,8 @@ class TestPredictorModel:
         )
         ts, dp = model.dp_stream(series)
         for t, value in zip(ts, dp):
-            feats = assemble_features(int(t), series, model.banks, model.kernel)
-            assert value == pytest.approx(predict_dp(feats, model.weights), abs=1e-12)
+            feats = feature_block(series, model.banks, model.kernel, [t])[0]
+            assert value == pytest.approx(model.weights.apply(feats), abs=1e-12)
 
     @pytest.mark.parametrize("windows", [(4,), (4, 6), (4, 6, 8), (4, 6, 8, 10)])
     def test_any_bank_count_round_trips(self, rng, tmp_path, windows):
@@ -575,7 +597,7 @@ class TestPredictorModel:
         feats = feature_block(series, loaded.banks, loaded.kernel, ts)
         assert feats.shape == (len(ts), n + 1)
         for row, value in zip(feats, dp):
-            assert value == pytest.approx(predict_dp(row, model.weights), abs=1e-12)
+            assert value == pytest.approx(model.weights.apply(row), abs=1e-12)
 
     @pytest.mark.parametrize(
         "edit, message",

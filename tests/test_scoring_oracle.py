@@ -157,7 +157,7 @@ def test_calibrate_c_mse_matches_long_double_reference(name, exponent):
     scale = 2.0**exponent
     for c, mse in result.errors:
         features = ld_features(series, banks, KernelChoice("exp_similarity", c=c), ts)
-        weights = fit_weights(list(zip(features.astype(np.float64), targets)))
+        weights = fit_weights(features.astype(np.float64), targets)
         residual = weights.apply(features.astype(np.float64)) - targets
         want = float(residual @ residual) / residual.size
         assert mse / scale**2 == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -284,7 +284,7 @@ def per_bank_calibration(grid, series, banks):
     for c in sorted(set(grid)):
         columns = [regression._softmax(s, c) @ bank.labels for s, bank in zip(scores, banks)]
         features = np.column_stack(columns + [series.imbalances[ts]])
-        weights = regression._fit_weights_xy(features, targets)
+        weights = fit_weights(features, targets)
         residual = weights.apply(features) - targets
         mse = float((residual @ residual) / residual.size)
         errors.append((c, mse))
