@@ -1,13 +1,9 @@
 """Tick-stream parsing and coarsening onto a uniform time grid.
 
-Raw ticks (a trade price and an order-book snapshot each) are parsed into a
-columnar ``TickTable`` and mapped onto a gapless fixed-interval grid, a
-``PriceSeries``, which is written and read back bit for bit as CSV. The
-formats, the checks a tick must pass, the grid mapping, the memory bound
-and the rule by which both readers read each block of lines
-(``_value_blocks``) are set out once, in README.md ("How it works", step
-1, and "File formats"). Both readers take a path and open it through
-``_csv_file``.
+Raw ticks are parsed into a columnar ``TickTable`` and mapped onto a gapless
+fixed-interval ``PriceSeries``. README.md ("How it works", step 1, and "File
+formats") sets out the formats, the checks, the grid mapping and the block rules
+of both readers (``_value_blocks``, via ``_csv_file``) and of ``write_float_rows``.
 
 Every module opens its files through ``open_text`` and ``open_for_write``,
 and reads and writes JSON through ``read_json`` and ``write_json``, whose
@@ -38,7 +34,9 @@ BLOCK_ROWS = 4096  # most rows per bulk float conversion
 # 2 MiB blocks read no faster; below 512 KiB a plain file's peak falls by under 0.2 MiB.
 BLOCK_CHARS = 2**19
 _READ_LINES = 64  # lines of a block's first read, which sizes the next
-WRITE_ROWS = 512  # rows per joined write: 4096 left ~2 MiB of freed floats and strings resident
+# float cells per joined write, whatever the row width: 512 rows of a 3-column series
+# (4096 left ~2 MiB of freed floats and strings resident), 2 rows of a 720-bucket bank
+WRITE_CELLS = 1536
 
 _BASIC_HEADER = ("timestamp", "price", "bid_vol_total", "ask_vol_total")
 _MAX_TICK_COLUMNS = 2 + 4 * MAX_BOOK_DEPTH  # the widest tick header: a price and a volume per level
@@ -224,13 +222,15 @@ def json_floats(values, what: str, field: str) -> np.ndarray:
 
 def write_float_rows(fh, columns, header: Iterable[str] = (), lead: str = "") -> None:
     """CSV rows of equal-length float64 columns (1-D, or 2-D for several), each led by
-    ``lead``: csv.writer's bytes for repr(float(x)) cells, joined WRITE_ROWS rows at a
-    time. A block calls repr once per distinct bit pattern, not per cell; bits, not
-    float equality, tell values apart, so -0.0 and 0.0 keep their own cells."""
+    ``lead``: csv.writer's bytes for repr(float(x)) cells, joined as many whole rows
+    at a time as fit in WRITE_CELLS (at least one). A block calls repr once per distinct
+    bit pattern, not per cell; bits, not float equality, tell values apart, so -0.0 and
+    0.0 keep their own cells."""
     if header:
         fh.write(",".join(header) + "\r\n")
-    for start in range(0, len(columns[0]), WRITE_ROWS):
-        block = np.column_stack([c[start : start + WRITE_ROWS] for c in columns])
+    step = max(1, WRITE_CELLS // sum(math.prod(np.shape(c)[1:]) for c in columns))
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([c[start : start + step] for c in columns])
         # return_index makes np.unique argsort with mergesort, which pages in less
         # sort code than its default quicksort: the same cells at a lower peak
         bits, _, cell = np.unique(block.view(np.uint64), return_index=True, return_inverse=True)

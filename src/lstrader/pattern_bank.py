@@ -2,23 +2,13 @@
 
 A pattern is a fixed-length window of the price grid paired with the price
 change over the bucket that follows it. Windows are stored zero-mean /
-unit-std (population convention: std is the square root of the mean squared
-deviation), the form k-means clusters and the gaussian kernel compares.
-Constant windows normalize to the zero vector.
+unit-std (std is the root of the mean squared deviation); a constant window
+normalizes to the zero vector. README.md ("How it works", step 2, and "File
+formats") sets out how a bank is built, k-means included, and stored.
 
-How a bank is built per window length, k-means (``kmeans``) included, is
-set out once, in README.md ("How it works", step 2); ``_SCORE_ROWS`` and
-``_SUM_ROWS`` each say why they have their size.
-
-Scoring rows: ``anchored_rows`` and ``anchored_moments`` are the row rule
-of the similarity score (see ``regression``, which anchors one block of
-query rows for every bank). A bank computes its own rows once
-(``PatternBank.anchored``). ``row_blocks`` serves both modules' blocked
-loops.
-
-A bank is one ``PatternBank`` (three arrays) in memory and one JSON file on
-disk, as README.md ("File formats") sets out. A malformed file, or one with
-a missing or mistyped field, raises ValueError naming the file.
+``anchored_rows`` and ``anchored_moments`` are the row rule of the
+similarity score (see ``regression``); a bank computes its own rows once
+(``PatternBank.anchored``). ``row_blocks`` serves both modules' blocked loops.
 """
 
 from __future__ import annotations
@@ -550,9 +540,10 @@ def build_banks(
             f"to build a bank of window length {longest}"
         )
     rng = np.random.default_rng(seed)
+    seeds = [int(rng.integers(2**31)) for _ in window_lengths]
     banks = []
-    for window in window_lengths:
-        cluster_seed = int(rng.integers(2**31))
+    # longest first: the largest window matrix lands before smaller banks fragment the heap
+    for window, cluster_seed in reversed(list(zip(window_lengths, seeds))):
         windows = extract_windows(series, window, stride)
         k_eff = max(1, min(k, len(windows) // 2))
         m_eff = min(m, k_eff)
@@ -561,4 +552,4 @@ def build_banks(
         )
         del windows  # free this length's windows before the next length's are made
         banks.append(select_effective(clusters, m_eff))
-    return tuple(banks)
+    return tuple(reversed(banks))

@@ -27,8 +27,9 @@ s1 = sum(d), mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
 the same row rule, so s(a, b) == s(b, a) bit for bit. ``_similarity`` is
 the one place the formula is computed (``similarity_many`` and its 1x1
 call ``similarity`` wrap it), and ``_score_blocks`` the one block loop,
-shared by ``feature_block`` and ``calibrate_c``. The block size must not
-change a bit of their output, or it would change bundles.
+shared by ``feature_block`` and ``calibrate_c``. Neither the block size
+nor ``dp_stream``'s slice of whole blocks may change a bit of their output,
+or it would change bundles.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -62,8 +63,11 @@ MIN_FIT_SAMPLES = 5
 # Query rows per scoring block: every scoring temporary holds at most this
 # many rows of M values, whatever the number of prediction points. 256 rows
 # give the bits of 512 at the same speed in half the block (1.4 MiB at
-# M = 720); 64 changed bits (the sweep: ROADMAP.md, "Recent").
+# M = 720); 64 changed bits (the sweep: ROADMAP.md, "Settled sizings").
 SCORE_BLOCK_ROWS = 256
+# Prediction points per dp_stream slice: whole scoring blocks from the first point,
+# so every block is the batch's (a slice starting off a block edge changes bits).
+DP_SLICE_ROWS = 16 * SCORE_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,15 @@ def _score_blocks(series: PriceSeries, banks: Sequence[PatternBank], variant: st
         del windows, suffix  # a block goes before the next is made
 
 
+def _check_points(series: PriceSeries, banks: Sequence[PatternBank], ts) -> np.ndarray:
+    """ts as int64, once each point has its history and lies in the series."""
+    ts, needed = np.asarray(ts, dtype=np.int64), history_required(banks)
+    if ts.size and (ts.min() < needed or ts.max() >= len(series)):
+        raise ValueError(f"prediction points need {needed} buckets of history and must lie in "
+                         f"[{needed}, {len(series) - 1}], got [{ts.min()}, {ts.max()}]")
+    return ts
+
+
 def feature_block(
     series: PriceSeries,
     banks: Sequence[PatternBank],
@@ -253,15 +266,7 @@ def feature_block(
     normalization. Windows are scored in blocks, so memory does not grow
     with len(ts) beyond the result.
     """
-    ts = np.asarray(ts, dtype=np.int64)
-    if ts.size == 0:
-        return np.empty((0, len(banks) + 1))
-    needed = history_required(banks)
-    if ts.min() < needed or ts.max() >= len(series):
-        raise ValueError(
-            f"prediction points need {needed} buckets of history and must lie in "
-            f"[{needed}, {len(series) - 1}], got [{ts.min()}, {ts.max()}]"
-        )
+    ts = _check_points(series, banks, ts)
     features = np.empty((ts.size, len(banks) + 1))
     for out, j, scores in _score_blocks(series, banks, kernel.variant, ts):
         features[out, j] = _softmax(scores, kernel.scale) @ banks[j].labels
@@ -420,11 +425,18 @@ class PredictorModel:
         """Predicted price change at each prediction point of a series.
 
         Returns (ts, dp). Defaults to every point with full history and an
-        observable next bucket.
+        observable next bucket. Points are scored DP_SLICE_ROWS at a time, so
+        beside dp only one slice of features is held.
         """
         if ts is None:
             ts = fit_points(series, self.banks)
-        return ts, self.weights.apply(feature_block(series, self.banks, self.kernel, ts))
+        points = _check_points(series, self.banks, ts)
+        # a 1-point remainder joins the slice before it: apply rounds one row otherwise
+        edges = [0, *range(DP_SLICE_ROWS, points.size - 1, DP_SLICE_ROWS), points.size]
+        dp = np.empty(points.size)
+        for lo, hi in zip(edges, edges[1:]):
+            dp[lo:hi] = self.weights.apply(feature_block(series, self.banks, self.kernel, points[lo:hi]))
+        return ts, dp
 
     def to_json_dict(self, bank_paths: Sequence[str]) -> dict:
         if len(bank_paths) != len(self.banks):

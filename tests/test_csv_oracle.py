@@ -10,6 +10,7 @@ both sides of a block boundary.
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from lstrader import market_data
 from lstrader.evaluator import emit_report
-from lstrader.market_data import BLOCK_ROWS, WRITE_ROWS, PriceSeries
+from lstrader.market_data import BLOCK_ROWS, WRITE_CELLS, PriceSeries
 from lstrader.pattern_bank import PatternBank, normalize
 from lstrader.trader import BacktestReport, Trade
 
@@ -76,7 +77,8 @@ def awkward_banks(rng):
     return banks
 
 
-SIZES = [1, 2, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+SERIES_ROWS = WRITE_CELLS // 3  # rows per write of a 3-column series
+SIZES = [1, 2, SERIES_ROWS - 1, SERIES_ROWS, SERIES_ROWS + 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -98,7 +100,7 @@ def test_series_csv_round_trip_is_bit_exact(tmp_path, rng, n):
     assert (loaded.start_time, loaded.interval) == (series.start_time, series.interval)
 
 
-@pytest.mark.parametrize("n", [1, WRITE_ROWS + 1])
+@pytest.mark.parametrize("n", [1, SERIES_ROWS + 1])
 def test_report_csvs_match_csv_writer(tmp_path, rng, n):
     series = awkward_series(n, rng)
     report = cycling_report(series)
@@ -135,32 +137,56 @@ def row_wise_rows(columns, header, lead):
     return buf.getvalue()
 
 
-@given(
-    rows=st.integers(1, 2 * WRITE_ROWS + 2),
-    width=st.integers(1, 4),
-    lead=st.sampled_from(["", "180,"]),
-    seed=st.integers(0, 2**32 - 1),
+def rows_per_write(width):
+    return max(1, WRITE_CELLS // width)
+
+
+# (rows, float cells per row): narrow rows and rows of about, and past, WRITE_CELLS
+# cells, each on both sides of the second block edge
+SHAPES = st.one_of(st.integers(1, 4), st.sampled_from([721, WRITE_CELLS, WRITE_CELLS + 1])).flatmap(
+    lambda width: st.tuples(st.integers(1, 2 * rows_per_write(width) + 2), st.just(width))
 )
-@example(rows=WRITE_ROWS + 1, width=1, lead="", seed=0)
-@example(rows=2 * WRITE_ROWS, width=3, lead="180,", seed=1)
+
+
+@given(shape=SHAPES, lead=st.sampled_from(["", "180,"]), seed=st.integers(0, 2**32 - 1))
+@example(shape=(WRITE_CELLS + 1, 1), lead="", seed=0)
+@example(shape=(2 * SERIES_ROWS, 3), lead="180,", seed=1)
+@example(shape=(7, 721), lead="720,", seed=2)
 @settings(max_examples=60, deadline=None)
-def test_write_float_rows_bytes_equal_row_wise_writer(rows, width, lead, seed):
+def test_write_float_rows_bytes_equal_row_wise_writer(shape, lead, seed):
     """Bit-pattern dedupe per block gives the row-wise bytes: -0.0 beside 0.0
     in one block, subnormals, nan of either sign, and values repeated on both
-    sides of each WRITE_ROWS boundary; a 2-D column after a 1-D one with a lead."""
+    sides of each block edge (every rows_per_write rows); a 2-D column after a
+    1-D one with a lead, wide enough to take several blocks of 2 rows or 1."""
+    rows, width = shape
     rng = np.random.default_rng(seed)
     values = rng.normal(scale=1e3, size=(rows, width))
     awkward = rng.random((rows, width)) < 0.5
     values[awkward] = BIT_POOL[rng.integers(len(BIT_POOL), size=awkward.sum())]
     flat = values.reshape(-1)
     flat[:2] = (-0.0, 0.0)[: flat.size]
-    after = np.arange(WRITE_ROWS, rows, WRITE_ROWS)  # the first row of each later block
+    after = np.arange(rows_per_write(width), rows, rows_per_write(width))  # each later block's first row
     values[after] = values[after - 1]
     columns = (values[:, 0], values[:, 1:]) if width > 1 else (values[:, 0],)
     header = ("a", "b") if width > 1 else ()
     buf = io.StringIO()
     market_data.write_float_rows(buf, columns, header, lead=lead)
     assert buf.getvalue() == row_wise_rows(columns, header, lead)
+
+
+def test_write_float_rows_memory_is_bounded_by_cells(tmp_path, rng):
+    """200 bank rows of 721 cells (1.1 MiB of floats) are written 2 rows at a
+    time: a traced peak of about 0.3 MiB, not the 21 MiB of text that all
+    200 rows joined in one block held."""
+    labels, vectors = rng.normal(size=200), rng.normal(size=(200, 720))
+    with market_data.open_for_write(tmp_path / "bank.csv") as fh:
+        tracemalloc.start()
+        try:
+            market_data.write_float_rows(fh, (labels, vectors), lead="720,")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestSeriesReaderFaults:

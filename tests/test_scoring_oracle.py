@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from lstrader import regression
 from lstrader.pattern_bank import PatternBank, normalize, normalize_rows
 from lstrader.regression import (
+    DP_SLICE_ROWS,
     SCORE_BLOCK_ROWS,
     CombinerWeights,
     KernelChoice,
@@ -194,9 +195,11 @@ SCORING_CALLS = {
 
 
 def test_feature_block_memory_is_bounded(week):
-    """Scoring 60,000 points holds the features (1.8 MiB), dp_stream's dp
-    (0.5 MiB) and one anchored block of 256 x 720 (1.4 MiB) with its scores:
-    a traced peak of 3.9-4.1 MiB. Not a (points, 720) array (345 MB), nor the
+    """feature_block of 60,000 points holds the features (1.8 MiB) and one
+    anchored block of 256 x 720 (1.4 MiB) with its scores: a traced peak of
+    3.9 MiB. dp_stream holds its dp (0.5 MiB) and one slice of 4096 points'
+    features (0.1 MiB) beside the block: 2.4 MiB, not the 4.1 MiB of every
+    point's features beside dp. Not a (points, 720) array (345 MB), nor the
     previous block while the next is made (1.4 MiB more), nor a block of 512
     rows (5.4-5.7 MiB)."""
     for call in sorted(SCORING_CALLS):
@@ -207,7 +210,21 @@ def test_feature_block_memory_is_bounded(week):
         finally:
             tracemalloc.stop()
         assert out.shape == ((60_000,) if call == "dp_stream" else (60_000, 4))
-        assert peak < 4.75 * 2**20, f"{call}: peak {peak / 2**20:.2f} MiB"
+        bound = 3 if call == "dp_stream" else 4.75
+        assert peak < bound * 2**20, f"{call}: peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("count", [DP_SLICE_ROWS, DP_SLICE_ROWS + 1, DP_SLICE_ROWS + 2, 1])
+def test_dp_stream_slices_give_the_batch_bits(week, count):
+    """dp_stream scores DP_SLICE_ROWS points at a time, yet gives the bits of
+    the weights applied to every point's features at once, whatever the point
+    count modulo the slice. Applied to one row alone, the weights round
+    otherwise at a third of this series' points (point 4096 among them), so a
+    1-point remainder must join the slice before it."""
+    series, banks, ts = week
+    model, points = week_model(banks), ts[:count]
+    want = model.weights.apply(feature_block(series, banks, model.kernel, points))
+    assert model.dp_stream(series, points)[1].tobytes() == want.tobytes()
 
 
 def test_block_size_does_not_change_bits(week, monkeypatch):
