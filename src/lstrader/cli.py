@@ -4,8 +4,8 @@ The subcommands (each parser's help says what it does), the flags, the
 pipeline's three periods and what each command writes are set out once, in
 README.md ("CLI"). The parsed command line is the pipeline's only config. A
 flag that a staged command shares with the pipeline is declared once, in a
-parent parser, and the pipeline generates, ingests and builds banks through
-the same helper as gen, ingest and build-banks.
+parent parser, and the pipeline runs each stage through the same helper as
+its staged command. report is the one command that scores and trades a series.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, evaluator, trader
+from . import __version__, evaluator
 from .latent_source import LatentSourceSpec, generate_price_series
 from .market_data import DEFAULT_INTERVAL, PriceSeries, coarsen, open_text, parse_ticks, write_json
 from .pattern_bank import (
@@ -37,6 +37,7 @@ from .regression import (
     PredictorModel,
     calibrate_c,
     check_c_grid,
+    fit_points,
 )
 
 SPLIT_TOLERANCE = 1e-9
@@ -210,45 +211,29 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_backtest(args) -> int:
-    series = PriceSeries.from_csv(args.series)
-    model = PredictorModel.load_json(args.model)
-    report = trader.run_backtest(series, model.dp_stream(series), args.threshold)
-    evaluator.emit_report(report, [], model.banks, args.out_dir, series, args.sharpe_variant)
-    trader.write_ledger_csv(report.trades, os.path.join(args.out_dir, "trades.csv"))
-    print(f"total profit {report.total_profit} over {report.num_trades} trades")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    series = PriceSeries.from_csv(args.series)
-    model = PredictorModel.load_json(args.model)
-    rows = evaluator.sweep_thresholds(series, model.dp_stream(series), args.thresholds)
-    evaluator.write_sweep_csv(rows, args.out, args.sharpe_variant)
-    print(f"wrote {args.out} ({len(rows)} thresholds)")
-    return 0
-
-
-def _evaluate(model, series, args, out_dir, extra_summary=None):
-    """Score once, sweep --thresholds (by default a grid from |dp|), emit the
-    bundle into out_dir and return the peak-profit threshold's backtest."""
+def _evaluate(model, series, args, out_dir, **extra_summary):
+    """Score once, sweep --thresholds (by default a grid from |dp|), emit the bundle
+    into out_dir (extra_summary joins summary.json); return the peak-profit backtest."""
     ts, dp = model.dp_stream(series)
     thresholds = _auto_thresholds(dp) if args.thresholds is None else args.thresholds
     rows = evaluator.sweep_thresholds(series, (ts, dp), thresholds)
     report = min(rows, key=lambda r: (-r.total_profit, r.threshold))
-    extra = {"kernel_c": model.kernel.c, "used_ridge": model.weights.used_ridge}
-    if extra_summary:
-        extra.update(extra_summary)
+    extra = {"kernel_c": model.kernel.c, "used_ridge": model.weights.used_ridge, **extra_summary}
     evaluator.emit_report(
         report, rows, model.banks, out_dir, series, args.sharpe_variant, extra_summary=extra
     )
-    trader.write_ledger_csv(report.trades, os.path.join(out_dir, "trades.csv"))
     return report
 
 
 def cmd_report(args) -> int:
+    if args.thresholds is not None:
+        evaluator.check_thresholds(args.thresholds)
     series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
+    try:
+        fit_points(series, model.banks)
+    except ValueError as exc:  # the series is too short for the model's longest window
+        raise ValueError(f"{args.series}: {exc}") from None
     report = _evaluate(model, series, args, args.out_dir)
     print(f"wrote report bundle to {args.out_dir} (best threshold {report.threshold})")
     return 0
@@ -321,9 +306,7 @@ def cmd_pipeline(args) -> int:
     write_json(os.path.join(out, "periods.json"), periods)
     print(f"periods: train={bounds['train']} fit={bounds['fit']} eval={bounds['eval']}")
 
-    train = series.slice(*bounds["train"])
-    fit_series = series.slice(*bounds["fit"])
-    eval_series = series.slice(*bounds["eval"])
+    train, fit_series, eval_series = (series.slice(*bounds[name]) for name in ("train", "fit", "eval"))
 
     banks, names = _build_banks(args, train, bank_seed, os.path.join(out, "banks"))
     refs = [os.path.join("banks", name) for name in names]
@@ -331,7 +314,7 @@ def cmd_pipeline(args) -> int:
     write_json(os.path.join(out, "manifest.json"), _manifest(args, calibration))
     print(f"calibrated c={calibration.c}, weights ridge_fallback={model.weights.used_ridge}")
 
-    report = _evaluate(model, eval_series, args, out, extra_summary={"seed": args.seed})
+    report = _evaluate(model, eval_series, args, out, seed=args.seed)
     ratio = evaluator.sharpe(report.round_trip_profits, report.benchmark_move, args.sharpe_variant)
     print(
         f"eval: threshold={report.threshold} profit={report.total_profit} "
@@ -362,12 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     mining.add_argument("--max-iters", type=int, default=100)
     calibration = argparse.ArgumentParser(add_help=False)
     calibration.add_argument("--c-grid", type=_parse_floats, default=DEFAULT_C_GRID)
-    sharpe = argparse.ArgumentParser(add_help=False)
-    sharpe.add_argument(
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("--thresholds", type=_parse_floats, default=None)
+    evaluation.add_argument(
         "--sharpe-variant", choices=evaluator.SHARPE_VARIANTS, default=evaluator.SHARPE_SQRT
     )
-    evaluation = argparse.ArgumentParser(add_help=False, parents=[sharpe])
-    evaluation.add_argument("--thresholds", type=_parse_floats, default=None)
 
     gen = sub.add_parser("gen", parents=[synthetic], help="generate a synthetic price series")
     gen.add_argument("--spec", required=True, help="latent source spec JSON")
@@ -397,21 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out-dir", required=True)
     fit.set_defaults(func=cmd_fit)
 
-    backtest = sub.add_parser("backtest", parents=[sharpe], help="run one threshold backtest")
-    backtest.add_argument("--series", required=True)
-    backtest.add_argument("--model", required=True)
-    backtest.add_argument("--threshold", type=float, required=True)
-    backtest.add_argument("--out-dir", required=True)
-    backtest.set_defaults(func=cmd_backtest)
-
-    sweep = sub.add_parser("sweep", parents=[sharpe], help="threshold sweep table")
-    sweep.add_argument("--series", required=True)
-    sweep.add_argument("--model", required=True)
-    sweep.add_argument("--thresholds", type=_parse_floats, required=True)
-    sweep.add_argument("--out", required=True)
-    sweep.set_defaults(func=cmd_sweep)
-
-    report = sub.add_parser("report", parents=[evaluation], help="backtest + sweep + report bundle")
+    report = sub.add_parser("report", parents=[evaluation], help="threshold sweep + report bundle")
     report.add_argument("--series", required=True)
     report.add_argument("--model", required=True)
     report.add_argument("--out-dir", required=True)

@@ -131,7 +131,7 @@ def emit_report(
     sharpe_variant: str = SHARPE_SQRT,
     extra_summary: dict | None = None,
 ) -> dict[str, str]:
-    """Write the report bundle; returns artifact name -> path.
+    """Write the report bundle, trades.csv included; returns artifact name -> path.
 
     series is the backtested one: the equity curve pairs its bucket times
     and prices with report.equity_curve(series), computed for this report
@@ -140,7 +140,7 @@ def emit_report(
     cum = report.equity_curve(series)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    files = ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv")
+    files = ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv", "trades.csv")
     paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name) for name in files}
     write_json(paths["summary"], summary_dict(report, sharpe_variant, extra_summary))
     write_sweep_csv(sweep, paths["sweep"], sharpe_variant)
@@ -150,4 +150,5 @@ def emit_report(
     with open_for_write(paths["cluster_centers"]) as fh:
         for bank in banks:
             write_float_rows(fh, (bank.labels, bank.vectors), lead=f"{bank.window_length},")
+    trader.write_ledger_csv(report.trades, paths["trades"])
     return paths

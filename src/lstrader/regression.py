@@ -454,12 +454,18 @@ class PredictorModel:
 
     @classmethod
     def load_json(cls, path) -> "PredictorModel":
-        """A model and its banks, whose paths are relative to the model file;
-        a fault raises ValueError naming the file that holds it."""
+        """A model and its banks, whose paths are relative to the model file. A fault
+        raises ValueError naming its file: a bank's own, else the model file."""
         kernel, weights, refs = read_json(path, _parse_model)
         base = os.path.dirname(os.fspath(path))
-        banks = tuple(PatternBank.load(os.path.join(base, ref)) for ref in refs)
-        return cls(banks=banks, kernel=kernel, weights=weights)
+        try:
+            banks = tuple(PatternBank.load(os.path.join(base, ref)) for ref in refs)
+        except IsADirectoryError as exc:
+            raise ValueError(f"{path}: bank path {exc.filename} is a directory") from None
+        try:
+            return cls(banks=banks, kernel=kernel, weights=weights)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_model(data) -> tuple[KernelChoice, CombinerWeights, list[str]]:

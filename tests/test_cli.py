@@ -4,6 +4,7 @@ import os
 import pathlib
 import platform
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ import pytest
 import lstrader
 from lstrader import latent_source
 from lstrader.cli import build_parser, main
+from lstrader.evaluator import sweep_thresholds, write_sweep_csv
 from lstrader.latent_source import demo_spec
 from lstrader.market_data import PriceSeries
 from lstrader.pattern_bank import PatternBank
 from lstrader.regression import PredictorModel
+from lstrader.trader import write_ledger_csv
 
 SMALL = dict(duration=28800.0, windows="30,60,120", k="12", m="4")
 
@@ -100,11 +103,6 @@ PARSED_DEFAULTS = {
         series="s.csv", out_dir="b", seed=0, **MINING_DEFAULTS)),
     "fit": (["--series", "s.csv", "--banks-dir", "b", "--out-dir", "f"], dict(
         series="s.csv", banks_dir="b", out_dir="f", c_grid=(0.5, 1.0, 2.0, 4.0, 8.0))),
-    "backtest": (["--series", "s.csv", "--model", "m.json", "--threshold", "0.2", "--out-dir", "r"],
-                 dict(series="s.csv", model="m.json", threshold=0.2, out_dir="r", sharpe_variant="sqrt")),
-    "sweep": (["--series", "s.csv", "--model", "m.json", "--thresholds", "0.1,0.2", "--out", "w.csv"],
-              dict(series="s.csv", model="m.json", thresholds=(0.1, 0.2), out="w.csv",
-                   sharpe_variant="sqrt")),
     "report": (["--series", "s.csv", "--model", "m.json", "--out-dir", "r"], dict(
         series="s.csv", model="m.json", out_dir="r", thresholds=None, sharpe_variant="sqrt")),
     "pipeline": (["--spec", "s.json", "--out", "run"], dict(
@@ -124,6 +122,19 @@ class TestArgHandling:
 
     def test_unknown_subcommand_nonzero(self, capsys):
         assert run_cli("frobnicate") != 0
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    def test_removed_commands_are_usage_errors(self, capsys, command):
+        """report does what backtest and sweep did: report --thresholds t, or a list."""
+        assert run_cli(command, "--series", "s.csv", "--model", "m.json", "--thresholds", "0.1") == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_report_refuses_thresholds_before_reading_input(self, tmp_path, capsys):
+        rc = run_cli("report", "--series", tmp_path / "missing.csv", "--model", tmp_path / "m.json",
+                     "--thresholds", "0.1,inf", "--out-dir", tmp_path / "rep")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: thresholds must be finite and > 0\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_unknown_flag_nonzero(self, spec_path):
         assert run_cli("gen", "--spec", spec_path, "--out", "x.csv", "--bogus") != 0
@@ -419,18 +430,18 @@ class TestStagedCommands:
 
         bt_dir = tmp_path / "bt"
         assert run_cli(
-            "backtest", "--series", series_csv, "--model", fit_dir / "model.json",
-            "--threshold", "0.1", "--out-dir", bt_dir,
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--thresholds", "0.1", "--out-dir", bt_dir,
         ) == 0
         assert (bt_dir / "trades.csv").exists()
-        assert (bt_dir / "summary.json").exists()
+        assert json.loads((bt_dir / "summary.json").read_text())["threshold"] == 0.1
 
-        sweep_csv = tmp_path / "sweep.csv"
+        sweep_dir = tmp_path / "sweep"
         assert run_cli(
-            "sweep", "--series", series_csv, "--model", fit_dir / "model.json",
-            "--thresholds", "0.05,0.1,0.2", "--out", sweep_csv,
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--thresholds", "0.05,0.1,0.2", "--out-dir", sweep_dir,
         ) == 0
-        lines = sweep_csv.read_text().strip().splitlines()
+        lines = (sweep_dir / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4
 
         rep_dir = tmp_path / "rep"
@@ -469,17 +480,14 @@ class TestStagedCommands:
         del model["kernel"]
         (fit_dir / "model.json").write_text(json.dumps(model))
         capsys.readouterr()
-        model_args = ("--series", series_csv, "--model", fit_dir / "model.json")
-        for args in (
-            ("report", *model_args, "--out-dir", tmp_path / "rep"),
-            ("backtest", *model_args, "--threshold", 0.1, "--out-dir", tmp_path / "bt"),
-            ("sweep", *model_args, "--thresholds", "0.1,0.2", "--out", tmp_path / "sweep.csv"),
-        ):
-            rc = run_cli(*args)
-            assert rc == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ")
-            assert "model.json: model JSON needs a dict 'kernel'" in err
+        rc = run_cli(
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--out-dir", tmp_path / "rep",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "model.json: model JSON needs a dict 'kernel'" in err
 
     @pytest.mark.parametrize(
         "target, text, message",
@@ -552,25 +560,90 @@ class TestStagedCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: missing input file: no bank_*.json files in {banks_dir}\n"
 
-    @pytest.mark.parametrize(
-        "command, flag, value, out_flag",
-        [("backtest", "--threshold", "inf", "--out-dir"),
-         ("report", "--thresholds", "0.1,inf", "--out-dir"),
-         ("sweep", "--thresholds", "0.1,inf", "--out")],
-        ids=["backtest", "report", "sweep"],
-    )
-    def test_non_finite_threshold_fails_before_anything_is_written(
-        self, spec_path, tmp_path, capsys, command, flag, value, out_flag
-    ):
+    @pytest.mark.parametrize("value", ["0.1,inf", "inf"], ids=["report", "one"])
+    def test_non_finite_threshold_fails_before_anything_is_written(self, spec_path, tmp_path, capsys, value):
         """An infinite threshold is refused: a summary.json holding it would
         not be strict JSON, and no |dp| exceeds it."""
         series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
         out = tmp_path / "out"
-        args = ("--series", series_csv, "--model", fit_dir / "model.json", flag, value, out_flag, out)
-        assert run_cli(command, *args) == 1
-        message = "threshold must be" if command == "backtest" else "thresholds must be"
-        assert capsys.readouterr().err == f"error: {message} finite and > 0\n"
+        args = ("--series", series_csv, "--model", fit_dir / "model.json", "--out-dir", out)
+        assert run_cli("report", *args, "--thresholds", value) == 1
+        assert capsys.readouterr().err == "error: thresholds must be finite and > 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [(lambda refs: refs[::-1], "bank window lengths must be strictly increasing"),
+         (lambda refs: [refs[0], refs[0], refs[2]], "bank window lengths must be strictly increasing"),
+         (lambda refs: [refs[0], refs[1], os.path.dirname(refs[2])],
+          f"bank path {os.path.join('fitted', '..', 'banks')} is a directory")],
+        ids=["swapped", "duplicated", "directory"],
+    )
+    def test_bank_refs_fault_names_the_model(self, spec_path, tmp_path, capsys, monkeypatch, mutate, message):
+        """A fault in what model.json refers to, not in a bank file, names model.json."""
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        model = json.loads((fit_dir / "model.json").read_text())
+        model["banks"] = mutate(model["banks"])
+        (fit_dir / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("report", "--series", series_csv, "--model", "fitted/model.json", "--out-dir", "rep")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: fitted/model.json: {message}\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_writes_the_library_sweep_and_ledger(self, spec_path, tmp_path):
+        """report --thresholds L writes what the library's sweep and ledger
+        writers give for L and the peak-profit row, byte for byte."""
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        rep = tmp_path / "rep"
+        assert run_cli(
+            "report", "--series", series_csv, "--model", fit_dir / "model.json",
+            "--thresholds", "0.1,0.2", "--out-dir", rep,
+        ) == 0
+        series = PriceSeries.from_csv(series_csv)
+        dp_stream = PredictorModel.load_json(fit_dir / "model.json").dp_stream(series)
+        rows = sweep_thresholds(series, dp_stream, [0.1, 0.2])
+        best = max(rows, key=lambda row: row.total_profit)
+        assert rows[0].trades != rows[1].trades and rows[0].total_profit != rows[1].total_profit
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+        write_ledger_csv(best.trades, tmp_path / "trades.csv")
+        for name in ("sweep.csv", "trades.csv"):
+            assert (rep / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_series_crossing_zero_reports(self, spec_path, tmp_path):
+        """Series prices are any finite value: the default synthetic walk can
+        cross zero. The report stays strict JSON, and return_pct is 0.0 when
+        the average entry price is not positive."""
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        series = PriceSeries.from_csv(series_csv)
+        shifted = tmp_path / "shifted.csv"
+        # most buckets below zero, so the average entry price is too
+        replace(series, prices=series.prices - np.quantile(series.prices, 0.9)).to_csv(shifted)
+        rep = tmp_path / "rep"
+        model = fit_dir / "model.json"
+        assert run_cli("report", "--series", shifted, "--model", model, "--out-dir", rep) == 0
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        summary = json.loads((rep / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["num_trades"] > 0
+        assert summary["avg_investment"] <= 0
+        assert summary["return_pct"] == 0.0
+
+    def test_series_too_short_names_the_series(self, spec_path, tmp_path, capsys):
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(series_csv.read_text().splitlines(keepends=True)[:30]))
+        capsys.readouterr()
+        model = fit_dir / "model.json"
+        rc = run_cli("report", "--series", short, "--model", model, "--out-dir", tmp_path / "rep")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {short}: series has 29 buckets, need more than 121 for any fit/evaluation point\n"
+        )
+        assert not (tmp_path / "rep").exists()
 
     def test_non_finite_series_fails_with_diagnostic(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"

@@ -14,7 +14,7 @@ from lstrader.evaluator import (
     summary_dict,
     sweep_thresholds,
 )
-from lstrader.trader import run_backtest
+from lstrader.trader import run_backtest, write_ledger_csv
 
 from conftest import series_from_prices
 from test_trader import make_model, random_series
@@ -177,6 +177,7 @@ class TestEmitReport:
     def test_bundle_artifacts(self, rng, tmp_path):
         model, series, report, rows = self.run_reportable(rng)
         paths = emit_report(report, rows, model.banks, tmp_path, series=series)
+        assert set(paths) == {"summary", "sweep", "equity_curve", "cluster_centers", "trades"}
         summary = json.loads((tmp_path / "summary.json").read_text())
         for key in (
             "total_profit",
@@ -199,6 +200,10 @@ class TestEmitReport:
         first = centers_lines[0].split(",")
         assert int(first[0]) == model.banks[0].window_length
         assert len(first) == 2 + model.banks[0].window_length
+        assert report.num_trades > 0
+        write_ledger_csv(report.trades, tmp_path / "ledger.csv")
+        with open(paths["trades"], "rb") as fh:
+            assert fh.read() == (tmp_path / "ledger.csv").read_bytes()
 
     def test_reemission_is_byte_identical(self, rng, tmp_path):
         model, series, report, rows = self.run_reportable(rng)
@@ -206,7 +211,7 @@ class TestEmitReport:
         dir_b = tmp_path / "b"
         emit_report(report, rows, model.banks, dir_a, series=series)
         emit_report(report, rows, model.banks, dir_b, series=series)
-        for name in ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv"):
+        for name in ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv", "trades.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_empty_ledger_summary(self, rng, tmp_path):

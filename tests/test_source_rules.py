@@ -89,7 +89,8 @@ def test_no_import_cycle():
 def test_import_graph_sees_every_import_form():
     graph = import_graph()
     assert graph["trader"] == {"market_data"}
-    assert {"evaluator", "trader", "market_data"} <= graph["cli"]  # from . import x; from .x import y
+    assert {"evaluator", "market_data"} <= graph["cli"]  # from . import x; from .x import y
+    assert "trader" not in graph["cli"]  # report reaches the trader through the evaluator
     tree = ast.parse("import lstrader.trader\nif TYPE_CHECKING:\n    from lstrader import evaluator\n"
                      "def f():\n    from .regression import x\n")
     assert package_imports(tree) == {"trader", "evaluator", "regression"}
