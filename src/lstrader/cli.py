@@ -107,6 +107,15 @@ def _auto_thresholds(dp: np.ndarray) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _naming(path, run, *args):
+    """run(*args), a ValueError it raises prefixed with path: a command's series
+    file, run once the flags are checked, so what is left to fail is the file."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _generate(args, seed):
     """The synthetic series of --spec under the series flags; seed None means the spec's."""
     spec = LatentSourceSpec.load_json(args.spec)
@@ -170,8 +179,9 @@ def _build_banks(args, series, seed, out_dir):
 
 
 def cmd_build_banks(args) -> int:
+    check_mining(args.windows, args.k, args.m, args.stride, args.max_iters)
     series = PriceSeries.from_csv(args.series)
-    _, names = _build_banks(args, series, args.seed, args.out_dir)
+    _, names = _naming(args.series, _build_banks, args, series, args.seed, args.out_dir)
     for name in names:
         print(f"wrote {os.path.join(args.out_dir, name)}")
     return 0
@@ -202,10 +212,12 @@ def _fit_model(series, banks, bank_refs, c_grid, out_dir: str):
 
 
 def cmd_fit(args) -> int:
+    check_c_grid(args.c_grid)
     series = PriceSeries.from_csv(args.series)
     banks, paths = zip(*_load_banks_from_dir(args.banks_dir))
     refs = [os.path.relpath(path, args.out_dir) for path in paths]
-    model, model_path, calibration = _fit_model(series, banks, refs, args.c_grid, args.out_dir)
+    model, model_path, calibration = _naming(args.series, _fit_model, series, banks, refs,
+                                             args.c_grid, args.out_dir)
     print(f"calibrated c={calibration.c} (grid MSE: {calibration.errors})")
     print(f"wrote {model_path}")
     return 0
@@ -230,10 +242,7 @@ def cmd_report(args) -> int:
         evaluator.check_thresholds(args.thresholds)
     series = PriceSeries.from_csv(args.series)
     model = PredictorModel.load_json(args.model)
-    try:
-        fit_points(series, model.banks)
-    except ValueError as exc:  # the series is too short for the model's longest window
-        raise ValueError(f"{args.series}: {exc}") from None
+    _naming(args.series, fit_points, series, model.banks)  # refuses a series too short for the model
     report = _evaluate(model, series, args, args.out_dir)
     print(f"wrote report bundle to {args.out_dir} (best threshold {report.threshold})")
     return 0

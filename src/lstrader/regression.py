@@ -5,8 +5,10 @@ vectors of the generative model: a query is scored against every bank
 pattern, scores become normalized kernel weights, and the prediction is the
 weight-averaged pattern label. Two kernels are supported:
 
-* ``gaussian_l2``:      weight_i proportional to exp(-|x - x_i|^2 / 4)
-* ``exp_similarity``:   weight_i proportional to exp(c * s(x, x_i))
+* ``exp_similarity``:   weight_i proportional to exp(c * s(x, x_i)), the
+  one kernel under which series windows are scored;
+* ``gaussian_l2``:      weight_i proportional to exp(-|x - x_i|^2 / 4), for
+  single queries only (``kernel_weights`` and the functions built on it);
 
 where s is the mean- and scale-invariant correlation
 
@@ -27,9 +29,9 @@ s1 = sum(d), mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
 the same row rule, so s(a, b) == s(b, a) bit for bit. ``_similarity`` is
 the one place the formula is computed (``similarity_many`` and its 1x1
 call ``similarity`` wrap it), and ``_score_blocks`` the one block loop,
-shared by ``feature_block`` and ``calibrate_c``. Neither the block size
-nor ``dp_stream``'s slice of whole blocks may change a bit of their output,
-or it would change bundles.
+shared by ``feature_block`` and ``calibrate_c``, over one consecutive run
+of prediction points. Neither the block size nor ``dp_stream``'s slice of
+whole blocks may change a bit of their output, or it would change bundles.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -50,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .market_data import PriceSeries, read_json, require_fields, write_json
-from .pattern_bank import PatternBank, anchored_moments, anchored_rows, normalize_rows, row_blocks
+from .pattern_bank import PatternBank, anchored_moments, anchored_rows, row_blocks
 
 KERNEL_GAUSSIAN_L2 = "gaussian_l2"
 KERNEL_EXP_SIMILARITY = "exp_similarity"
@@ -82,11 +84,6 @@ class KernelChoice:
             raise ValueError(f"unknown kernel variant: {self.variant!r}")
         if self.variant == KERNEL_EXP_SIMILARITY and not (np.isfinite(self.c) and self.c > 0):
             raise ValueError("exp_similarity requires a finite c > 0")
-
-    @property
-    def scale(self) -> float:
-        """The factor on the log-kernel scores: c for exp_similarity, 1 for gaussian_l2."""
-        return self.c if self.variant == KERNEL_EXP_SIMILARITY else 1.0
 
 
 def _similarity(rows: tuple, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
@@ -146,10 +143,6 @@ def _scores(queries: np.ndarray, bank: PatternBank, variant: str) -> np.ndarray:
     """Log-kernel scores (n, K) of one block of query rows against the bank
     patterns, before the kernel constant: s for exp_similarity,
     -|x - x_i|^2 / 4 for gaussian_l2. Rows are compared as given."""
-    if queries.shape[1] != bank.window_length:
-        raise ValueError(
-            f"queries have length {queries.shape[1]}, bank expects {bank.window_length}"
-        )
     if variant == KERNEL_EXP_SIMILARITY:
         return _similarity(anchored_rows(queries), bank.anchored)
     sq_q = np.einsum("ij,ij->i", queries, queries)
@@ -175,7 +168,8 @@ def kernel_weights(x, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (bank.window_length,):
         raise ValueError(f"query has shape {x.shape}, bank expects ({bank.window_length},)")
-    return _softmax(_scores(x[None, :], bank, kernel.variant), kernel.scale)[0]
+    scale = kernel.c if kernel.variant == KERNEL_EXP_SIMILARITY else 1.0  # gaussian_l2 has no constant
+    return _softmax(_scores(x[None, :], bank, kernel.variant), scale)[0]
 
 
 def predict_label(x, bank: PatternBank, kernel: KernelChoice) -> float:
@@ -209,46 +203,37 @@ def history_required(banks: Sequence[PatternBank]) -> int:
     return max(bank.window_length for bank in banks)
 
 
-def _window_blocks(series: PriceSeries, m: int, ts: np.ndarray):
-    """(slice, rows) of the length-m windows ending at ts, SCORE_BLOCK_ROWS
-    points at a time. A block of consecutive points (every caller in the
-    pipeline, and a single live point) is a view of the prices; scattered
-    points are gathered one block at a time."""
-    prices = series.prices
-    for out, starts in row_blocks(ts - m + 1, SCORE_BLOCK_ROWS):
-        lo = starts[0]
-        if (np.diff(starts) == 1).all():
-            yield out, sliding_window_view(prices[lo : lo + starts.size + m - 1], m)
-        else:
-            yield out, sliding_window_view(prices, m)[starts]
-
-
-def _score_blocks(series: PriceSeries, banks: Sequence[PatternBank], variant: str, ts: np.ndarray):
-    """(slice, bank index, ``_scores``) of the prediction points ts, SCORE_BLOCK_ROWS
-    points at a time, each bank scoring its trailing suffix of one block of
-    windows of the longest length. For exp_similarity the block is anchored
-    once: the suffix of d = windows - windows[:, -1:] is a bank's own d."""
+def _score_blocks(series: PriceSeries, banks: Sequence[PatternBank], ts: np.ndarray):
+    """(slice, bank index, s) of the consecutive run ts, SCORE_BLOCK_ROWS points at
+    a time. A block is a view of the longest windows, anchored once; each bank
+    scores its suffix, as the suffix of d = windows - windows[:, -1:] is its own d."""
     longest = history_required(banks)
-    for out, windows in _window_blocks(series, longest, ts):
-        if variant == KERNEL_EXP_SIMILARITY:
-            with np.errstate(invalid="ignore", over="ignore"):
-                windows = windows - windows[:, -1:]
+    for out, points in row_blocks(ts, SCORE_BLOCK_ROWS):
+        windows = sliding_window_view(series.prices[points[0] + 1 - longest : points[-1] + 1], longest)
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = windows - windows[:, -1:]
         for j, bank in enumerate(banks):
-            suffix = windows[:, longest - bank.window_length :]
-            if variant == KERNEL_GAUSSIAN_L2:
-                yield out, j, _scores(normalize_rows(suffix), bank, variant)
-            else:
-                yield out, j, _similarity(anchored_moments(suffix), bank.anchored)
-        del windows, suffix  # a block goes before the next is made
+            yield out, j, _similarity(anchored_moments(d[:, longest - bank.window_length :]), bank.anchored)
+        del d  # a block goes before the next is made
 
 
 def _check_points(series: PriceSeries, banks: Sequence[PatternBank], ts) -> np.ndarray:
-    """ts as int64, once each point has its history and lies in the series."""
-    ts, needed = np.asarray(ts, dtype=np.int64), history_required(banks)
-    if ts.size and (ts.min() < needed or ts.max() >= len(series)):
+    """ts as int64, once it is one ascending run of consecutive integers (an
+    empty run included) whose points each have their history in the series."""
+    ts, needed = np.asarray(ts), history_required(banks)
+    if ts.size and not (ts.ndim == 1 and ts.dtype.kind in "iu" and (np.diff(ts) == 1).all()):
+        raise ValueError("prediction points must be one ascending run of consecutive integers")
+    ts = ts.astype(np.int64, copy=False)  # no copy of an int64 run, which dp_stream holds beside ts
+    if ts.size and (ts[0] < needed or ts[-1] >= len(series)):
         raise ValueError(f"prediction points need {needed} buckets of history and must lie in "
-                         f"[{needed}, {len(series) - 1}], got [{ts.min()}, {ts.max()}]")
+                         f"[{needed}, {len(series) - 1}], got [{ts[0]}, {ts[-1]}]")
     return ts
+
+
+def _check_kernel(kernel: KernelChoice) -> None:
+    """Series windows are scored under the similarity kernel alone."""
+    if kernel.variant != KERNEL_EXP_SIMILARITY:
+        raise ValueError(f"series are scored under {KERNEL_EXP_SIMILARITY} only, got {kernel.variant!r}")
 
 
 def feature_block(
@@ -257,19 +242,19 @@ def feature_block(
     kernel: KernelChoice,
     ts: np.ndarray,
 ) -> np.ndarray:
-    """Combiner inputs at many prediction points.
+    """Combiner inputs at a consecutive run of prediction points.
 
     Returns a (len(ts), N + 1) array: per row, the N bank predictions
     (shortest window first) and then the imbalance, from data up to and
-    including that point. Each bank scores the trailing window of its length;
-    gaussian_l2 compares the normalized window, exp_similarity needs no
-    normalization. Windows are scored in blocks, so memory does not grow
-    with len(ts) beyond the result.
+    including that point. Each bank scores the trailing window of its length
+    under the exp_similarity kernel, the only one accepted. Windows are
+    scored in blocks, so memory does not grow with len(ts) beyond the result.
     """
+    _check_kernel(kernel)
     ts = _check_points(series, banks, ts)
     features = np.empty((ts.size, len(banks) + 1))
-    for out, j, scores in _score_blocks(series, banks, kernel.variant, ts):
-        features[out, j] = _softmax(scores, kernel.scale) @ banks[j].labels
+    for out, j, scores in _score_blocks(series, banks, ts):
+        features[out, j] = _softmax(scores, kernel.c) @ banks[j].labels
     features[:, -1] = series.imbalances[ts]
     return features
 
@@ -379,7 +364,7 @@ def calibrate_c(
     targets = fit_series.prices[ts + 1] - fit_series.prices[ts]
     imbalances = fit_series.imbalances[ts]
     scores = [np.empty((ts.size, len(bank))) for bank in banks]
-    for out, j, block in _score_blocks(fit_series, banks, KERNEL_EXP_SIMILARITY, ts):
+    for out, j, block in _score_blocks(fit_series, banks, ts):
         scores[j][out] = block
 
     best: tuple[float, float, CombinerWeights] | None = None
@@ -401,7 +386,7 @@ def calibrate_c(
 @dataclass(frozen=True)
 class PredictorModel:
     """The trained predictor: N >= 1 banks with strictly increasing window
-    lengths, the kernel choice, and N + 2 combiner weights."""
+    lengths, an exp_similarity kernel, and N + 2 combiner weights."""
 
     banks: tuple[PatternBank, ...]
     kernel: KernelChoice
@@ -419,10 +404,11 @@ class PredictorModel:
                 f"{len(banks)} banks need {len(banks) + 2} combiner weights (intercept, "
                 f"one per bank, imbalance), got {len(self.weights.w)}"
             )
+        _check_kernel(self.kernel)
         object.__setattr__(self, "banks", banks)
 
     def dp_stream(self, series: PriceSeries, ts: np.ndarray | None = None):
-        """Predicted price change at each prediction point of a series.
+        """Predicted price change at each of a consecutive run of prediction points.
 
         Returns (ts, dp). Defaults to every point with full history and an
         observable next bucket. Points are scored DP_SLICE_ROWS at a time, so

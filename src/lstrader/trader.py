@@ -110,9 +110,11 @@ def step(
 ) -> tuple[Position, Trade | None]:
     """One decision: buy above +threshold when short or flat, sell below
     -threshold when long or flat, else hold. Strict inequalities; exactly one
-    unit moves per trade."""
+    unit moves per trade. A non-finite dp is refused, not traded."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if not math.isfinite(dp):
+        raise ValueError(f"dp must be finite, got {dp}")
     if dp > threshold and position.units <= 0:
         new = Position(position.units + 1)
         return new, Trade(time=time, side=SIDE_BUY, price=price, position_after=new.units)
@@ -141,7 +143,7 @@ def run_backtest(
     dp_stream is (ts, dp), as PredictorModel.dp_stream gives it: the
     predicted change into t+1 at each consecutive point t up to bucket n - 2,
     where the state machine acts at the bucket-t price. An open position at
-    the series end is liquidated at the final price.
+    the series end is liquidated at the final price; a non-finite dp is refused.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError("threshold must be finite and > 0")
@@ -154,6 +156,9 @@ def run_backtest(
         raise ValueError(f"dp_stream has {len(dp)} predictions for {len(ts)} points")
 
     dp = np.asarray(dp, dtype=np.float64)
+    finite = np.isfinite(dp)
+    if not finite.all():
+        raise ValueError(f"dp_stream has a non-finite prediction at t={int(ts[finite.argmin()])}")
     prices = series.prices
     first_t = int(ts[0])
     hits = np.flatnonzero(np.abs(dp) > threshold)  # dp ends at bucket n - 2

@@ -645,6 +645,51 @@ class TestStagedCommands:
         )
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("build-banks", ["--windows", "30,60"], "need at least 61 to build a bank of window length 60"),
+        ("fit", ["--banks-dir", "banks"], "need more than 121 for any fit/evaluation point"),
+    ], ids=["build-banks", "fit"])
+    def test_stage_series_too_short_names_the_series(
+        self, spec_path, tmp_path, capsys, command, flags, message
+    ):
+        series_csv, _ = fit_small_model(spec_path, tmp_path)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(series_csv.read_text().splitlines(keepends=True)[:30]))
+        flags = [tmp_path / flag if flag == "banks" else flag for flag in flags]
+        capsys.readouterr()
+        assert run_cli(command, "--series", short, "--out-dir", tmp_path / "out", *flags) == 1
+        assert capsys.readouterr().err == f"error: {short}: series has 29 buckets, {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("build-banks", ["--k", "0"], "k and m must be >= 1, got k=0, m=20"),
+        ("fit", ["--c-grid", "0", "--banks-dir", "banks"], "c grid values must be finite and > 0"),
+    ], ids=["build-banks", "fit"])
+    def test_bad_flag_does_not_name_the_series(
+        self, spec_path, tmp_path, capsys, command, flags, message
+    ):
+        series_csv, _ = fit_small_model(spec_path, tmp_path)
+        flags = [tmp_path / flag if flag == "banks" else flag for flag in flags]
+        capsys.readouterr()
+        assert run_cli(command, "--series", series_csv, "--out-dir", tmp_path / "out", *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_report_refuses_a_gaussian_model(self, spec_path, tmp_path, capsys):
+        """Series are scored under exp_similarity alone, so a model file of
+        another kernel is refused, naming the model file."""
+        series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
+        model_path = fit_dir / "model.json"
+        model = json.loads(model_path.read_text())
+        model["kernel"]["variant"] = "gaussian_l2"
+        model_path.write_text(json.dumps(model))
+        capsys.readouterr()
+        rc = run_cli("report", "--series", series_csv, "--model", model_path, "--out-dir", tmp_path / "rep")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: series are scored under exp_similarity only, got 'gaussian_l2'\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
     def test_non_finite_series_fails_with_diagnostic(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
         rows = [f"{10.0 * i},{100.0 + i},0.0" for i in range(400)]

@@ -311,7 +311,7 @@ class TestAssembleFeatures:
     def test_constant_history_is_finite(self, rng):
         banks = self.make_banks(rng)
         series = series_from_prices(np.full(20, 42.0))
-        feats = feature_block(series, banks, GAUSSIAN, [10])[0]
+        feats = feature_block(series, banks, EXP_SIM, [10])[0]
         assert all(np.isfinite(feats))
 
     def test_out_of_range_rejected(self, rng):
@@ -343,22 +343,46 @@ class TestAssembleFeatures:
         assert abs(feats[0] - 0.7) <= 0.1
 
     def test_batch_path_matches_scalar_path(self, rng):
-        for variant in ("gaussian_l2", "exp_similarity"):
-            kernel = KernelChoice(variant, c=3.0)
-            banks = self.make_banks(rng)
-            n = 30
-            series = series_from_prices(
-                100 + np.cumsum(rng.normal(size=n)), imbalances=rng.uniform(-1, 1, n)
-            )
-            ts = np.arange(8, n)
-            block = feature_block(series, banks, kernel, ts)
-            for row, t in zip(block, ts):
-                one = feature_block(series, banks, kernel, [t])[0]
-                assert np.allclose(row, one, atol=1e-12)
-            # scattered points take copied windows instead of a view
-            scattered = ts[[0, 3, 4, 10, 21]]
-            rows = feature_block(series, banks, kernel, scattered)
-            assert np.allclose(rows, block[[0, 3, 4, 10, 21]], atol=1e-12)
+        kernel = KernelChoice("exp_similarity", c=3.0)
+        banks = self.make_banks(rng)
+        n = 30
+        series = series_from_prices(
+            100 + np.cumsum(rng.normal(size=n)), imbalances=rng.uniform(-1, 1, n)
+        )
+        ts = np.arange(8, n)
+        block = feature_block(series, banks, kernel, ts)
+        for row, t in zip(block, ts):
+            one = feature_block(series, banks, kernel, [t])[0]
+            assert np.allclose(row, one, atol=1e-12)
+        # scattered points are refused, not gathered
+        with pytest.raises(ValueError, match="consecutive"):
+            feature_block(series, banks, kernel, ts[[0, 3, 4, 10, 21]])
+
+    @pytest.mark.parametrize(
+        "points",
+        [[11, 10], [10, 10], [10, 12], [10.5], [10.0, 11.0], [[10, 11]]],
+        ids=["unsorted", "repeated", "gapped", "non_integer", "float", "2d"],
+    )
+    @pytest.mark.parametrize("call", ["feature_block", "dp_stream"])
+    def test_points_not_one_consecutive_run_rejected(self, rng, points, call):
+        """Prediction points are one ascending run of consecutive integers:
+        [10.5] no longer scores point 10."""
+        model = PredictorModel(self.make_banks(rng), EXP_SIM, CombinerWeights((0.1, 0.2, 0.3, 0.4, 0.5)))
+        series = series_from_prices(100 + np.cumsum(rng.normal(size=20)))
+        score = {
+            "feature_block": lambda ts: feature_block(series, model.banks, EXP_SIM, ts),
+            "dp_stream": lambda ts: model.dp_stream(series, ts)[1],
+        }[call]
+        with pytest.raises(ValueError, match="one ascending run of consecutive integers"):
+            score(points)
+        assert score([]).shape[0] == 0
+        assert score([10, 11]).shape[0] == 2
+
+    def test_gaussian_kernel_rejected(self, rng):
+        """Series windows are scored under exp_similarity alone."""
+        series = series_from_prices(100 + np.cumsum(rng.normal(size=20)))
+        with pytest.raises(ValueError, match="scored under exp_similarity only, got 'gaussian_l2'"):
+            feature_block(series, self.make_banks(rng), GAUSSIAN, [10])
 
 
 class TestFitWeights:
@@ -555,6 +579,10 @@ class TestPredictorModel:
         want_ts, want = PredictorModel.load_json(new / "model.json").dp_stream(series)
         assert ts.tobytes() == want_ts.tobytes()
         assert got.tobytes() == want.tobytes() == model.dp_stream(series)[1].tobytes()
+
+    def test_gaussian_kernel_rejected(self, rng):
+        with pytest.raises(ValueError, match="scored under exp_similarity only, got 'gaussian_l2'"):
+            PredictorModel(self.make_model(rng).banks, GAUSSIAN, CombinerWeights((0, 0, 0, 0, 0)))
 
     def test_requires_one_weight_per_bank(self, rng):
         banks = (random_bank(rng, n=3, dim=4),)

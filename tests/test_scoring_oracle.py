@@ -6,7 +6,10 @@ the root mean square; a constant row is the zero row), correlates them,
 takes the softmax of the kernel scores and averages the bank labels. The
 block scorer works on rows taken relative to their last value, a block of
 rows at a time, with a magnitude guard; it must agree with the reference
-to 1e-12 on series built to stress each of those steps.
+to 1e-12 on series built to stress each of those steps. The block scorer
+takes one consecutive run of points under the exp_similarity kernel; the
+gaussian_l2 kernel scores single queries, which must agree with the
+reference too.
 """
 
 import tracemalloc
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from lstrader import regression
-from lstrader.pattern_bank import PatternBank, normalize, normalize_rows
+from lstrader.pattern_bank import PatternBank, normalize, row_blocks
 from lstrader.regression import (
     DP_SLICE_ROWS,
     SCORE_BLOCK_ROWS,
@@ -29,6 +32,7 @@ from lstrader.regression import (
     feature_block,
     fit_points,
     fit_weights,
+    predict_label,
     similarity,
     similarity_many,
 )
@@ -122,29 +126,42 @@ def scaled(series, exponent):
     return series_from_prices(np.ldexp(series.prices, exponent), imbalances=series.imbalances)
 
 
-KERNELS = [KernelChoice("exp_similarity", c=8.0), KernelChoice("gaussian_l2")]
+SIMILARITY = KernelChoice("exp_similarity", c=8.0)
+KERNELS = [SIMILARITY, KernelChoice("gaussian_l2")]
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("exponent", [0, 300, -300])
 @pytest.mark.parametrize("name", sorted(SERIES))
 def test_feature_block_matches_long_double_reference(name, exponent, kernel):
+    """exp_similarity: feature_block over the run, and one point at a time,
+    agrees with the reference, and scattered points are refused.
+    gaussian_l2: feature_block refuses it, and predict_label of each point's
+    normalized window agrees with the reference."""
     rng = np.random.default_rng(sum(map(ord, name)))
     series, banks = make_case(rng, SERIES[name])
     ts = fit_points(series, banks)
     assert ts.size == POINTS
-    want = ld_features(series, banks, kernel, ts)
+    want = ld_features(series, banks, kernel, ts).astype(np.float64)
     series = scaled(series, exponent)
+    if kernel.variant == "gaussian_l2":
+        with pytest.raises(ValueError, match="scored under exp_similarity only"):
+            feature_block(series, banks, kernel, ts)
+        for j, bank in enumerate(banks):
+            windows = sliding_window_view(series.prices, bank.window_length)[ts - bank.window_length + 1]
+            got = [predict_label(normalize(window), bank, kernel) for window in windows]
+            np.testing.assert_allclose(got, want[:, j], rtol=0, atol=1e-12)
+        return
     got = feature_block(series, banks, kernel, ts)
-    np.testing.assert_allclose(got, want.astype(np.float64), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # scattered points, unsorted and repeated, crossing block boundaries
     picks = rng.choice(ts.size, size=POINTS, replace=True)
-    got = feature_block(series, banks, kernel, ts[picks])
-    np.testing.assert_allclose(got, want[picks].astype(np.float64), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="one ascending run of consecutive integers"):
+        feature_block(series, banks, kernel, ts[picks])
     # one point at a time agrees with the blocks
     for i in (0, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, ts.size - 1):
         one = feature_block(series, banks, kernel, ts[i : i + 1])[0]
-        np.testing.assert_allclose(one, want[i].astype(np.float64), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one, want[i], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("exponent", [0, 300, -300])
@@ -189,9 +206,9 @@ def week_model(banks):
 
 
 SCORING_CALLS = {
-    kernel.variant: (lambda series, banks, ts, kernel=kernel: feature_block(series, banks, kernel, ts))
-    for kernel in KERNELS
-} | {"dp_stream": lambda series, banks, ts: week_model(banks).dp_stream(series, ts)[1]}
+    "exp_similarity": lambda series, banks, ts: feature_block(series, banks, SIMILARITY, ts),
+    "dp_stream": lambda series, banks, ts: week_model(banks).dp_stream(series, ts)[1],
+}
 
 
 def test_feature_block_memory_is_bounded(week):
@@ -272,17 +289,22 @@ def test_symmetric_and_block_matches_single_pairs_on_spiky_rows(blocks):
                 assert s == 0.0
 
 
+def bank_windows(series, m, ts):
+    """(slice, windows) of the length-m windows ending at ts, gathered
+    SCORE_BLOCK_ROWS points at a time."""
+    for out, points in row_blocks(ts, SCORE_BLOCK_ROWS):
+        yield out, sliding_window_view(series.prices, m)[points - m + 1]
+
+
 def per_bank_features(series, banks, kernel, ts):
-    """The bank-major loop that block-major scoring replaced: each bank takes
-    its own windows, a block of points at a time, and anchors (inside
-    _scores) or normalizes them itself."""
+    """The bank-major loop that block-major scoring replaced: each bank
+    gathers its own windows, a block of points at a time, and anchors them
+    itself (inside _scores)."""
     features = np.empty((ts.size, len(banks) + 1))
     for j, bank in enumerate(banks):
-        for out, windows in regression._window_blocks(series, bank.window_length, ts):
-            if kernel.variant == "gaussian_l2":
-                windows = normalize_rows(windows)
+        for out, windows in bank_windows(series, bank.window_length, ts):
             scores = regression._scores(windows, bank, kernel.variant)
-            features[out, j] = regression._softmax(scores, kernel.scale) @ bank.labels
+            features[out, j] = regression._softmax(scores, kernel.c) @ bank.labels
     features[:, -1] = series.imbalances[ts]
     return features
 
@@ -294,7 +316,7 @@ def per_bank_calibration(grid, series, banks):
     scores = []
     for bank in banks:
         bank_scores = np.empty((ts.size, len(bank)))
-        for out, windows in regression._window_blocks(series, bank.window_length, ts):
+        for out, windows in bank_windows(series, bank.window_length, ts):
             bank_scores[out] = regression._scores(windows, bank, "exp_similarity")
         scores.append(bank_scores)
     best, errors = None, []
@@ -332,7 +354,8 @@ def test_block_major_scoring_equals_per_bank_loop_bit_for_bit(case):
     gives the per-bank loop's features and calibration bit for bit. Segments at
     1e-70 and 1e70 make rows whose suffix for a short bank lies outside
     [2^-400, 2^400] while a longer bank's suffix does not; such a row must be
-    rescaled in a copy, not in the block the longer banks read."""
+    rescaled in a copy, not in the block the longer banks read. Scattered
+    points are refused."""
     lengths, points, seed = case
     rng = np.random.default_rng(seed)
     shortest, longest = lengths[0], lengths[-1]
@@ -362,9 +385,13 @@ def test_block_major_scoring_equals_per_bank_loop_bit_for_bit(case):
         ts = np.append(rng.integers(longest, n, size=SCORE_BLOCK_ROWS + 20), t)
     else:
         ts = np.array([t])
-    for kernel in (KernelChoice("exp_similarity", c=float(rng.choice(GRID))), KernelChoice("gaussian_l2")):
+    kernel = KernelChoice("exp_similarity", c=float(rng.choice(GRID)))
+    if points == "scattered":
+        with pytest.raises(ValueError, match="one ascending run of consecutive integers"):
+            feature_block(series, banks, kernel, ts)
+    else:
         got = feature_block(series, banks, kernel, ts)
-        assert got.tobytes() == per_bank_features(series, banks, kernel, ts).tobytes(), kernel
+        assert got.tobytes() == per_bank_features(series, banks, kernel, ts).tobytes()
     want = outcome(lambda: per_bank_calibration(GRID, series, banks))
     got = outcome(lambda: (lambda r: (r.c, r.weights.w, r.weights.used_ridge, r.errors))(
         calibrate_c(GRID, series, banks)))

@@ -83,6 +83,12 @@ class TestStep:
         with pytest.raises(ValueError):
             step(FLAT, 1.0, 0.0, 100.0)
 
+    @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dp_rejected(self, dp):
+        """A live decision on a non-finite prediction is refused, not held or traded."""
+        with pytest.raises(ValueError, match="dp must be finite"):
+            step(FLAT, dp, 0.5, 100.0)
+
     def test_invalid_position_rejected(self):
         with pytest.raises(ValueError):
             Position(2)
@@ -181,6 +187,17 @@ class TestRunBacktest:
         ts = points(len(series))
         with pytest.raises(ValueError, match="does not cover"):
             run_backtest(series, (ts, np.full(len(ts), 1e9)), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dp_rejected_naming_its_point(self, bad):
+        """A non-finite dp is refused, not traded as a hold (NaN) or a signal
+        (inf): the error names the first such point."""
+        series = series_from_prices(np.linspace(100.0, 184.0, 30))
+        ts = np.arange(0, 29)
+        dp = np.full(29, bad)
+        dp[:3] = 1.0
+        with pytest.raises(ValueError, match="non-finite prediction at t=3$"):
+            run_backtest(series, (ts, dp), 0.5)
 
     def test_too_short_series_rejected(self, rng):
         model = make_model(rng)
