@@ -260,7 +260,7 @@ def _input_entry(path) -> dict:
 
 
 def _manifest(args, calibration) -> dict:
-    """The pipeline's config, seed, versions and BLAS threads, and what
+    """The pipeline's config, seed, versions and BLAS library, and what
     calibration decided. Neither --out nor the input's directory is recorded,
     so two runs of one config write the same bundle wherever they run."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -272,7 +272,6 @@ def _manifest(args, calibration) -> dict:
         "versions": {"lstrader": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "blas": {"name": blas["name"], "version": blas.get("version")},
-        "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "c_grid_mse": calibration.errors,
         "used_ridge": calibration.weights.used_ridge,
     }

@@ -27,14 +27,10 @@ DEFAULT_NUM_CLUSTERS = 100
 DEFAULT_NUM_SELECTED = 20
 EFFECTIVENESS_EPS = 1e-9
 
-# Rows per k-means distance block: bounds the gathered rows and their
-# distances to this many, whatever the number of points. 128-row blocks
-# change the banks of one-day markets.
+# Rows per k-means distance block and cluster-sum gather: bounds the gathered
+# rows and their distances to this many, whatever the number of points.
+# 128-row distance blocks change the banks of one-day markets.
 _SCORE_ROWS = 256
-# Moved rows per cluster-sum update. They are the inner dimension of
-# ``delta @ points[block]``, so this grouping fixes how the sums round, and
-# with them every bank file.
-_SUM_ROWS = 1024
 
 
 def normalize(x) -> np.ndarray:
@@ -298,10 +294,10 @@ def kmeans(
     assignments, best, second = _nearest_two(points, sq_norms, centroids, sq_centroids, all_rows)
     set_bounds(all_rows, best, second)
     counts = np.bincount(assignments, minlength=k)
-    one_hot = np.zeros((k, n))
-    one_hot[assignments, all_rows] = 1.0
-    sums = one_hot @ points
-    del one_hot
+    sums = np.zeros((k, dim))  # fixed-order adds, not products: alike at any BLAS thread count
+    for cluster in range(k):
+        for _, block in row_blocks(np.flatnonzero(assignments == cluster), _SCORE_ROWS):
+            sums[cluster] += points[block].sum(axis=0)
     history = [objective()]
 
     for _ in range(max_iters):
@@ -344,12 +340,9 @@ def kmeans(
         set_bounds(rows, best, second)
         changed = nearest != assignments[rows]
         moved, to_cluster = rows[changed], nearest[changed]
-        for out, block in row_blocks(moved, _SUM_ROWS):
-            delta = np.zeros((k, block.size))
-            cols = np.arange(block.size)
-            delta[to_cluster[out], cols] = 1.0
-            delta[assignments[block], cols] = -1.0
-            sums += delta @ points[block]
+        for row, to, away in zip(moved.tolist(), to_cluster.tolist(), assignments[moved].tolist()):
+            sums[to] += points[row]
+            sums[away] -= points[row]
         assignments[moved] = to_cluster
         counts = np.bincount(assignments, minlength=k)
         history.append(objective())

@@ -65,11 +65,14 @@ MIN_FIT_SAMPLES = 5
 # Query rows per scoring block: every scoring temporary holds at most this
 # many rows of M values, whatever the number of prediction points. 256 rows
 # give the bits of 512 at the same speed in half the block (1.4 MiB at
-# M = 720); 64 changed bits (the sweep: ROADMAP.md, "Settled sizings").
+# M = 720); see ROADMAP.md, "Settled sizings".
 SCORE_BLOCK_ROWS = 256
 # Prediction points per dp_stream slice: whole scoring blocks from the first point,
 # so every block is the batch's (a slice starting off a block edge changes bits).
 DP_SLICE_ROWS = 16 * SCORE_BLOCK_ROWS
+# OpenBLAS runs a dgemm of m n k <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling
+# thread (interface/gemm.c); scoring products are cut to that size (README.md, step 3).
+SINGLE_THREAD_MNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,15 @@ class KernelChoice:
 
 def _similarity(rows: tuple, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """s of one block of query rows against pattern rows, both given as their
-    anchored_moments, written into out if given."""
+    anchored_moments, written into out if given. d . d_v is taken P rows at a time,
+    P the largest power of two with P K M <= SINGLE_THREAD_MNK, or a whole block."""
     dv, mean_v, msq_v = rows_v
     d, mean, msq = rows
     m = d.shape[1]
-    scores = np.matmul(d, dv.T, out=out)
+    piece = SINGLE_THREAD_MNK >> (dv.shape[0] * m - 1).bit_length() or SCORE_BLOCK_ROWS
+    scores = np.empty((d.shape[0], dv.shape[0])) if out is None else out
+    for rows_out, rows_d in row_blocks(d, piece):
+        np.matmul(rows_d, dv.T, out=scores[rows_out])
     cross = mean[:, None] * mean_v
     cross *= m
     scores -= cross

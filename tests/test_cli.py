@@ -4,6 +4,8 @@ import os
 import pathlib
 import platform
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,18 @@ from lstrader.regression import PredictorModel
 from lstrader.trader import write_ledger_csv
 
 SMALL = dict(duration=28800.0, windows="30,60,120", k="12", m="4")
+
+# A one-day market at the default banks (the benchmark's first train market),
+# then a report on its whole series, in one interpreter: argv is spec, out dir.
+PIPELINE_THEN_REPORT = """
+import sys
+from lstrader.cli import main
+spec, out = sys.argv[1:]
+assert main(["pipeline", "--spec", spec, "--out", out, "--seed", "608030456",
+             "--duration", "86400", "--start-price", "5000"]) == 0
+sys.exit(main(["report", "--series", out + "/series.csv", "--model", out + "/model.json",
+               "--out-dir", out + "/report"]))
+"""
 
 
 @pytest.fixture
@@ -764,6 +778,29 @@ class TestPipeline:
             else:
                 assert pa.read_bytes() == pb.read_bytes()
 
+    def test_bundles_are_identical_at_one_and_two_blas_threads(self, tmp_path):
+        """A one-day pipeline and a report on its run directory write the same
+        bytes in every file under OPENBLAS_NUM_THREADS=1 and =2, set in the
+        child only: no product or sum that reaches a bundle rounds by thread count."""
+        spec = tmp_path / "spec.json"
+        demo_spec().save_json(spec)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(lstrader.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        bundles = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            done = subprocess.run(
+                [sys.executable, "-c", PIPELINE_THEN_REPORT, str(spec), str(out)],
+                capture_output=True, text=True, env={**env, "OPENBLAS_NUM_THREADS": threads}, timeout=600,
+            )
+            assert done.returncode == 0, done.stderr
+            files = sorted(path for path in out.rglob("*") if path.is_file())
+            bundles.append({path.relative_to(out).as_posix(): path.read_bytes() for path in files})
+        assert "report/summary.json" in bundles[0]
+        assert bundles[0].keys() == bundles[1].keys()
+        assert [name for name in bundles[0] if bundles[0][name] != bundles[1][name]] == []
+
     def test_manifest_is_the_same_wherever_the_run_is_written(self, spec_path, tmp_path):
         """manifest.json holds the config, the seed, the versions and what
         calibration decided, no --out, and the spec by base name and SHA-256,
@@ -792,7 +829,7 @@ class TestPipeline:
             "python": platform.python_version(),
         }
         assert manifest["blas"]["name"]
-        assert set(manifest["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert "blas_threads" not in manifest  # no bundle bit depends on the BLAS thread count
         grid = [c for c, _ in manifest["c_grid_mse"]]
         assert grid == [0.5, 1.0, 2.0, 4.0, 8.0]
         assert min(manifest["c_grid_mse"], key=lambda pair: pair[1])[0] == summary["kernel_c"]

@@ -260,6 +260,29 @@ def test_block_size_does_not_change_bits(week, monkeypatch):
     assert score() == got
 
 
+def test_similarity_products_stay_under_the_blas_threading_cutoff(week, monkeypatch):
+    """Each product _similarity hands to np.matmul on the default banks (180,
+    360 and 720 buckets, 20 patterns) has m * n * k <= 2^18, which OpenBLAS
+    runs on the calling thread, in power-of-two row pieces that divide
+    SCORE_BLOCK_ROWS: 64, 32 and 16 rows."""
+    series, banks, ts = week
+    shapes = []
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", recording)
+    feature_block(series, banks, SIMILARITY, ts[: 2 * SCORE_BLOCK_ROWS])
+    similarity_many(sliding_window_view(series.prices, 720)[: SCORE_BLOCK_ROWS], banks[-1].vectors)
+    monkeypatch.undo()
+    assert all(rows * m * k <= 2**18 for (rows, m), (_, k) in shapes)
+    assert all(SCORE_BLOCK_ROWS % rows == 0 for (rows, _), _ in shapes)
+    pieces = {m: {rows for (rows, m_), _ in shapes if m_ == m} for m in (180, 360, 720)}
+    assert pieces == {180: {64}, 360: {32}, 720: {16}}
+
+
 def spiky_rows(m):
     """Rows of one repeated value with a few one-off spikes; some stay constant."""
     value = st.floats(-1e6, 1e6, allow_subnormal=False)
