@@ -19,9 +19,10 @@ either vector is constant.
 
 How scores are computed (each row taken relative to its own last value,
 the magnitude guard, one anchored block of SCORE_BLOCK_ROWS points for
-every bank) is set out once, in README.md ("How it works", step 3). The
-formula: on anchored rows d (``pattern_bank.anchored_rows``), with
-s1 = sum(d), mean = s1 / M and msq = max(sum(d^2) - s1 * mean, 0) / M,
+every bank, the row-local rule) is set out once, in README.md ("How it
+works", step 3). The formula: on anchored rows d
+(``pattern_bank.anchored_rows``), with s1 = sum(d), mean = s1 / M and
+msq = max(sum(d^2) - s1 * mean, 0) / M,
 
     s = (d . d_v - M mean mean_v) / (M sqrt(msq msq_v)),
 
@@ -30,8 +31,10 @@ the same row rule, so s(a, b) == s(b, a) bit for bit. ``_similarity`` is
 the one place the formula is computed (``similarity_many`` and its 1x1
 call ``similarity`` wrap it), and ``_score_blocks`` the one block loop,
 shared by ``feature_block`` and ``calibrate_c``, over one consecutive run
-of prediction points. Neither the block size nor ``dp_stream``'s slice of
-whole blocks may change a bit of their output, or it would change bundles.
+of prediction points. Every product and sum of scoring is row-local: a
+point's bits depend on its window and the model alone, not on the other
+points of its call, so where a run starts and ends, and how it is cut
+into blocks and slices, changes no bit.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -63,13 +66,12 @@ RIDGE_LAMBDA = 1e-8
 MIN_FIT_SAMPLES = 5
 
 # Query rows per scoring block: every scoring temporary holds at most this
-# many rows of M values, whatever the number of prediction points. 256 rows
-# give the bits of 512 at the same speed in half the block (1.4 MiB at
-# M = 720); see ROADMAP.md, "Settled sizings".
+# many rows of M values, whatever the number of prediction points (1.4 MiB
+# at M = 720); see ROADMAP.md, "Settled sizings". It caps the product pieces,
+# so under 64 rows it would change the default banks' bits.
 SCORE_BLOCK_ROWS = 256
-# Prediction points per dp_stream slice: whole scoring blocks from the first point,
-# so every block is the batch's (a slice starting off a block edge changes bits).
-DP_SLICE_ROWS = 16 * SCORE_BLOCK_ROWS
+# Prediction points per dp_stream slice: beside dp, one slice of features is held.
+DP_SLICE_ROWS = 4096
 # OpenBLAS runs a dgemm of m n k <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling
 # thread (interface/gemm.c); scoring products are cut to that size (README.md, step 3).
 SINGLE_THREAD_MNK = 2**18
@@ -91,15 +93,18 @@ class KernelChoice:
 
 def _similarity(rows: tuple, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """s of one block of query rows against pattern rows, both given as their
-    anchored_moments, written into out if given. d . d_v is taken P rows at a time,
-    P the largest power of two with P K M <= SINGLE_THREAD_MNK, or a whole block."""
+    anchored_moments, written into out if given. d . d_v is taken in products of
+    P rows, P the largest power of two with P K M <= SINGLE_THREAD_MNK, at least 1
+    and at most SCORE_BLOCK_ROWS; zero rows pad a short last piece to P rows."""
     dv, mean_v, msq_v = rows_v
     d, mean, msq = rows
     m = d.shape[1]
-    piece = SINGLE_THREAD_MNK >> (dv.shape[0] * m - 1).bit_length() or SCORE_BLOCK_ROWS
+    piece = max(1, min(SINGLE_THREAD_MNK >> (dv.shape[0] * m - 1).bit_length(), SCORE_BLOCK_ROWS))
     scores = np.empty((d.shape[0], dv.shape[0])) if out is None else out
     for rows_out, rows_d in row_blocks(d, piece):
-        np.matmul(rows_d, dv.T, out=scores[rows_out])
+        # a short product rounds otherwise than a full one, so a row's bits would depend on the run
+        full = rows_d if len(rows_d) == piece else np.concatenate((rows_d, np.zeros((piece - len(rows_d), m))))
+        scores[rows_out] = np.matmul(full, dv.T)[: len(rows_d)]
     cross = mean[:, None] * mean_v
     cross *= m
     scores -= cross
@@ -170,6 +175,13 @@ def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:
     return w
 
 
+def _label_average(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """A bank's prediction per row of kernel weights: the weighted label average,
+    each row summed on its own (a matrix-vector product rounds its last rows
+    otherwise, by the row count)."""
+    return (weights * labels).sum(axis=-1)
+
+
 def kernel_weights(x, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
     """Normalized kernel weight per bank pattern (non-negative, sums to 1)."""
     x = np.asarray(x, dtype=np.float64)
@@ -181,7 +193,7 @@ def kernel_weights(x, bank: PatternBank, kernel: KernelChoice) -> np.ndarray:
 
 def predict_label(x, bank: PatternBank, kernel: KernelChoice) -> float:
     """Kernel-weighted average of bank labels: the estimated E[y | x]."""
-    return float(kernel_weights(x, bank, kernel) @ bank.labels)
+    return float(_label_average(kernel_weights(x, bank, kernel), bank.labels))
 
 
 def empirical_conditional(y: float, x, bank: PatternBank, kernel: KernelChoice) -> float:
@@ -261,7 +273,7 @@ def feature_block(
     ts = _check_points(series, banks, ts)
     features = np.empty((ts.size, len(banks) + 1))
     for out, j, scores in _score_blocks(series, banks, ts):
-        features[out, j] = _softmax(scores, kernel.c) @ banks[j].labels
+        features[out, j] = _label_average(_softmax(scores, kernel.c), banks[j].labels)
     features[:, -1] = series.imbalances[ts]
     return features
 
@@ -291,12 +303,13 @@ class CombinerWeights:
         return np.array(self.w)
 
     def apply(self, features) -> np.ndarray:
-        """Intercept plus features @ coefficients over the last axis (N bank predictions, imbalance)."""
+        """Intercept plus the coefficient-weighted sum of the features over the last
+        axis (N bank predictions, imbalance), each row summed on its own."""
         w = self.as_array()
         features = np.asarray(features, dtype=np.float64)
         if features.shape[-1:] != (w.size - 1,):
             raise ValueError(f"{w.size} weights take {w.size - 1} features, got {features.shape}")
-        return features @ w[1:] + w[0]
+        return (features * w[1:]).sum(axis=-1) + w[0]
 
 
 def fit_weights(features, targets) -> CombinerWeights:
@@ -377,7 +390,7 @@ def calibrate_c(
     best: tuple[float, float, CombinerWeights] | None = None
     errors = []
     for c in grid:
-        columns = [_softmax(s, c) @ bank.labels for s, bank in zip(scores, banks)]
+        columns = [_label_average(_softmax(s, c), bank.labels) for s, bank in zip(scores, banks)]
         features = np.column_stack(columns + [imbalances])
         weights = fit_weights(features, targets)
         residual = weights.apply(features) - targets
@@ -424,11 +437,9 @@ class PredictorModel:
         if ts is None:
             ts = fit_points(series, self.banks)
         points = _check_points(series, self.banks, ts)
-        # a 1-point remainder joins the slice before it: apply rounds one row otherwise
-        edges = [0, *range(DP_SLICE_ROWS, points.size - 1, DP_SLICE_ROWS), points.size]
         dp = np.empty(points.size)
-        for lo, hi in zip(edges, edges[1:]):
-            dp[lo:hi] = self.weights.apply(feature_block(series, self.banks, self.kernel, points[lo:hi]))
+        for out, block in row_blocks(points, DP_SLICE_ROWS):
+            dp[out] = self.weights.apply(feature_block(series, self.banks, self.kernel, block))
         return ts, dp
 
     def to_json_dict(self, bank_paths: Sequence[str]) -> dict:

@@ -158,10 +158,9 @@ def test_feature_block_matches_long_double_reference(name, exponent, kernel):
     picks = rng.choice(ts.size, size=POINTS, replace=True)
     with pytest.raises(ValueError, match="one ascending run of consecutive integers"):
         feature_block(series, banks, kernel, ts[picks])
-    # one point at a time agrees with the blocks
+    # one point at a time gives the batch's bits
     for i in (0, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, ts.size - 1):
-        one = feature_block(series, banks, kernel, ts[i : i + 1])[0]
-        np.testing.assert_allclose(one, want[i], rtol=0, atol=1e-12)
+        assert feature_block(series, banks, kernel, ts[i : i + 1]).tobytes() == got[i].tobytes()
 
 
 @pytest.mark.parametrize("exponent", [0, 300, -300])
@@ -231,23 +230,38 @@ def test_feature_block_memory_is_bounded(week):
         assert peak < bound * 2**20, f"{call}: peak {peak / 2**20:.2f} MiB"
 
 
-@pytest.mark.parametrize("count", [DP_SLICE_ROWS, DP_SLICE_ROWS + 1, DP_SLICE_ROWS + 2, 1])
-def test_dp_stream_slices_give_the_batch_bits(week, count):
-    """dp_stream scores DP_SLICE_ROWS points at a time, yet gives the bits of
-    the weights applied to every point's features at once, whatever the point
-    count modulo the slice. Applied to one row alone, the weights round
-    otherwise at a third of this series' points (point 4096 among them), so a
-    1-point remainder must join the slice before it."""
+def test_a_point_scores_the_same_bits_in_any_run(week):
+    """A point's features and dp depend on its window and the model alone, not
+    on the run it is scored in. The last 600 points give the batch's bits one
+    at a time, and so does every point of runs cut 1 to 100 points short or
+    started 1 to 64 points later. dp_stream's runs of DP_SLICE_ROWS points,
+    1 and 2 more, and 1 point give the bits of the batch, which it scores in
+    slices of DP_SLICE_ROWS."""
     series, banks, ts = week
-    model, points = week_model(banks), ts[:count]
-    want = model.weights.apply(feature_block(series, banks, model.kernel, points))
-    assert model.dp_stream(series, points)[1].tobytes() == want.tobytes()
+    model = week_model(banks)
+    features = feature_block(series, banks, model.kernel, ts)
+    dp = model.dp_stream(series, ts)[1]
+
+    def same_bits(points):
+        rows = slice(points[0] - ts[0], points[-1] - ts[0] + 1)
+        assert feature_block(series, banks, model.kernel, points).tobytes() == features[rows].tobytes()
+        assert model.dp_stream(series, points)[1].tobytes() == dp[rows].tobytes()
+
+    for i in range(ts.size - 600, ts.size):
+        same_bits(ts[i : i + 1])
+    last = ts[-1000:]
+    for cut in (1, 5, 16, 33, 63, 64, 100):
+        same_bits(last[:-cut])
+    for later in (1, 16, 64):
+        same_bits(last[later:])
+    for count in (DP_SLICE_ROWS, DP_SLICE_ROWS + 1, DP_SLICE_ROWS + 2, 1):
+        same_bits(ts[:count])
 
 
 def test_block_size_does_not_change_bits(week, monkeypatch):
-    """Blocks of 512 and of SCORE_BLOCK_ROWS rows give the same features, dp
-    and calibration bit for bit, so the block size never changes a bundle
-    (blocks of 64 rows do)."""
+    """Blocks of SCORE_BLOCK_ROWS, 512, 100 and 64 rows give the same features,
+    dp and calibration bit for bit, so the block size never changes a bundle:
+    it sets memory alone."""
     series, banks, _ = week
 
     def score():
@@ -256,15 +270,18 @@ def test_block_size_does_not_change_bits(week, monkeypatch):
         return [a.tobytes() for a in outputs] + [repr((calibration.c, calibration.weights, calibration.errors))]
 
     got = score()
-    monkeypatch.setattr(regression, "SCORE_BLOCK_ROWS", 512)
-    assert score() == got
+    for rows in (512, 100, 64):
+        monkeypatch.setattr(regression, "SCORE_BLOCK_ROWS", rows)
+        assert score() == got, f"blocks of {rows} rows"
 
 
 def test_similarity_products_stay_under_the_blas_threading_cutoff(week, monkeypatch):
     """Each product _similarity hands to np.matmul on the default banks (180,
     360 and 720 buckets, 20 patterns) has m * n * k <= 2^18, which OpenBLAS
-    runs on the calling thread, in power-of-two row pieces that divide
-    SCORE_BLOCK_ROWS: 64, 32 and 16 rows."""
+    runs on the calling thread, and exactly P rows, a power of two that
+    divides SCORE_BLOCK_ROWS: 64, 32 and 16 rows. Runs of 2 blocks and 5
+    points and of 1 point are padded to whole pieces, so no product is short
+    and no rounding depends on the run's length."""
     series, banks, ts = week
     shapes = []
 
@@ -274,7 +291,8 @@ def test_similarity_products_stay_under_the_blas_threading_cutoff(week, monkeypa
 
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", recording)
-    feature_block(series, banks, SIMILARITY, ts[: 2 * SCORE_BLOCK_ROWS])
+    feature_block(series, banks, SIMILARITY, ts[: 2 * SCORE_BLOCK_ROWS + 5])
+    feature_block(series, banks, SIMILARITY, ts[:1])
     similarity_many(sliding_window_view(series.prices, 720)[: SCORE_BLOCK_ROWS], banks[-1].vectors)
     monkeypatch.undo()
     assert all(rows * m * k <= 2**18 for (rows, m), (_, k) in shapes)
@@ -327,7 +345,7 @@ def per_bank_features(series, banks, kernel, ts):
     for j, bank in enumerate(banks):
         for out, windows in bank_windows(series, bank.window_length, ts):
             scores = regression._scores(windows, bank, kernel.variant)
-            features[out, j] = regression._softmax(scores, kernel.c) @ bank.labels
+            features[out, j] = regression._label_average(regression._softmax(scores, kernel.c), bank.labels)
     features[:, -1] = series.imbalances[ts]
     return features
 
@@ -344,7 +362,8 @@ def per_bank_calibration(grid, series, banks):
         scores.append(bank_scores)
     best, errors = None, []
     for c in sorted(set(grid)):
-        columns = [regression._softmax(s, c) @ bank.labels for s, bank in zip(scores, banks)]
+        columns = [regression._label_average(regression._softmax(s, c), bank.labels)
+                   for s, bank in zip(scores, banks)]
         features = np.column_stack(columns + [series.imbalances[ts]])
         weights = fit_weights(features, targets)
         residual = weights.apply(features) - targets
