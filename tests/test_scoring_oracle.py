@@ -234,9 +234,7 @@ def test_a_point_scores_the_same_bits_in_any_run(week):
     """A point's features and dp depend on its window and the model alone, not
     on the run it is scored in. The last 600 points give the batch's bits one
     at a time, and so does every point of runs cut 1 to 100 points short or
-    started 1 to 64 points later. dp_stream's runs of DP_SLICE_ROWS points,
-    1 and 2 more, and 1 point give the bits of the batch, which it scores in
-    slices of DP_SLICE_ROWS."""
+    started 1 to 64 points later."""
     series, banks, ts = week
     model = week_model(banks)
     features = feature_block(series, banks, model.kernel, ts)
@@ -254,8 +252,18 @@ def test_a_point_scores_the_same_bits_in_any_run(week):
         same_bits(last[:-cut])
     for later in (1, 16, 64):
         same_bits(last[later:])
-    for count in (DP_SLICE_ROWS, DP_SLICE_ROWS + 1, DP_SLICE_ROWS + 2, 1):
-        same_bits(ts[:count])
+
+
+@pytest.mark.parametrize("count", [DP_SLICE_ROWS, DP_SLICE_ROWS + 1, DP_SLICE_ROWS + 2, 1])
+def test_dp_stream_slices_give_the_batch_bits(week, count):
+    """dp_stream scores DP_SLICE_ROWS points at a time, yet gives the bits of
+    the weights applied to every point's features at once, whatever the point
+    count modulo the slice: each point's dp is summed along its own row, so a
+    remainder of 1 point is scored like any other slice."""
+    series, banks, ts = week
+    model, points = week_model(banks), ts[:count]
+    want = model.weights.apply(feature_block(series, banks, model.kernel, points))
+    assert model.dp_stream(series, points)[1].tobytes() == want.tobytes()
 
 
 def test_block_size_does_not_change_bits(week, monkeypatch):
