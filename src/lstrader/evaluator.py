@@ -2,8 +2,10 @@
 README.md ("File formats") sets out.
 
 Imports run one way, evaluator -> trader -> market_data: the trader
-backtests a given dp stream, and the Sharpe ratio is computed here only,
-when a report is written, in the convention the report names.
+backtests a given dp stream and writes no file, and this module alone writes
+the bundle. sweep.csv and trades.csv are csv.writer rows from one helper; the
+float tables come from market_data's shared float writer. The Sharpe ratio is
+computed here only, when a report is written, in the convention the report names.
 
 The Sharpe ratio here compares strategy profit against the buy-and-hold
 price drift over the same interval:
@@ -18,6 +20,7 @@ the standard deviation (square root of the mean squared deviation); the
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from typing import Sequence
@@ -73,18 +76,6 @@ def sweep_thresholds(
     return [trader.run_backtest(series, dp_stream, t) for t in check_thresholds(thresholds)]
 
 
-def write_sweep_csv(
-    rows: Sequence[trader.BacktestReport], path, sharpe_variant: str = SHARPE_SQRT
-) -> None:
-    with open_for_write(path) as fh:
-        fh.write("threshold,num_trades,avg_holding_s,avg_profit,total_profit,sharpe\r\n")
-        for row in rows:
-            ratio = sharpe(row.round_trip_profits, row.benchmark_move, sharpe_variant)
-            values = (row.avg_holding_time, row.avg_profit_per_trade, row.total_profit, ratio)
-            floats = ",".join(repr(float(v)) for v in values)
-            fh.write(f"{float(row.threshold)!r},{row.num_trades},{floats}\r\n")
-
-
 def summary_dict(
     report: trader.BacktestReport, sharpe_variant: str = SHARPE_SQRT, extra: dict | None = None
 ) -> dict:
@@ -122,6 +113,19 @@ def summary_dict(
     return summary
 
 
+SWEEP_HEADER = ("threshold", "num_trades", "avg_holding_s", "avg_profit", "total_profit", "sharpe")
+LEDGER_HEADER = ("time", "side", "price", "position_after", "round_trip_profit")
+
+
+def _write_rows(path, header, rows) -> None:
+    """header, then rows of Python values, as csv.writer writes them: a float
+    cell is its repr and None is an empty cell."""
+    with open_for_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_report(
     report: trader.BacktestReport,
     sweep: Sequence[trader.BacktestReport],
@@ -143,12 +147,18 @@ def emit_report(
     files = ("summary.json", "sweep.csv", "equity_curve.csv", "cluster_centers.csv", "trades.csv")
     paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name) for name in files}
     write_json(paths["summary"], summary_dict(report, sharpe_variant, extra_summary))
-    write_sweep_csv(sweep, paths["sweep"], sharpe_variant)
+    _write_rows(paths["sweep"], SWEEP_HEADER, (
+        [float(row.threshold), row.num_trades, float(row.avg_holding_time), float(row.avg_profit_per_trade),
+         float(row.total_profit), sharpe(row.round_trip_profits, row.benchmark_move, sharpe_variant)]
+        for row in sweep))
     with open_for_write(paths["equity_curve"]) as fh:
         columns = (series.bucket_times, series.prices, cum)
         write_float_rows(fh, columns, ("bucket_time", "price", "cum_profit"))
     with open_for_write(paths["cluster_centers"]) as fh:
         for bank in banks:
             write_float_rows(fh, (bank.labels, bank.vectors), lead=f"{bank.window_length},")
-    trader.write_ledger_csv(report.trades, paths["trades"])
+    _write_rows(paths["trades"], LEDGER_HEADER, (
+        [trade.time, trade.side, float(trade.price), trade.position_after,
+         None if trade.round_trip_profit is None else float(trade.round_trip_profit)]
+        for trade in report.trades))
     return paths

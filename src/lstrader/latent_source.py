@@ -262,7 +262,6 @@ def demo_spec(
     seed: int = 20140506,
     pattern_len: int = 60,
     noise_sigma: float = 0.0,
-    strong_mix: float = 0.15,
 ) -> LatentSourceSpec:
     """A stylized four-source model for demos and synthetic experiments.
 
@@ -272,8 +271,6 @@ def demo_spec(
     spread of signal strengths; the tapers make a run's wind-down visible
     inside a trailing window.
     """
-    if not 0 < strong_mix < 0.5:
-        raise ValueError("strong_mix must lie in (0, 0.5)")
     t = np.arange(pattern_len, dtype=np.float64)
     taper = np.minimum(1.0, np.minimum(t / 6.0, (pattern_len - 1 - t) / 10.0))
     run = 0.9 * np.clip(taper, 0.05, 1.0)
@@ -283,6 +280,7 @@ def demo_spec(
     label_dists = tuple(
         LabelDist(kind=LABEL_POINT, mean=float(s.sum())) for s in sources
     )
+    strong_mix = 0.15
     calm_mix = (1.0 - 2.0 * strong_mix) / 2.0
     return LatentSourceSpec(
         sources=sources,

@@ -91,16 +91,16 @@ class KernelChoice:
             raise ValueError("exp_similarity requires a finite c > 0")
 
 
-def _similarity(rows: tuple, rows_v: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """s of one block of query rows against pattern rows, both given as their
-    anchored_moments, written into out if given. d . d_v is taken in products of
-    P rows, P the largest power of two with P K M <= SINGLE_THREAD_MNK, at least 1
-    and at most SCORE_BLOCK_ROWS; zero rows pad a short last piece to P rows."""
+def _similarity(rows: tuple, rows_v: tuple) -> np.ndarray:
+    """s of query rows against pattern rows, both given as their
+    anchored_moments. d . d_v is taken in products of P rows, P the largest
+    power of two with P K M <= SINGLE_THREAD_MNK, at least 1 and at most
+    SCORE_BLOCK_ROWS; zero rows pad a short last piece to P rows."""
     dv, mean_v, msq_v = rows_v
     d, mean, msq = rows
     m = d.shape[1]
     piece = max(1, min(SINGLE_THREAD_MNK >> (dv.shape[0] * m - 1).bit_length(), SCORE_BLOCK_ROWS))
-    scores = np.empty((d.shape[0], dv.shape[0])) if out is None else out
+    scores = np.empty((d.shape[0], dv.shape[0]))
     for rows_out, rows_d in row_blocks(d, piece):
         # a short product rounds otherwise than a full one, so a row's bits would depend on the run
         full = rows_d if len(rows_d) == piece else np.concatenate((rows_d, np.zeros((piece - len(rows_d), m))))
@@ -131,11 +131,7 @@ def similarity_many(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: queries {queries.shape} vs vectors {vectors.shape}")
     if queries.shape[1] < 2:
         raise ValueError("similarity needs vectors of length >= 2")
-    rows_v = anchored_rows(vectors)
-    scores = np.empty((queries.shape[0], vectors.shape[0]))
-    for out, block in row_blocks(queries, SCORE_BLOCK_ROWS):
-        _similarity(anchored_rows(block), rows_v, out=scores[out])
-    return scores
+    return _similarity(anchored_rows(queries), anchored_rows(vectors))
 
 
 def similarity(a, b) -> float:

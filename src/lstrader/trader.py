@@ -13,24 +13,22 @@ to +1), so ``step`` sees those alone. A backtest keeps its fills, not a
 per-bucket curve: ``BacktestReport.equity_curve`` marks them to market for
 the one report that is written.
 
-The backtest trades a given (ts, dp) stream and knows no model. Imports run
-one way, evaluator -> trader -> market_data: the evaluator sweeps and reports.
+The backtest trades a given (ts, dp) stream; it knows no model and writes no
+file. Imports run one way, evaluator -> trader -> market_data: the evaluator
+sweeps, and writes the report, trades.csv included.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market_data import PriceSeries, open_for_write
+from .market_data import PriceSeries
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
-
-LEDGER_HEADER = ("time", "side", "price", "position_after", "round_trip_profit")
 
 
 @dataclass(frozen=True)
@@ -122,17 +120,6 @@ def step(
         new = Position(position.units - 1)
         return new, Trade(time=time, side=SIDE_SELL, price=price, position_after=new.units)
     return position, None
-
-
-def write_ledger_csv(trades, path) -> None:
-    with open_for_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEDGER_HEADER)
-        for trade in trades:
-            profit = "" if trade.round_trip_profit is None else repr(float(trade.round_trip_profit))
-            writer.writerow(
-                [trade.time, trade.side, repr(float(trade.price)), trade.position_after, profit]
-            )
 
 
 def run_backtest(

@@ -14,12 +14,11 @@ import pytest
 import lstrader
 from lstrader import latent_source
 from lstrader.cli import build_parser, main
-from lstrader.evaluator import sweep_thresholds, write_sweep_csv
+from lstrader.evaluator import emit_report, sweep_thresholds
 from lstrader.latent_source import demo_spec
 from lstrader.market_data import PriceSeries
 from lstrader.pattern_bank import PatternBank
 from lstrader.regression import PredictorModel
-from lstrader.trader import write_ledger_csv
 
 SMALL = dict(duration=28800.0, windows="30,60,120", k="12", m="4")
 
@@ -607,8 +606,8 @@ class TestStagedCommands:
         assert not (tmp_path / "rep").exists()
 
     def test_report_writes_the_library_sweep_and_ledger(self, spec_path, tmp_path):
-        """report --thresholds L writes what the library's sweep and ledger
-        writers give for L and the peak-profit row, byte for byte."""
+        """report --thresholds L writes the sweep and ledger that the library's
+        emit_report gives for L and the peak-profit row, byte for byte."""
         series_csv, fit_dir = fit_small_model(spec_path, tmp_path)
         rep = tmp_path / "rep"
         assert run_cli(
@@ -616,14 +615,14 @@ class TestStagedCommands:
             "--thresholds", "0.1,0.2", "--out-dir", rep,
         ) == 0
         series = PriceSeries.from_csv(series_csv)
-        dp_stream = PredictorModel.load_json(fit_dir / "model.json").dp_stream(series)
+        model = PredictorModel.load_json(fit_dir / "model.json")
+        dp_stream = model.dp_stream(series)
         rows = sweep_thresholds(series, dp_stream, [0.1, 0.2])
         best = max(rows, key=lambda row: row.total_profit)
         assert rows[0].trades != rows[1].trades and rows[0].total_profit != rows[1].total_profit
-        write_sweep_csv(rows, tmp_path / "sweep.csv")
-        write_ledger_csv(best.trades, tmp_path / "trades.csv")
+        emit_report(best, rows, model.banks, tmp_path / "lib", series=series)
         for name in ("sweep.csv", "trades.csv"):
-            assert (rep / name).read_bytes() == (tmp_path / name).read_bytes()
+            assert (rep / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
     def test_series_crossing_zero_reports(self, spec_path, tmp_path):
         """Series prices are any finite value: the default synthetic walk can

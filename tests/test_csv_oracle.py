@@ -1,16 +1,17 @@
-"""The block float-CSV writer and the block series reader against the
-per-row csv.writer/float() code they replaced.
+"""The block float-CSV writer, the report's row writer and the block series
+reader against per-row csv.writer/float() code.
 
-The oracle writers below are that code: one csv.writer row per bucket or
-pattern, repr(float(x)) per cell. The new writer must give the same bytes,
-and the reader must give back the written floats bit for bit, at sizes on
-both sides of a block boundary.
+The oracle writers below are that code: one csv.writer row per bucket,
+pattern, sweep row or trade, repr(float(x)) per cell. The library's writers
+must give the same bytes, and the reader must give back the written floats
+bit for bit, at sizes on both sides of a block boundary.
 """
 
 import csv
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lstrader import market_data
-from lstrader.evaluator import emit_report
+from lstrader.evaluator import LEDGER_HEADER, emit_report, sharpe
 from lstrader.market_data import BLOCK_ROWS, WRITE_CELLS, PriceSeries
 from lstrader.pattern_bank import PatternBank, normalize
-from lstrader.trader import LEDGER_HEADER, BacktestReport, Trade
+from lstrader.trader import BacktestReport, Trade
 
 AWKWARD = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, 1e-310, -1.5e300, 2.0**53 + 2, 1 / 3, 0.0])
 
@@ -105,7 +106,12 @@ def test_report_csvs_match_csv_writer(tmp_path, rng, n):
     series = awkward_series(n, rng)
     report = cycling_report(series)
     banks = awkward_banks(rng)
-    paths = emit_report(report, [report], banks, tmp_path / "new", series=series)
+    # cycling_report closes no round trip, so its Sharpe is nan; the second row's is defined
+    closed = replace(report, threshold=0.1 + 0.2, round_trip_profits=tuple(rng.normal(size=5)),
+                     avg_holding_time=1e22, benchmark_move=1 / 3)
+    sweep = [report, closed]
+    assert math.isnan(sharpe(report.round_trip_profits, report.benchmark_move))
+    paths = emit_report(report, sweep, banks, tmp_path / "new", series=series)
 
     oracle_csv(tmp_path / "curve.csv", ("bucket_time", "price", "cum_profit"),
                float_cells(series.bucket_times, series.prices, report.equity_curve(series)))
@@ -117,8 +123,15 @@ def test_report_csvs_match_csv_writer(tmp_path, rng, n):
     oracle_csv(tmp_path / "ledger.csv", LEDGER_HEADER, (
         [t.time, t.side, repr(float(t.price)), t.position_after, ""] for t in report.trades
     ))
+    oracle_csv(tmp_path / "sweep.csv", ("threshold", "num_trades", "avg_holding_s", "avg_profit",
+                                        "total_profit", "sharpe"), (
+        [repr(float(r.threshold)), r.num_trades] + [repr(float(v)) for v in (
+            r.avg_holding_time, r.avg_profit_per_trade, r.total_profit,
+            sharpe(r.round_trip_profits, r.benchmark_move))]
+        for r in sweep
+    ))
     for name, oracle in (("equity_curve", "curve.csv"), ("cluster_centers", "centers.csv"),
-                         ("trades", "ledger.csv")):
+                         ("trades", "ledger.csv"), ("sweep", "sweep.csv")):
         with open(paths[name], "rb") as fh:
             assert fh.read() == (tmp_path / oracle).read_bytes()
 

@@ -14,10 +14,10 @@ from lstrader.evaluator import (
     summary_dict,
     sweep_thresholds,
 )
-from lstrader.trader import run_backtest, write_ledger_csv
+from lstrader.trader import run_backtest
 
 from conftest import series_from_prices
-from test_trader import make_model, random_series
+from test_trader import make_model, oracle_ledger_csv, random_series
 
 
 def oracle_sharpe(profits, price_move):
@@ -200,8 +200,8 @@ class TestEmitReport:
         first = centers_lines[0].split(",")
         assert int(first[0]) == model.banks[0].window_length
         assert len(first) == 2 + model.banks[0].window_length
-        assert report.num_trades > 0
-        write_ledger_csv(report.trades, tmp_path / "ledger.csv")
+        assert report.num_trades > 0 and report.num_round_trips > 0
+        oracle_ledger_csv(tmp_path / "ledger.csv", report.trades)
         with open(paths["trades"], "rb") as fh:
             assert fh.read() == (tmp_path / "ledger.csv").read_bytes()
 

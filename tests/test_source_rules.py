@@ -98,5 +98,18 @@ def test_import_graph_sees_every_import_form():
     assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
 
 
+def test_trader_writes_no_file():
+    """The trader only trades; the evaluator writes the bundle, trades.csv
+    included. So trader.py imports neither csv nor open_for_write, in any form."""
+    tree = ast.parse((pathlib.Path(lstrader.__file__).parent / "trader.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    assert not names & {"csv", "open_for_write"}, sorted(names & {"csv", "open_for_write"})
+
+
 def test_sources_found():
     assert "market_data.py" in {p.name for p in SOURCES}

@@ -1,14 +1,16 @@
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lstrader.evaluator import sharpe
+from lstrader.evaluator import emit_report, sharpe
 from lstrader.pattern_bank import PatternBank, normalize
 from lstrader.regression import CombinerWeights, KernelChoice, PredictorModel, fit_points
-from lstrader.trader import FLAT, Position, Trade, run_backtest, step, write_ledger_csv
+from lstrader.trader import FLAT, Position, Trade, run_backtest, step
 
 from conftest import series_from_prices
 
@@ -30,6 +32,17 @@ def make_model(rng, windows=(3, 5, 8), weights=(0.0, 1.0, 1.0, 1.0, 0.0), c=2.0)
         kernel=KernelChoice("exp_similarity", c=c),
         weights=CombinerWeights(weights),
     )
+
+
+def oracle_ledger_csv(path, trades):
+    """trades.csv as csv.writer rows of repr(float(x)) cells, written here
+    apart from the library: an open round trip's profit cell is empty."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time", "side", "price", "position_after", "round_trip_profit"))
+        for t in trades:
+            profit = "" if t.round_trip_profit is None else repr(float(t.round_trip_profit))
+            writer.writerow([t.time, t.side, repr(float(t.price)), t.position_after, profit])
 
 
 def random_series(rng, n=60, scale=0.5):
@@ -224,11 +237,19 @@ class TestRunBacktest:
         model = make_model(rng)
         series = random_series(rng, n=80)
         report = run_backtest(series, model.dp_stream(series), 0.2)
-        path = tmp_path / "trades.csv"
-        write_ledger_csv(report.trades, path)
+        path = pathlib.Path(emit_report(report, [report], [], tmp_path, series=series)["trades"])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time,side,price,position_after,round_trip_profit"
         assert len(lines) == report.num_trades + 1
+        assert report.num_round_trips > 0
+        oracle_ledger_csv(tmp_path / "oracle.csv", report.trades)
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for row, trade in zip(rows, report.trades, strict=True):
+            profit = None if row[4] == "" else float(row[4])
+            assert (int(row[0]), row[1], float(row[2]), int(row[3]), profit) == (
+                trade.time, trade.side, trade.price, trade.position_after, trade.round_trip_profit)
 
     def test_avg_investment_is_mean_entry_price(self, rng):
         model = make_model(rng)
