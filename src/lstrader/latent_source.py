@@ -13,7 +13,6 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -150,12 +149,6 @@ class LabeledSet:
     def __len__(self) -> int:
         return len(self.y)
 
-    def __getitem__(self, i: int) -> tuple[np.ndarray, float, int]:
-        return self.x[i], float(self.y[i]), int(self.source[i])
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, float, int]]:
-        return (self[i] for i in range(len(self)))
-
 
 def generate_labeled(spec: LatentSourceSpec, n: int) -> LabeledSet:
     """Draw n labeled points (x, y, source) from the model."""
@@ -260,7 +253,6 @@ def generate_price_series(
 
 def demo_spec(
     seed: int = 20140506,
-    pattern_len: int = 60,
     noise_sigma: float = 0.0,
 ) -> LatentSourceSpec:
     """A stylized four-source model for demos and synthetic experiments.
@@ -271,6 +263,7 @@ def demo_spec(
     spread of signal strengths; the tapers make a run's wind-down visible
     inside a trailing window.
     """
+    pattern_len = 60
     t = np.arange(pattern_len, dtype=np.float64)
     taper = np.minimum(1.0, np.minimum(t / 6.0, (pattern_len - 1 - t) / 10.0))
     run = 0.9 * np.clip(taper, 0.05, 1.0)

@@ -275,8 +275,6 @@ def _layout(cols: tuple[str, ...]):
         levels.append(n)
     if idx != len(cols):
         raise ValueError(f"line 1: unrecognized tick CSV column {cols[idx]!r}")
-    if levels == [0, 0]:
-        raise ValueError("line 1: extended tick CSV header has no book levels")
     if max(levels) > MAX_BOOK_DEPTH:
         raise ValueError(f"line 1: book depth exceeds {MAX_BOOK_DEPTH}")
     ask = 2 + 2 * levels[0]

@@ -29,12 +29,14 @@ msq = max(sum(d^2) - s1 * mean, 0) / M,
 0 where the denominator is 0, clipped to [-1, 1]. Both sides go through
 the same row rule, so s(a, b) == s(b, a) bit for bit. ``_similarity`` is
 the one place the formula is computed (``similarity_many`` and its 1x1
-call ``similarity`` wrap it), and ``_score_blocks`` the one block loop,
-shared by ``feature_block`` and ``calibrate_c``, over one consecutive run
-of prediction points. Every product and sum of scoring is row-local: a
-point's bits depend on its window and the model alone, not on the other
-points of its call, so where a run starts and ends, and how it is cut
-into blocks and slices, changes no bit.
+call ``similarity`` wrap it), and ``_features`` the one block loop, where
+scores become bank predictions, over one consecutive run of prediction
+points: for one c in ``feature_block``, for the whole c grid at once in
+``calibrate_c``, which so holds one feature matrix per c and no score
+matrix. Every product and sum of scoring is row-local: a point's bits
+depend on its window and the model alone, not on the other points of its
+call, so where a run starts and ends, and how it is cut into blocks and
+slices, changes no bit.
 
 A predictor holds N >= 1 banks with strictly increasing window lengths. On
 top of the N per-bank predictions sits an affine combiner with N + 2
@@ -160,14 +162,16 @@ def _scores(queries: np.ndarray, bank: PatternBank, variant: str) -> np.ndarray:
     return -0.25 * d2
 
 
-def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:
-    """Normalized kernel weights: the row-wise softmax of scale * scores."""
+def _softmax(scores: np.ndarray, scale: float | np.ndarray) -> np.ndarray:
+    """Normalized kernel weights: the softmax of scale * scores over the last
+    axis. scale is a number, or an array of them that broadcasts against
+    scores (a (G, 1, 1) grid gives G sets of weights)."""
     w = scale * scores
     # under a huge scale a shift may overflow to -inf, whose exp is the 0 weight it stands for
     with np.errstate(over="ignore"):
-        w -= w.max(axis=1, keepdims=True)
+        w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
@@ -218,20 +222,6 @@ def history_required(banks: Sequence[PatternBank]) -> int:
     return max(bank.window_length for bank in banks)
 
 
-def _score_blocks(series: PriceSeries, banks: Sequence[PatternBank], ts: np.ndarray):
-    """(slice, bank index, s) of the consecutive run ts, SCORE_BLOCK_ROWS points at
-    a time. A block is a view of the longest windows, anchored once; each bank
-    scores its suffix, as the suffix of d = windows - windows[:, -1:] is its own d."""
-    longest = history_required(banks)
-    for out, points in row_blocks(ts, SCORE_BLOCK_ROWS):
-        windows = sliding_window_view(series.prices[points[0] + 1 - longest : points[-1] + 1], longest)
-        with np.errstate(invalid="ignore", over="ignore"):
-            d = windows - windows[:, -1:]
-        for j, bank in enumerate(banks):
-            yield out, j, _similarity(anchored_moments(d[:, longest - bank.window_length :]), bank.anchored)
-        del d  # a block goes before the next is made
-
-
 def _check_points(series: PriceSeries, banks: Sequence[PatternBank], ts) -> np.ndarray:
     """ts as int64, once it is one ascending run of consecutive integers (an
     empty run included) whose points each have their history in the series."""
@@ -251,6 +241,26 @@ def _check_kernel(kernel: KernelChoice) -> None:
         raise ValueError(f"series are scored under {KERNEL_EXP_SIMILARITY} only, got {kernel.variant!r}")
 
 
+def _features(series: PriceSeries, banks: Sequence[PatternBank], grid, ts) -> np.ndarray:
+    """(len(grid), len(ts), N + 1) combiner inputs of the checked consecutive run
+    ts, one matrix per c of grid, SCORE_BLOCK_ROWS points at a time. A block is a
+    view of the longest windows, anchored once; each bank scores its suffix (the
+    suffix of d = windows - windows[:, -1:] is its own d) once, for every c."""
+    longest = history_required(banks)
+    scales = np.asarray(grid, dtype=np.float64)[:, None, None]
+    features = np.empty((scales.shape[0], ts.size, len(banks) + 1))
+    for out, points in row_blocks(ts, SCORE_BLOCK_ROWS):
+        windows = sliding_window_view(series.prices[points[0] + 1 - longest : points[-1] + 1], longest)
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = windows - windows[:, -1:]
+        for j, bank in enumerate(banks):
+            scores = _similarity(anchored_moments(d[:, longest - bank.window_length :]), bank.anchored)
+            features[:, out, j] = _label_average(_softmax(scores, scales), bank.labels)
+        del d  # a block goes before the next is made
+    features[:, :, -1] = series.imbalances[ts]
+    return features
+
+
 def feature_block(
     series: PriceSeries,
     banks: Sequence[PatternBank],
@@ -266,12 +276,7 @@ def feature_block(
     scored in blocks, so memory does not grow with len(ts) beyond the result.
     """
     _check_kernel(kernel)
-    ts = _check_points(series, banks, ts)
-    features = np.empty((ts.size, len(banks) + 1))
-    for out, j, scores in _score_blocks(series, banks, ts):
-        features[out, j] = _label_average(_softmax(scores, kernel.c), banks[j].labels)
-    features[:, -1] = series.imbalances[ts]
-    return features
+    return _features(series, banks, [kernel.c], _check_points(series, banks, ts))[0]
 
 
 @dataclass(frozen=True)
@@ -369,7 +374,8 @@ def calibrate_c(
     For each c the combiner is refit on the series and scored against the
     realized next-bucket price changes; the smallest-MSE c wins, ties going
     to the smaller c. Similarity scores do not depend on c, so the sweep
-    costs one pass of window scoring plus a softmax and a small OLS per c.
+    costs one pass of window scoring, each block's scores weighted under every
+    c at once, plus a small OLS per c.
     """
     grid = check_c_grid(grid)
     ts = fit_points(fit_series, banks)
@@ -378,16 +384,9 @@ def calibrate_c(
             f"fit series yields {ts.size} samples, need at least {MIN_FIT_SAMPLES}"
         )
     targets = fit_series.prices[ts + 1] - fit_series.prices[ts]
-    imbalances = fit_series.imbalances[ts]
-    scores = [np.empty((ts.size, len(bank))) for bank in banks]
-    for out, j, block in _score_blocks(fit_series, banks, ts):
-        scores[j][out] = block
-
     best: tuple[float, float, CombinerWeights] | None = None
     errors = []
-    for c in grid:
-        columns = [_label_average(_softmax(s, c), bank.labels) for s, bank in zip(scores, banks)]
-        features = np.column_stack(columns + [imbalances])
+    for c, features in zip(grid, _features(fit_series, banks, grid, ts)):
         weights = fit_weights(features, targets)
         residual = weights.apply(features) - targets
         mse = float((residual @ residual) / residual.size)

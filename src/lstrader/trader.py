@@ -137,7 +137,7 @@ def run_backtest(
     ts, dp = dp_stream
     n = len(series)
     # a first point below 0 would index prices from the end
-    if len(ts) == 0 or ts[0] < 0 or ts[-1] != n - 2 or len(ts) != ts[-1] - ts[0] + 1:
+    if np.ndim(ts) != 1 or len(ts) == 0 or ts[0] < 0 or ts[-1] != n - 2 or (np.diff(ts) != 1).any():
         raise ValueError("dp_stream does not cover this series' prediction points")
     if len(dp) != len(ts):
         raise ValueError(f"dp_stream has {len(dp)} predictions for {len(ts)} points")

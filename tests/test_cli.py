@@ -17,7 +17,7 @@ from lstrader.cli import build_parser, main
 from lstrader.evaluator import emit_report, sweep_thresholds
 from lstrader.latent_source import demo_spec
 from lstrader.market_data import PriceSeries
-from lstrader.pattern_bank import PatternBank
+from lstrader.pattern_bank import PatternBank, normalize
 from lstrader.regression import PredictorModel
 
 SMALL = dict(duration=28800.0, windows="30,60,120", k="12", m="4")
@@ -307,6 +307,26 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 1: field larger than field limit")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("timestamp,price", "expected header timestamp,price,bid_vol_total,ask_vol_total"),
+            ("timestamp,price,bid_price_1,ask_vol_1", "expected bid_vol_1, got 'ask_vol_1'"),
+            ("timestamp,price,bid_price_1,bid_vol_1,foo", "unrecognized tick CSV column 'foo'"),
+            ("timestamp,price," + ",".join(f"bid_price_{i},bid_vol_{i}" for i in range(1, 62)),
+             "book depth exceeds 60"),
+        ],
+        ids=["basic", "volume", "column", "depth"],
+    )
+    def test_bad_tick_header_names_line_1(self, tmp_path, capsys, header, message):
+        """Each header fault exits 1 naming the file and line 1, and writes no series."""
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(f"{header}\n1.0,100.0\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("ingest", "--ticks", ticks, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {ticks}: line 1: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["spec", "ticks", "series", "model", "bank"])
     def test_non_utf8_input_names_file(self, spec_path, tmp_path, capsys, reader):
@@ -673,6 +693,21 @@ class TestStagedCommands:
         assert run_cli(command, "--series", short, "--out-dir", tmp_path / "out", *flags) == 1
         assert capsys.readouterr().err == f"error: {short}: series has 29 buckets, {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_fit_refuses_too_few_samples_naming_the_series(self, tmp_path, capsys):
+        """An 11-bucket series against banks of 4 and 8 buckets leaves 2 fit points."""
+        banks_dir = tmp_path / "banks"
+        banks_dir.mkdir()
+        for m in (4, 8):
+            vectors = np.array([normalize(np.arange(m) % 3), normalize(-np.arange(m))])
+            PatternBank(window_length=m, vectors=vectors, labels=np.array([1.0, -1.0]),
+                        populations=np.ones(2, dtype=np.int64)).save_json(banks_dir / f"bank_{m}.json")
+        series_csv = tmp_path / "series.csv"
+        PriceSeries(0.0, 10.0, 100.0 + np.arange(11.0), np.zeros(11)).to_csv(series_csv)
+        fit_dir = tmp_path / "fitted"
+        assert run_cli("fit", "--series", series_csv, "--banks-dir", banks_dir, "--out-dir", fit_dir) == 1
+        assert capsys.readouterr().err == f"error: {series_csv}: fit series yields 2 samples, need at least 5\n"
+        assert not (fit_dir / "model.json").exists()
 
     @pytest.mark.parametrize("command, flags, message", [
         ("build-banks", ["--k", "0"], "k and m must be >= 1, got k=0, m=20"),

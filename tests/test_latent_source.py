@@ -140,7 +140,7 @@ class TestGenerateLabeled:
     def test_zero_noise_points_equal_sources_exactly(self):
         spec = two_source_spec(noise_sigma=0.0)
         draws = generate_labeled(spec, 50)
-        for x, y, k in draws:
+        for x, y, k in zip(draws.x, draws.y, draws.source):
             assert np.array_equal(x, spec.sources[k])
             assert y == spec.label_dists[k].mean
 
@@ -264,7 +264,7 @@ class TestGeneratePriceSeries:
         assert len(generate_price_series(demo_spec(), duration=990.0, seed=0).series) == 100
 
     def test_duration_shorter_than_pattern_rejected(self):
-        spec = demo_spec(pattern_len=60)
+        spec = demo_spec()
         with pytest.raises(ValueError, match="shorter"):
             generate_price_series(spec, duration=500.0, seed=0)
 

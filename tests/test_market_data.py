@@ -240,6 +240,15 @@ class TestOverLongLine:
         assert message == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_series_line_of_many_fields_refused_within_a_bounded_peak(self, tmp_path):
+        """A line of short fields is cut once it runs past its row's width in
+        pieces (3 for a series): the 24 MiB line below peaked at 1.4 MiB."""
+        path = tmp_path / "series.csv"
+        path.write_text(f"bucket_time,price,imbalance\n0.0,100.0,0.0\n{'1,' * (12 * 2**20)}\n")
+        message, peak = _read_peak(PriceSeries.from_csv, path)
+        assert message == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_earlier_fault_still_reported_first(self, tmp_path):
         path = tmp_path / "ticks.csv"
         path.write_text(f"timestamp,price,bid_vol_total,ask_vol_total\n1,0,1,1\n2,{self.TOKEN},1,1\n")

@@ -510,8 +510,8 @@ class TestBuildBanks:
             seed=77,
         )
         draws = generate_labeled(spec, 60)
-        points = normalized_rows([x for x, _, _ in draws])
-        clusters = kmeans(points, np.array([y for _, y, _ in draws]), k=2, seed=8)
+        points = normalized_rows(draws.x)
+        clusters = kmeans(points, draws.y, k=2, seed=8)
         anchor = clusters.assignments[draws.source == 0][0]
         predicted = np.where(clusters.assignments == anchor, 0, 1)
         assert np.array_equal(predicted, draws.source)

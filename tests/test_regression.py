@@ -518,6 +518,14 @@ class TestCalibrateC:
         with pytest.raises(ValueError, match="c grid values must be finite and > 0"):
             calibrate_c(grid, planted_series_for_calibration(rng), self.make_banks(rng))
 
+    @pytest.mark.parametrize("buckets", [10, 11, 12, 13])
+    def test_too_few_fit_samples_rejected(self, rng, buckets):
+        """Banks of 4 and 8 buckets leave buckets - 9 fit points, under the 5 a fit needs."""
+        banks = (random_bank(rng, n=5, dim=4), random_bank(rng, n=5, dim=8))
+        series = planted_series_for_calibration(rng, n=buckets)
+        with pytest.raises(ValueError, match=f"^fit series yields {buckets - 9} samples, need at least 5$"):
+            calibrate_c([1.0, 2.0], series, banks)
+
 
 @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
 def test_exp_similarity_needs_finite_positive_c(c):

@@ -230,6 +230,22 @@ def test_feature_block_memory_is_bounded(week):
         assert peak < bound * 2**20, f"{call}: peak {peak / 2**20:.2f} MiB"
 
 
+def test_calibrate_c_memory_is_bounded(week):
+    """calibrate_c of 60,000 points under the default grid holds one feature
+    matrix per c (5 x 60,000 x 4 floats, 9.2 MiB) beside one anchored block and
+    its weights under every c: a traced peak of 13.3 MiB. Not every bank's
+    (points, patterns) score matrix besides (27.5 MiB more, a 52.2 MiB peak)."""
+    series, banks, _ = week
+    tracemalloc.start()
+    try:
+        calibration = calibrate_c(regression.DEFAULT_C_GRID, series, banks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calibration.errors) == len(regression.DEFAULT_C_GRID)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_a_point_scores_the_same_bits_in_any_run(week):
     """A point's features and dp depend on its window and the model alone, not
     on the run it is scored in. The last 600 points give the batch's bits one

@@ -190,8 +190,12 @@ class TestRunBacktest:
             lambda n: np.arange(5, n - 2),
             lambda n: np.arange(5, n),
             lambda n: np.array([5, 7, n - 2]),
+            lambda n: np.r_[5, 7, 6, 8 : n - 1],
+            lambda n: np.r_[5, 6, 6, 8 : n - 1],
+            lambda n: np.arange(5, n - 1)[None, :],
         ],
-        ids=["empty", "starts_below_0", "ends_early", "ends_late", "gapped"],
+        ids=["empty", "starts_below_0", "ends_early", "ends_late", "gapped", "shuffled", "repeated",
+             "two_dimensional"],
     )
     def test_dp_stream_not_covering_the_series_rejected(self, points):
         # without a model the stream alone says where it starts: one that
