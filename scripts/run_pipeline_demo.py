@@ -3,13 +3,15 @@
 
 Writes a demo latent-source spec, runs the full pipeline (generate, split,
 build banks, calibrate, fit, sweep, backtest, report), and prints the
-headline numbers. Everything lands in the chosen output directory.
+headline numbers and the pipeline's wall time. Everything but the wall time
+lands in the chosen output directory.
 """
 
 import argparse
 import json
 import os
 import sys
+import time
 
 from lstrader.cli import main as cli_main
 from lstrader.latent_source import demo_spec
@@ -28,6 +30,7 @@ def main() -> int:
     spec_path = os.path.join(args.out, "spec.json")
     demo_spec(noise_sigma=args.noise_sigma).save_json(spec_path)
 
+    start = time.perf_counter()
     rc = cli_main(
         [
             "pipeline",
@@ -38,6 +41,7 @@ def main() -> int:
             "--start-price", str(args.start_price),
         ]
     )
+    wall_s = time.perf_counter() - start
     if rc != 0:
         return rc
 
@@ -47,6 +51,7 @@ def main() -> int:
     for key in ("total_profit", "num_trades", "num_round_trips", "avg_investment",
                 "return_pct", "sharpe", "threshold", "kernel_c"):
         print(f"  {key:>16}: {summary[key]}")
+    print(f"  {'pipeline_wall_s':>16}: {wall_s:.3f}")
     print(f"  artifacts in {args.out}/")
     return 0
 

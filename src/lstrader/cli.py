@@ -162,15 +162,7 @@ def cmd_ingest(args) -> int:
 def _build_banks(args, series, seed, out_dir):
     """One bank per --windows length under the mining flags, each written to
     out_dir as bank_<window>.json; (banks, file names)."""
-    banks = build_banks(
-        series,
-        window_lengths=args.windows,
-        k=args.k,
-        m=args.m,
-        stride=args.stride,
-        seed=seed,
-        max_iters=args.max_iters,
-    )
+    banks = build_banks(series, window_lengths=args.windows, k=args.k, m=args.m, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     names = [f"bank_{bank.window_length}.json" for bank in banks]
     for bank, name in zip(banks, names):
@@ -179,7 +171,7 @@ def _build_banks(args, series, seed, out_dir):
 
 
 def cmd_build_banks(args) -> int:
-    check_mining(args.windows, args.k, args.m, args.stride, args.max_iters)
+    check_mining(args.windows, args.k, args.m)
     series = PriceSeries.from_csv(args.series)
     _, names = _naming(args.series, _build_banks, args, series, args.seed, args.out_dir)
     for name in names:
@@ -284,7 +276,7 @@ def cmd_pipeline(args) -> int:
         raise ValueError("split needs three positive fractions")
     if not abs(sum(split) - 1.0) <= SPLIT_TOLERANCE:
         raise ValueError(f"split fractions sum to {sum(split)!r}, expected 1")
-    check_mining(args.windows, args.k, args.m, args.stride, args.max_iters)
+    check_mining(args.windows, args.k, args.m)
     check_c_grid(args.c_grid)
     if args.thresholds is not None:
         evaluator.check_thresholds(args.thresholds)
@@ -349,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     mining.add_argument("--windows", type=_parse_ints, default=DEFAULT_WINDOW_LENGTHS)
     mining.add_argument("--k", type=int, default=DEFAULT_NUM_CLUSTERS)
     mining.add_argument("--m", type=int, default=DEFAULT_NUM_SELECTED)
-    mining.add_argument("--stride", type=int, default=1)
-    mining.add_argument("--max-iters", type=int, default=100)
     calibration = argparse.ArgumentParser(add_help=False)
     calibration.add_argument("--c-grid", type=_parse_floats, default=DEFAULT_C_GRID)
     evaluation = argparse.ArgumentParser(add_help=False)

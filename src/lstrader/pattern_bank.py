@@ -132,8 +132,8 @@ class WindowSet:
         return self.labels.shape[0]
 
 
-def extract_windows(series: PriceSeries, window: int, stride: int = 1) -> WindowSet:
-    """All labeled windows of the given length, stepping starts by stride.
+def extract_windows(series: PriceSeries, window: int) -> WindowSet:
+    """All labeled windows of the given length, one starting at every bucket.
 
     Window i is prices[i : i+window); its label is the increment
     prices[i+window] - prices[i+window-1]. Starts whose label bucket would
@@ -141,16 +141,14 @@ def extract_windows(series: PriceSeries, window: int, stride: int = 1) -> Window
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     if len(series) < window + 1:
         raise ValueError(
             f"series has {len(series)} buckets, need at least {window + 1} "
             f"for windows of length {window}"
         )
     prices = series.prices
-    raw = sliding_window_view(prices, window)[: len(series) - window : stride]
-    labels = prices[window::stride] - prices[window - 1 : -1 : stride]
+    raw = sliding_window_view(prices, window)[: len(series) - window]
+    labels = prices[window:] - prices[window - 1 : -1]
     normalized = normalize_rows(raw)
     normalized.setflags(write=False)
     labels.setflags(write=False)
@@ -489,11 +487,11 @@ class PatternBank:
         return read_json(path, cls.from_json_dict)
 
 
-def check_mining(window_lengths, k: int, m: int, stride: int, max_iters: int) -> tuple[int, ...]:
+def check_mining(window_lengths, k: int, m: int) -> tuple[int, ...]:
     """The window lengths as ints, once they and the other ``build_banks``
     settings are valid: at least one length, each >= 1 and strictly
-    increasing, and k, m, stride and max_iters each >= 1. Otherwise raises
-    ValueError naming what is wrong, before any series is needed."""
+    increasing, and k and m each >= 1. Otherwise raises ValueError naming
+    what is wrong, before any series is needed."""
     if k < 1 or m < 1:
         raise ValueError(f"k and m must be >= 1, got k={k}, m={m}")
     window_lengths = tuple(int(w) for w in window_lengths)
@@ -503,10 +501,6 @@ def check_mining(window_lengths, k: int, m: int, stride: int, max_iters: int) ->
         raise ValueError("window lengths must be strictly increasing")
     if window_lengths[0] < 1:
         raise ValueError(f"window lengths must be >= 1, got {window_lengths[0]}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     return window_lengths
 
 
@@ -515,9 +509,7 @@ def build_banks(
     window_lengths: Sequence[int] = DEFAULT_WINDOW_LENGTHS,
     k: int = DEFAULT_NUM_CLUSTERS,
     m: int = DEFAULT_NUM_SELECTED,
-    stride: int = 1,
     seed: int = 0,
-    max_iters: int = 100,
 ) -> tuple[PatternBank, ...]:
     """Build one bank per window length from a historical series.
 
@@ -525,7 +517,7 @@ def build_banks(
     to half the window count (at least 1) and m to the effective k, so short
     series still yield usable banks.
     """
-    window_lengths = check_mining(window_lengths, k, m, stride, max_iters)
+    window_lengths = check_mining(window_lengths, k, m)
     longest = window_lengths[-1]
     if len(series) < longest + 1:
         raise ValueError(
@@ -537,12 +529,10 @@ def build_banks(
     banks = []
     # longest first: the largest window matrix lands before smaller banks fragment the heap
     for window, cluster_seed in reversed(list(zip(window_lengths, seeds))):
-        windows = extract_windows(series, window, stride)
+        windows = extract_windows(series, window)
         k_eff = max(1, min(k, len(windows) // 2))
         m_eff = min(m, k_eff)
-        clusters = kmeans(
-            windows.normalized, windows.labels, k_eff, seed=cluster_seed, max_iters=max_iters
-        )
+        clusters = kmeans(windows.normalized, windows.labels, k_eff, seed=cluster_seed)
         del windows  # free this length's windows before the next length's are made
         banks.append(select_effective(clusters, m_eff))
     return tuple(reversed(banks))

@@ -104,7 +104,7 @@ def old_binary_banks(spec_path, tmp_path):
 
 
 SERIES_DEFAULTS = dict(duration=259200.0, interval=10.0, start_price=500.0, imbalance_gain=0.0)
-MINING_DEFAULTS = dict(windows=(180, 360, 720), k=100, m=20, stride=1, max_iters=100)
+MINING_DEFAULTS = dict(windows=(180, 360, 720), k=100, m=20)
 
 # (required flags, every resulting attribute) per subcommand, defaults as literals
 PARSED_DEFAULTS = {
@@ -141,6 +141,20 @@ class TestArgHandling:
         """report does what backtest and sweep did: report --thresholds t, or a list."""
         assert run_cli(command, "--series", "s.csv", "--model", "m.json", "--thresholds", "0.1") == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--stride", "2"), ("--max-iters", "5")], ids=["stride", "max_iters"])
+    @pytest.mark.parametrize("command", ["build-banks", "pipeline"])
+    def test_removed_mining_flags_are_usage_errors(self, spec_path, tmp_path, capsys, command, flag):
+        """Windows start at every bucket and k-means stops at its own cap of 100
+        iterations: neither is a setting."""
+        out = tmp_path / "out"
+        source = ("--series", tmp_path / "s.csv", "--out-dir") if command == "build-banks" else (
+            "--spec", spec_path, "--out")
+        assert run_cli(command, *source, out, *flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lstrader ")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+        assert not out.exists()
 
     def test_report_refuses_thresholds_before_reading_input(self, tmp_path, capsys):
         rc = run_cli("report", "--series", tmp_path / "missing.csv", "--model", tmp_path / "m.json",
@@ -857,6 +871,7 @@ class TestPipeline:
             "name": "spec.json", "sha256": hashlib.sha256(copy.read_bytes()).hexdigest()
         }
         assert manifest["args"] == json.loads(json.dumps(expected))
+        assert not {"stride", "max_iters"} & set(manifest["args"])
         assert manifest["seed"] == 3
         assert manifest["versions"] == {
             "lstrader": lstrader.__version__, "numpy": np.__version__,
@@ -1013,13 +1028,11 @@ class TestPipeline:
          (("--c-grid", "nan"), "c grid values must be finite and > 0"),
          (("--windows", "0,60"), "window lengths must be >= 1, got 0"),
          (("--windows", "60,30"), "window lengths must be strictly increasing"),
-         (("--stride", "0"), "stride must be >= 1"),
-         (("--max-iters", "0"), "max_iters must be >= 1"),
          (("--thresholds", "0.2,0.1"), "thresholds must be strictly increasing"),
          (("--thresholds", "0.1,inf"), "thresholds must be finite and > 0"),
          (("--thresholds", "0,0.1"), "thresholds must be finite and > 0")],
         ids=["k_0", "k_negative", "m_0", "c_grid_inf", "c_grid_nan", "windows_0",
-             "windows_decreasing", "stride_0", "max_iters_0", "thresholds_decreasing",
+             "windows_decreasing", "thresholds_decreasing",
              "thresholds_inf", "thresholds_0"],
     )
     def test_bad_mining_or_grid_flag_fails_with_diagnostic(

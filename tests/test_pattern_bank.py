@@ -97,10 +97,6 @@ class TestExtractWindows:
         series = series_from_prices(np.arange(14.0))
         assert len(extract_windows(series, window=4)) == 10
 
-    def test_stride_thins_starts(self):
-        series = series_from_prices(np.arange(14.0))
-        assert len(extract_windows(series, window=4, stride=3)) == 4
-
     def test_constant_series_flags_every_pattern(self):
         series = series_from_prices(np.full(9, 5.0))
         windows = extract_windows(series, window=4)
@@ -111,19 +107,19 @@ class TestExtractWindows:
 
     def test_raw_is_a_read_only_view_of_the_prices(self):
         series = series_from_prices(np.arange(14.0) ** 2)
-        windows = extract_windows(series, window=4, stride=3)
+        windows = extract_windows(series, window=4)
         assert np.shares_memory(windows.raw, series.prices)
         assert not windows.raw.flags.writeable
         assert not windows.normalized.flags.writeable
         assert not windows.labels.flags.writeable
-        for i, start in enumerate(range(0, 10, 3)):
-            assert np.array_equal(windows.raw[i], series.prices[start : start + 4])
+        for start in range(10):
+            assert np.array_equal(windows.raw[start], series.prices[start : start + 4])
 
     def test_rows_match_per_window_normalize(self):
         rng = np.random.default_rng(6)
         prices = 100.0 + np.cumsum(rng.normal(size=40))
         prices[10:20] = prices[10]  # some constant windows
-        windows = extract_windows(series_from_prices(prices), window=5, stride=2)
+        windows = extract_windows(series_from_prices(prices), window=5)
         assert np.allclose(windows.normalized, normalized_rows(windows.raw), atol=1e-12)
         assert windows.normalized.shape == (len(windows), 5)
         assert windows.labels.shape == (len(windows),)

@@ -550,10 +550,53 @@ def test_quoted_line_end_across_a_block_boundary(monkeypatch, tmp_path, short_ro
         assert_same_ticks(text, interval, tmp_path)
 
 
+# the ASCII digits of 0 to 9999, four to a row, and how many of them are trailing zeros
+DIGITS = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), np.uint8).reshape(-1, 4)
+TRAILING_ZEROS = np.array([4 - len(f"{i:04d}".rstrip("0")) for i in range(10**4)])
+
+
+def repr_lines(table, quoted):
+    """The bytes of one ",".join(map(repr, row)) line per row of table, the first
+    cell in quotes if quoted and the last ten cells of every tenth row blank.
+
+    Each cell is laid out as its text, zero bytes, then a comma (a newline ending
+    a row), and the zero bytes are dropped. A value in [1e-4, 100) that is its
+    own 8-place rounding has that decimal as its repr, less the trailing zeros
+    after the first place, so its text is looked up four digits at a time; repr
+    formats every other value once per distinct value."""
+    n, width = table.shape
+    short = (table >= 1e-4) & (table < 100) & (table == np.round(table, 8))
+    short[:, 0] = False
+    rest = ~short
+    rest[:, 0] = False
+    first = np.array([(f'"{x!r}"' if quoted else repr(x)).encode() for x in table[:, 0].tolist()])
+    bits, index = np.unique(table[rest].view(np.uint64), return_inverse=True)
+    text = np.array([repr(x).encode() for x in bits.view(np.float64).tolist()])
+    scaled = np.rint(table[short] * 1e8).astype(np.int64)
+    whole, high, low = np.unravel_index(scaled, (100, 10**4, 10**4))
+    decimal = np.empty((len(scaled), 11), np.uint8)
+    decimal[:, :2] = DIGITS[whole, 2:]
+    decimal[:, 0] *= whole >= 10
+    decimal[:, 2] = ord(".")
+    decimal[:, 3:7] = DIGITS[high]
+    decimal[:, 7:] = DIGITS[low]
+    zeros = np.where(low == 0, 4 + TRAILING_ZEROS[high], TRAILING_ZEROS[low])
+    decimal[:, 4:] *= np.arange(7, 0, -1) > zeros[:, None]
+    cells = np.zeros((n, width, max(first.itemsize, text.itemsize, 11) + 1), np.uint8)
+    cells[:, 0, : first.itemsize] = first.view(np.uint8).reshape(n, -1)
+    cells[rest, : text.itemsize] = text.view(np.uint8).reshape(len(text), -1)[index]
+    cells[short, :11] = decimal
+    cells[::10, -10:, :-1] = 0
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells[cells != 0].tobytes()
+
+
 def write_wide_ticks(path, n, levels, quoted=False):
     """n ticks of ``levels`` levels a side, every tenth with its last five ask
     levels blank; quoted puts every timestamp in quotes, which sends the file
-    down the csv.reader path from its first block."""
+    down the csv.reader path from its first block. Written 1000 rows at a time,
+    which bounds the text arrays and keeps every tenth row a tenth tick."""
     rng = np.random.default_rng(5)
     price = np.round(500.0 + np.cumsum(rng.normal(0.0, 0.25, n)), 2)
     steps = 0.01 * np.arange(1, levels + 1)
@@ -566,14 +609,32 @@ def write_wide_ticks(path, n, levels, quoted=False):
     table[:, 3 + 2 * levels :: 2] = np.round(rng.exponential(2.0, (n, levels)), 8)
     header = ["timestamp", "price"] + [f"{side}_{k}_{i}" for side in ("bid", "ask")
                                        for i in range(1, levels + 1) for k in ("price", "vol")]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(table.tolist()):
-            line = ",".join(map(repr, row))
-            if quoted:
-                line = '"' + line.replace(",", '",', 1)
-            fh.write((line.rsplit(",", 10)[0] + "," * 10 if i % 10 == 0 else line) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, 1000):
+            fh.write(repr_lines(table[start : start + 1000], quoted))
     return path
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_repr_lines_matches_per_row_repr(quoted):
+    """repr_lines against the per-row join it replaced, on values on both sides
+    of each edge of its lookup path: exponent-form reprs below 1e-4, zero and
+    negatives, 100 and more, more than 8 places, and trailing zeros."""
+    rng = np.random.default_rng(8)
+    edges = [0.0, -0.0, -1.5, 1e-4, 9.99e-5, 5e-9, 99.99999999, 100.0, 1e16, 0.1 + 0.2,
+             12.5, 3.0, 10.0, 0.00010001, 1.2345678912, 2.0 / 3.0]
+    table = np.round(rng.exponential(2.0, (30, 22)), 8)
+    table[:, 0] = np.round(1.4e9 + np.cumsum(rng.exponential(5.0, 30)), 3)
+    table[1, 1 : 1 + len(edges)] = edges  # a row with no blank cells
+    table[2, 0] = 12.5  # a first cell, quoted or not, that the lookup could take
+    expected = []
+    for i, row in enumerate(table.tolist()):
+        line = ",".join(map(repr, row))
+        if quoted:
+            line = '"' + line.replace(",", '",', 1)
+        expected.append((line.rsplit(",", 10)[0] + "," * 10 if i % 10 == 0 else line) + "\n")
+    assert repr_lines(table, quoted) == "".join(expected).encode()
 
 
 def parse_peak(path):
